@@ -8,14 +8,13 @@ full and written once.
 
 Exit codes: 0 for an answered query, 1 for a violated mathematical
 invariant, 2 for usage errors (including non-prime moduli and malformed
-class expressions), 3 for a refused oversized catalog.
+class expressions), 3 for a refused oversized computation.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import (
@@ -77,21 +76,6 @@ def _nonnegative(text: str) -> int:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
     if value < 0:
         raise argparse.ArgumentTypeError("must be nonnegative")
-    return value
-
-
-def _thread_cap() -> int:
-    """Validate INFKER_THREADS; execution is sequential, which satisfies
-    any positive cap."""
-    raw = os.environ.get("INFKER_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"INFKER_THREADS={raw!r} is not an integer")
-    if value < 1:
-        raise ValueError(f"INFKER_THREADS must be positive, got {value}")
     return value
 
 
@@ -506,7 +490,6 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 2
         return 0 if code == 0 else 2
     try:
-        _thread_cap()
         payload, code = args.handler(args)
     except (NotPrimeError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)

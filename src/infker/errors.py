@@ -36,11 +36,14 @@ class ParseError(InfkerError, ValueError):
 
 
 class CatalogTooLargeError(InfkerError):
-    """An isotropic catalog would exceed the enumeration budget."""
+    """An enumeration would exceed its size budget.
 
-    def __init__(self, count: int, limit: int):
+    ``noun`` names what was counted, e.g. "subspaces" or "vectors".
+    """
+
+    def __init__(self, count: int, limit: int, noun: str):
         super().__init__(
-            f"catalog holds {count} subspaces, more than the supported {limit}"
+            f"catalog holds {count} {noun}, more than the supported {limit}"
         )
         self.count = count
         self.limit = limit

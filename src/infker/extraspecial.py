@@ -126,7 +126,8 @@ class ExtraspecialGroup:
 
     def elements(self) -> Iterator[GroupElement]:
         if self.order() > SCAN_LIMIT:
-            raise CatalogTooLargeError(self.order(), SCAN_LIMIT)
+            raise CatalogTooLargeError(self.order(), SCAN_LIMIT,
+                                       "group elements")
         for z in range(self.p):
             for v in itertools.product(range(self.p), repeat=self.n):
                 yield GroupElement(self, z, v)
@@ -192,7 +193,7 @@ def abelian_preimage_check(group: ExtraspecialGroup, sub: Subspace) -> bool:
         raise DimensionMismatchError("subspace does not match the group")
     size = group.p ** (sub.dim + 1)
     if size * size > SCAN_LIMIT:
-        raise CatalogTooLargeError(size * size, SCAN_LIMIT)
+        raise CatalogTooLargeError(size * size, SCAN_LIMIT, "element pairs")
     lifts = [group.element(z, v)
              for z in range(group.p) for v in sub.vectors()]
     for a in lifts:

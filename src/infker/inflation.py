@@ -6,7 +6,7 @@ coordinates on F_p^{2m}:
 * the ideal component, the image of wedging with the invariant 2-tensor
   from degree r - 2, and
 * the vanishing space, the classes whose pullback to every Lagrangian
-  (optionally: every isotropic) subspace is zero.
+  subspace is zero.
 
 The first always sits inside the second; the dimension gap between them
 is the interesting quantity.  For p > m the gap is zero in every degree
@@ -32,7 +32,7 @@ from .exterior import (
     pure_wedge_coords,
     wedge_coords,
 )
-from .isotropic import annihilator, enumerate_isotropic, perp, radical_split
+from .isotropic import annihilator, perp, radical_split
 from .prime_linalg import (
     Matrix,
     Subspace,
@@ -40,7 +40,13 @@ from .prime_linalg import (
     kernel_basis,
     solve,
 )
-from .symplectic import SymplecticSpace, _cached, dim_wedge, x_minus_matrix
+from .symplectic import (
+    SymplecticSpace,
+    _cached,
+    dim_wedge,
+    isotropic_span_basis,
+    x_minus_matrix,
+)
 
 
 def ideal_component(space: SymplecticSpace, r: int) -> Subspace:
@@ -81,30 +87,18 @@ def reduce_mod_ideal(space: SymplecticSpace, r: int, coords: Sequence[int]) -> t
     return tuple(vec)
 
 
-def vanishing_space(space: SymplecticSpace, r: int,
-                    all_isotropic: bool = False) -> Subspace:
+def vanishing_space(space: SymplecticSpace, r: int) -> Subspace:
     """Classes of degree r that pull back to zero on every Lagrangian.
 
-    With ``all_isotropic`` the constraints range over the isotropic
-    subspaces of every dimension 1..m instead; on the small cases this
-    gives the same space and the equality is exercised in tests.
+    Pulling back to a Lagrangian pairs the class against the wedges of
+    r-subsets of its basis, so the vanishing space is the annihilator of
+    the isotropic span; above degree m there is nothing to pair against.
     """
     def build():
-        p, n = space.p, space.n
-        d = dim_wedge(n, r)
-        dims = range(1, space.m + 1) if all_isotropic else [space.m]
-        blocks = []
-        for k in dims:
-            if dim_wedge(k, r) == 0:
-                continue  # no degree-r functionals on a k-dim subspace
-            for sub in enumerate_isotropic(space, k):
-                f = sub.basis.transpose()
-                blocks.append(pullback_matrix(f, r))
-        if not blocks:
-            return Subspace.full(p, d)
-        return kernel_basis(Matrix.vstack(blocks))
-    key = ("vanishing", r, bool(all_isotropic))
-    return _cached(space, key, build)
+        if r > space.m:
+            return Subspace.full(space.p, dim_wedge(space.n, r))
+        return kernel_basis(isotropic_span_basis(space, r).basis)
+    return _cached(space, ("vanishing", r), build)
 
 
 @dataclass(frozen=True)
@@ -131,15 +125,14 @@ class KernelSandwich:
         }
 
 
-def sandwich(space: SymplecticSpace, r: int,
-             all_isotropic: bool = False) -> KernelSandwich:
+def sandwich(space: SymplecticSpace, r: int) -> KernelSandwich:
     """Compute both spaces at degree r and certify the containment.
 
     Raises InvariantError if the ideal ever escapes the vanishing space;
     that containment is unconditional.
     """
     ideal = ideal_component(space, r)
-    vanish = vanishing_space(space, r, all_isotropic=all_isotropic)
+    vanish = vanishing_space(space, r)
     for row in ideal.basis.entries:
         if vanish.member(row) is None:
             raise InvariantError(
@@ -164,8 +157,7 @@ def sandwich(space: SymplecticSpace, r: int,
                           vanishing=vanish, gap=gap, gap_classes=classes)
 
 
-def theorem1_verify(space: SymplecticSpace,
-                    all_isotropic: bool = False) -> tuple:
+def theorem1_verify(space: SymplecticSpace) -> tuple:
     """The sandwich in every degree 0..2m.
 
     For p > m the two spaces are asserted equal degreewise, so any gap
@@ -173,7 +165,7 @@ def theorem1_verify(space: SymplecticSpace,
     """
     out = []
     for r in range(space.n + 1):
-        s = sandwich(space, r, all_isotropic=all_isotropic)
+        s = sandwich(space, r)
         if space.p > space.m and s.gap:
             raise InvariantError(
                 f"p > m but degree {r} has gap {s.gap}"

@@ -147,7 +147,7 @@ def enumerate_isotropic(space: SymplecticSpace, r: int,
     def build():
         expected = count_isotropic(space.p, space.m, r)
         if expected > limit:
-            raise CatalogTooLargeError(expected, limit)
+            raise CatalogTooLargeError(expected, limit, "subspaces")
         subs = tuple(iter_isotropic(space, r))
         if len(subs) != expected:
             raise InvariantError(

@@ -15,7 +15,6 @@ test suite cross-checks the two on random inputs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -73,67 +72,6 @@ def inv_mod(a: int, p: int) -> int:
     if r0 != 1:
         raise ZeroDivisionError(f"{a} is not invertible mod {p}")
     return t0 % p
-
-
-@dataclass(frozen=True)
-class Fp:
-    """A single residue modulo a prime.
-
-    The class exists for scalar-level work and doctests; the matrix layer
-    below keeps raw ints for speed and converts on demand.
-    """
-
-    value: int
-    p: int
-
-    def __post_init__(self):
-        check_prime(self.p)
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _coerce(self, other) -> "Fp":
-        if isinstance(other, Fp):
-            if other.p != self.p:
-                raise FieldMismatchError(f"mixed moduli {self.p} and {other.p}")
-            return other
-        if isinstance(other, int):
-            return Fp(other, self.p)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return Fp(self.value + other.value, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return Fp(self.value - other.value, self.p)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        return Fp(other.value - self.value, self.p)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return Fp(self.value * other.value, self.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Fp(-self.value, self.p)
-
-    def inverse(self) -> "Fp":
-        return Fp(inv_mod(self.value, self.p), self.p)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inverse()
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __repr__(self) -> str:
-        return f"Fp({self.value}, {self.p})"
 
 
 class Matrix:
@@ -482,7 +420,7 @@ class Subspace:
     def vectors(self, limit: int = 1_000_000) -> Iterator[tuple]:
         """Every vector of the subspace, p^dim of them, in a fixed order."""
         if self.p ** self.dim > limit:
-            raise CatalogTooLargeError(self.p ** self.dim, limit)
+            raise CatalogTooLargeError(self.p ** self.dim, limit, "vectors")
         p = self.p
         rows = self.basis.entries
         for coeffs in itertools.product(range(p), repeat=self.dim):

@@ -20,13 +20,13 @@ from scratch and the test suite pins it.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
 from .errors import (
+    CatalogTooLargeError,
     DecompositionDefectError,
     DimensionMismatchError,
     FieldMismatchError,
@@ -40,7 +40,6 @@ from .exterior import (
     compound_matrix,
     mono_rank,
     monomials,
-    pure_wedge_coords,
     wedge_monomials,
 )
 from .prime_linalg import (
@@ -61,6 +60,11 @@ from .prime_linalg import (
 #: scaled by -1.  This is the only sign choice that works for odd primes
 #: (for p = 2 the two choices coincide); recorded in every report.
 SIGMA = -1
+
+#: Largest middle-degree dimension C(2m, m) the closure engine serves:
+#: C(10, 5), so m <= 5.  Every closure on a larger space is refused
+#: before any compound is built.
+CLOSURE_LIMIT = 252
 
 
 def dim_wedge(n: int, r: int) -> int:
@@ -236,35 +240,6 @@ def h_matrix(space: SymplecticSpace, r: int) -> Matrix:
     return Matrix.identity(space.p, d).scale(space.m - r)
 
 
-@dataclass(frozen=True)
-class OperatorReport:
-    """One graded operator pinned down as exact data."""
-
-    name: str
-    degree: int
-    matrix: Matrix
-    rank: int
-    corank: int
-    kernel: Subspace
-    sigma: int = SIGMA
-
-
-def operator_report(space: SymplecticSpace, name: str, r: int) -> OperatorReport:
-    builders = {"x_minus": x_minus_matrix, "x_plus": x_plus_matrix, "h": h_matrix}
-    if name not in builders:
-        raise ValueError(f"unknown operator {name!r}")
-    mat = builders[name](space, r)
-    rk = rref(mat)[2]
-    return OperatorReport(
-        name=name,
-        degree=r,
-        matrix=mat,
-        rank=rk,
-        corank=mat.rows - rk,
-        kernel=kernel_basis(mat),
-    )
-
-
 # ---------------------------------------------------------------------------
 # bracket relations
 
@@ -431,13 +406,12 @@ def primitive_basis(space: SymplecticSpace, r: int) -> Subspace:
 def isotropic_span_basis(space: SymplecticSpace, r: int) -> Subspace:
     """Span of the wedges of bases of all isotropic r-dimensional subspaces.
 
-    Every isotropic r-subspace sits inside a maximal one, and the wedge of
-    any r vectors drawn from a maximal isotropic subspace expands over the
-    wedges of r-subsets of its basis.  The span is therefore accumulated
-    by streaming the maximal catalog.  Each contributing wedge is checked
-    to be primitive; once the span fills the whole primitive subspace it
-    cannot grow further, so the stream stops early.  The classical
-    dimension count C(2m, r) - C(2m, r - 2) is asserted at the end.
+    The symplectic group is transitive on isotropic r-subspaces (Witt), so
+    the span is the submodule generated by x1 ^ ... ^ xr.  That closure
+    lies inside the span, and the span is a quotient of the Weyl module of
+    dimension C(2m, r) - C(2m, r - 2); asserting that dimension at the end
+    therefore proves the closure is the whole span.  Every basis vector is
+    also checked to be primitive.
     """
     p, m, n = space.p, space.m, space.n
     if r < 0:
@@ -447,22 +421,11 @@ def isotropic_span_basis(space: SymplecticSpace, r: int) -> Subspace:
         return Subspace.zero(p, dim_wedge(n, r))
 
     def build():
-        from .isotropic import iter_isotropic
-
-        ambient = dim_wedge(n, r)
-        cap = primitive_basis(space, r)
+        seed = Multivector(p, m, {tuple(range(r)): 1})
+        span = submodule_closure(space, r, [seed])
         xp = x_plus_matrix(space, r)
-        span = Subspace.zero(p, ambient)
-        for lag in iter_isotropic(space, m):
-            rows = lag.basis.entries
-            for subset in itertools.combinations(range(m), r):
-                w = pure_wedge_coords([rows[i] for i in subset], n, p)
-                if any(xp.matvec(w)):
-                    raise InvariantError("isotropic wedge escaped the primitive subspace")
-                if not span.contains(w):
-                    span = Subspace.from_rows(p, ambient, list(span.basis.entries) + [w])
-            if span.dim == cap.dim:
-                break
+        if any(any(xp.matvec(row)) for row in span.basis.entries):
+            raise InvariantError("isotropic wedge escaped the primitive subspace")
         expected = dim_wedge(n, r) - dim_wedge(n, r - 2)
         if span.dim != expected:
             raise InvariantError(
@@ -554,30 +517,45 @@ def transvection(space: SymplecticSpace, v: Sequence[int]) -> Matrix:
     return t
 
 
-def _nonzero_vectors(p: int, n: int):
-    for vec in itertools.product(range(p), repeat=n):
-        if any(vec):
-            yield vec
+def _generator_directions(m: int) -> list:
+    """x1..xm, y1..ym and x_i + x_{i+1}: the 3m - 1 transvection
+    directions that generate the symplectic group."""
+    n = 2 * m
+    units = [[int(j == i) for j in range(n)] for i in range(n)]
+    return units + [[int(j in (i, i + 1)) for j in range(n)]
+                    for i in range(m - 1)]
 
 
 def _transvection_compounds(space: SymplecticSpace, r: int) -> tuple:
     def build():
         return tuple(
             compound_matrix(transvection(space, v), r)
-            for v in _nonzero_vectors(space.p, space.n)
+            for v in _generator_directions(space.m)
         )
     return _cached(space, ("tv_compound", r), build)
 
 
 def submodule_closure(space: SymplecticSpace, r: int, seeds: Sequence[Multivector]) -> Subspace:
     """Smallest subspace of degree r containing the seeds and stable under
-    the induced action of every symplectic transvection.
+    the induced action of the symplectic group.
 
-    Transvections generate the full symplectic group and each one has
-    finite order, so closure under the whole set is exactly invariance
-    under the group.
+    The group is generated by the 3m - 1 transvections along x1..xm,
+    y1..ym and x_i + x_{i+1}.  Negating the pairs (x_j, y_j) for every
+    other j is symplectic and, since t_{-v} = t_v, conjugates them to the
+    transvections along x_i, y_i and x_i - x_{i+1}: the homology actions
+    of Lickorish's Dehn-twist generators of the mapping class group,
+    which generate Sp(2m, Z), and Sp(2m, Z) maps onto Sp(2m, F_p).  Each
+    generator has finite order, so closure under the generators alone is
+    exactly invariance under the group.
+
+    Spaces whose middle degree has more than CLOSURE_LIMIT coordinates
+    are refused with CatalogTooLargeError before any compound is built.
     """
-    p, n = space.p, space.n
+    p, m, n = space.p, space.m, space.n
+    middle = dim_wedge(n, m)
+    if middle > CLOSURE_LIMIT:
+        raise CatalogTooLargeError(middle, CLOSURE_LIMIT,
+                                   f"degree-{m} wedge coordinates")
     ambient = dim_wedge(n, r)
     rows = []
     for s in seeds:

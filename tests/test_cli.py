@@ -71,18 +71,30 @@ def test_usage_errors(capsys, argv):
     assert code == 2
 
 
-def test_bad_thread_env_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("INFKER_THREADS", "0")
-    code, _, err = run_cli(capsys, "sl2-check", "-p", "3", "-m", "1")
-    assert code == 2
-    assert "INFKER_THREADS" in err
-
-
 def test_catalog_refusal_exit_code(capsys):
     code, out, err = run_cli(
         capsys, "isotropic", "-p", "31", "-m", "3", "--dim", "3")
     assert code == 3
     assert "917116928" in err or "917,116,928" in err or "refus" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("theorem1", "-p", "2", "-m", "6"),
+    ("vanishing-space", "-p", "2", "-m", "6", "-r", "2"),
+    ("counterexample", "-p", "2", "-m", "6"),
+], ids=lambda argv: argv[0])
+def test_closure_refusal_beyond_m_5(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "924 degree-6 wedge coordinates" in err
+
+
+def test_closure_answers_past_the_lagrangian_catalog(capsys, schema):
+    # the (11,3) Lagrangian catalog holds over 10^6 subspaces
+    code, blob, _ = run_json(capsys, schema, "theorem1", "-p", "11", "-m", "3")
+    assert code == 0
+    assert blob["max_gap"] == 0
 
 
 def test_count_only_avoids_refusal(capsys, schema):

@@ -9,7 +9,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from infker.errors import DimensionMismatchError
+from infker.errors import CatalogTooLargeError, DimensionMismatchError
 from infker.extraspecial import (
     ExtraspecialGroup,
     abelian_preimage_check,
@@ -181,6 +181,13 @@ def test_exponent_p_for_odd_primes():
         blob = group_type(group)
         assert blob["exponent"] == p
         assert "arf" not in blob
+
+
+def test_scans_refuse_naming_what_they_count():
+    with pytest.raises(CatalogTooLargeError, match="1594323 group elements"):
+        next(make_group(3, 6).elements())
+    with pytest.raises(CatalogTooLargeError, match="4782969 element pairs"):
+        abelian_preimage_check(make_group(3, 3), Subspace.full(3, 6))
 
 
 def test_mixing_groups_raises():

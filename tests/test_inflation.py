@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from infker.errors import HomogeneityError
-from infker.exterior import Multivector, parse
+from infker.exterior import Multivector, parse, pullback_matrix
 from infker.inflation import (
     certificate,
     counterexample,
@@ -24,6 +24,8 @@ from infker.inflation import (
     vanishing_space,
     verify_certificate_record,
 )
+from infker.isotropic import enumerate_isotropic
+from infker.prime_linalg import Matrix, Subspace, kernel_basis
 from infker.symplectic import SymplecticSpace, dim_wedge, gamma
 
 
@@ -140,12 +142,24 @@ def test_reduction_of_ideal_member_is_zero():
         assert all(c == 0 for c in reduce_mod_ideal(space, 4, row))
 
 
-@pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (2, 3)])
-def test_all_isotropic_conditions_add_nothing(p, m):
+def catalog_kernel(space, r, dims):
+    """Oracle: the kernel of the stacked pullbacks to every isotropic
+    k-subspace, k in ``dims``, from the materialized catalogs."""
+    blocks = [pullback_matrix(sub.basis.transpose(), r)
+              for k in dims if dim_wedge(k, r)
+              for sub in enumerate_isotropic(space, k)]
+    if not blocks:
+        return Subspace.full(space.p, dim_wedge(space.n, r))
+    return kernel_basis(Matrix.vstack(blocks))
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3)])
+def test_vanishing_space_matches_catalog_oracle(p, m):
     space = shared_space(p, m)
     for r in range(2 * m + 1):
-        assert vanishing_space(space, r, all_isotropic=True) == \
-            vanishing_space(space, r)
+        vanish = vanishing_space(space, r)
+        assert catalog_kernel(space, r, [m]) == vanish
+        assert catalog_kernel(space, r, range(1, m + 1)) == vanish
 
 
 @functools.lru_cache(maxsize=1)

@@ -5,17 +5,27 @@ monomials; the ladder entries are re-derived from factorials and signed
 powers of the invariant two-tensor rather than trusted from the builder.
 """
 
+import functools
 import itertools
+import random
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from infker.errors import DecompositionDefectError, PrimitivityError
-from infker.exterior import Multivector, monomials, parse
-from infker.prime_linalg import inv_mod, sum_and_intersection
+from infker.exterior import (
+    Multivector,
+    compound_matrix,
+    monomials,
+    parse,
+    pure_wedge_coords,
+)
+from infker.isotropic import count_isotropic, iter_isotropic
+from infker.prime_linalg import Subspace, inv_mod, sum_and_intersection
 from infker.symplectic import (
     SIGMA,
+    _generator_directions,
     SymplecticSpace,
     calibrate_sigma,
     decompose,
@@ -318,6 +328,88 @@ def test_isotropic_span_dimension(p, m, r):
     space = SymplecticSpace(p, m)
     span = isotropic_span_basis(space, r)
     assert span.dim == dim_wedge(2 * m, r) - dim_wedge(2 * m, r - 2)
+
+
+ORACLE_SPACES = [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3)]
+
+
+@pytest.mark.parametrize("p,m", ORACLE_SPACES)
+def test_isotropic_span_matches_lagrangian_stream(p, m):
+    space = SymplecticSpace(p, m)
+    lagrangians = [sub.basis.entries for sub in iter_isotropic(space, m)]
+    for r in range(m + 1):
+        wedges = [pure_wedge_coords([rows[i] for i in subset], 2 * m, p)
+                  for rows in lagrangians
+                  for subset in itertools.combinations(range(m), r)]
+        oracle = Subspace.from_rows(p, dim_wedge(2 * m, r), wedges)
+        assert isotropic_span_basis(space, r) == oracle
+
+
+@functools.lru_cache(maxsize=None)
+def all_transvection_compounds(p, m, r):
+    space = SymplecticSpace(p, m)
+    return tuple(compound_matrix(transvection(space, v), r)
+                 for v in itertools.product(range(p), repeat=2 * m) if any(v))
+
+
+def closure_under_all_transvections(p, m, r, seed):
+    """Oracle: close under every one of the p^(2m) - 1 transvections."""
+    span = Subspace.from_rows(p, dim_wedge(2 * m, r), [seed])
+    frontier = list(span.basis.entries)
+    while frontier:
+        vec = frontier.pop()
+        for mat in all_transvection_compounds(p, m, r):
+            img = mat.matvec(vec)
+            if not span.contains(img):
+                span = Subspace.from_rows(
+                    p, span.ambient_dim, list(span.basis.entries) + [img])
+                frontier.append(img)
+    return span
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (5, 2), (2, 3)])
+def test_generator_closure_matches_all_transvections(p, m):
+    rng = random.Random(1000 * p + m)
+    space = SymplecticSpace(p, m)
+    n = 2 * m
+    for r in range(n + 1):
+        d = dim_wedge(n, r)
+        monomial = [0] * d
+        monomial[rng.randrange(d)] = 1
+        lowered = [0] * d
+        if r >= 2:
+            lowered = x_minus_matrix(space, r - 2).matvec(
+                [rng.randrange(p) for _ in range(dim_wedge(n, r - 2))])
+        prim = primitive_basis(space, r)
+        primitive = [0] * d
+        for row in prim.basis.entries:
+            c = rng.randrange(p)
+            primitive = [(a + c * b) % p for a, b in zip(primitive, row)]
+        dense = [rng.randrange(p) for _ in range(d)]
+        for seed in (monomial, lowered, primitive, dense):
+            got = submodule_closure(
+                space, r, [Multivector.from_coords(p, m, r, seed)])
+            assert got == closure_under_all_transvections(p, m, r, seed)
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (2, 3)])
+def test_generators_are_transitive_on_lagrangians(p, m):
+    space = SymplecticSpace(p, m)
+    gens = [transvection(space, v) for v in _generator_directions(m)]
+    assert len(gens) == 3 * m - 1
+    start = Subspace.from_rows(
+        p, 2 * m, [[int(j == i) for j in range(2 * m)] for i in range(m)])
+    orbit = {start}
+    frontier = [start]
+    while frontier:
+        sub = frontier.pop()
+        for t in gens:
+            img = Subspace.from_rows(
+                p, 2 * m, [t.matvec(row) for row in sub.basis.entries])
+            if img not in orbit:
+                orbit.add(img)
+                frontier.append(img)
+    assert len(orbit) == count_isotropic(p, m, m)
 
 
 def test_premet_frozen():
