@@ -24,7 +24,7 @@ from .errors import (
     NotPrimeError,
     ParseError,
 )
-from .exterior import Multivector, monomials, parse, pullback_matrix
+from .exterior import Multivector, monomials, parse, pullback_coords
 from .extraspecial import center, commutator, group_type, make_group
 from .inflation import (
     certificate,
@@ -54,8 +54,8 @@ def _prime(text: str) -> int:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
     try:
         check_prime(value)
-    except NotPrimeError:
-        raise argparse.ArgumentTypeError(f"{value} is not prime")
+    except NotPrimeError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
     return value
 
 
@@ -297,9 +297,11 @@ def _cmd_restrict(args):
     if (not isinstance(rows, list)
             or not all(isinstance(r, list) for r in rows)):
         raise ValueError("subspace file must hold a JSON array of rows")
+    # bool is a subclass of int, so JSON true would pass isinstance
+    if not all(type(v) is int for r in rows for v in r):
+        raise ValueError("subspace entries must be integers")
     sub = Subspace.from_rows(space.p, space.n, rows)
-    rest = pullback_matrix(sub.basis.transpose(), degree).matvec(
-        target.coords(degree))
+    rest = pullback_coords(sub.basis.transpose(), degree, target.terms)
     terms = []
     for idx, coeff in enumerate(rest):
         if coeff:

@@ -172,6 +172,9 @@ def pullback_matrix(f: Matrix, r: int) -> Matrix:
     wedges of V-functionals to the same for A.  Entry (J, I) is the r x r
     minor of ``f`` with rows I and columns J, so the pullback is the
     transpose of the compound and composition is contravariant.
+
+    Single classes are pulled back with :func:`pullback_coords`; the full
+    matrix is the reference that it is tested against.
     """
     return compound_matrix(f, r).transpose()
 
@@ -187,6 +190,25 @@ def pure_wedge_coords(rows: Sequence[Sequence[int]], nvars: int, p: int) -> tupl
         det_mod([[row[j] for j in mono] for row in rows], p)
         for mono in monomials(nvars, r)
     )
+
+
+def pullback_coords(f: Matrix, r: int, terms: dict) -> tuple:
+    """Colex coordinates of the pullback along ``f`` of one degree-r class.
+
+    ``terms`` is the class as ``{monomial: coeff}`` on the rows of ``f``
+    (the shape of :attr:`Multivector.terms`).  The pullback of x_I is the
+    wedge of the rows of ``f`` indexed by I, so only the minors on the
+    class's own monomials are taken; the result equals
+    ``pullback_matrix(f, r).matvec(coords)``.
+    """
+    p = f.p
+    out = [0] * comb(f.cols, r)
+    for mono, coeff in terms.items():
+        if len(mono) != r:
+            raise DimensionMismatchError(f"monomial {mono} does not have degree {r}")
+        vec = pure_wedge_coords([f.entries[i] for i in mono], f.cols, p)
+        out = [(a + coeff * b) % p for a, b in zip(out, vec)]
+    return tuple(out)
 
 
 def wedge_coords(nvars: int, p: int, deg_a: int, vec_a: Sequence[int],

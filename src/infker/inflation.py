@@ -28,7 +28,7 @@ from .exterior import (
     Multivector,
     mono_rank,
     monomials,
-    pullback_matrix,
+    pullback_coords,
     pure_wedge_coords,
     wedge_coords,
 )
@@ -44,6 +44,7 @@ from .symplectic import (
     SymplecticSpace,
     _cached,
     dim_wedge,
+    gamma,
     isotropic_span_basis,
     x_minus_matrix,
 )
@@ -184,14 +185,6 @@ def counterexample(space: SymplecticSpace) -> Optional[Multivector]:
     return None
 
 
-def _omega_coords(space: SymplecticSpace) -> tuple:
-    """The symplectic form as a degree-2 functional coordinate vector."""
-    vec = [0] * dim_wedge(space.n, 2)
-    for i in range(space.m):
-        vec[mono_rank((i, space.m + i))] = 1
-    return tuple(vec)
-
-
 @dataclass(frozen=True)
 class CertificateRecord:
     """Outcome of the membership test at one nonzero vector, together
@@ -252,39 +245,36 @@ class CertificateReport:
         }
 
 
-def _restriction_data(space: SymplecticSpace, g, degree: int):
-    """Perp of g, the restriction matrix at the given degree, and the
-    restricted symplectic form."""
+def _restriction_data(space: SymplecticSpace, g, target: Multivector):
+    """Perp of g, the restriction of the target to it, and the restricted
+    symplectic form, each pulled back through its own terms."""
     s_g = perp(space, g)
     f = s_g.basis.transpose()
-    restrict = pullback_matrix(f, degree)
-    omega_rest = pullback_matrix(f, 2).matvec(_omega_coords(space))
-    return s_g, restrict, omega_rest
+    rest = pullback_coords(f, target.degree(), target.terms)
+    omega_rest = pullback_coords(f, 2, gamma(space).terms)
+    return s_g, rest, omega_rest
 
 
-def _membership_generators(space: SymplecticSpace, s_g: Subspace,
-                           omega_rest, g, degree: int):
-    """Generator columns for the membership space at one vector.
-
-    Two families: the restricted 2-form wedged with every lower-degree
-    monomial, and the pure wedges of annihilator functionals of g.  Each
-    generator carries an identity record that re-verification can replay.
-    """
-    p = space.p
-    k = s_g.dim
-    gens = []
-    idents = []
-    for mu in monomials(k, degree - 2):
-        unit = [0] * dim_wedge(k, degree - 2)
-        unit[mono_rank(mu)] = 1
-        gens.append(wedge_coords(k, p, 2, omega_rest, degree - 2, unit))
-        idents.append({"kind": "form_wedge", "monomial": list(mu)})
-    ann = annihilator(space, s_g, g)
-    for subset in itertools.combinations(range(ann.dim), degree):
-        rows = [ann.basis.entries[i] for i in subset]
-        gens.append(pure_wedge_coords(rows, k, p))
-        idents.append({"kind": "annihilator_wedge", "rows": list(subset)})
-    return gens, idents, ann
+def _generator(p: int, k: int, degree: int, omega_rest, ann: Subspace,
+               ident) -> Optional[tuple]:
+    """Coordinates of the generator that an identity record names on the
+    k-dimensional perp, or None when the record names no generator."""
+    kind = ident.get("kind") if isinstance(ident, dict) else None
+    if kind == "form_wedge":
+        positions, nvars, r = ident.get("monomial"), k, degree - 2
+    elif kind == "annihilator_wedge":
+        positions, nvars, r = ident.get("rows"), ann.dim, degree
+    else:
+        return None
+    if not (isinstance(positions, list)
+            and all(type(c) is int for c in positions)
+            and tuple(positions) in monomials(nvars, r)):
+        return None
+    if kind == "annihilator_wedge":
+        return pure_wedge_coords([ann.basis.entries[i] for i in positions], k, p)
+    unit = [0] * dim_wedge(k, r)
+    unit[mono_rank(tuple(positions))] = 1
+    return wedge_coords(k, p, 2, omega_rest, r, unit)
 
 
 def certificate(space: SymplecticSpace, target: Multivector) -> CertificateReport:
@@ -304,38 +294,34 @@ def certificate(space: SymplecticSpace, target: Multivector) -> CertificateRepor
     if degree < 2:
         raise ValueError("degree must be at least 2")
     p, n = space.p, space.n
-    coords = target.coords(degree)
     records = []
     for g in itertools.product(range(p), repeat=n):
         if not any(g):
             continue
-        s_g, restrict, omega_rest = _restriction_data(space, g, degree)
+        s_g, rest, omega_rest = _restriction_data(space, g, target)
         split = radical_split(space, s_g)
-        rest = restrict.matvec(coords)
-        if not any(rest):
-            records.append(CertificateRecord(
-                g=g, dim_perp=s_g.dim, dim_radical=split.rad.dim,
-                dim_complement=split.a.dim,
-                dim_annihilator=annihilator(space, s_g, g).dim,
-                vacuous=True, member=False, witness=None,
-            ))
-            continue
-        gens, idents, ann = _membership_generators(
-            space, s_g, omega_rest, g, degree)
-        mat = Matrix(p, zip(*gens), cols=len(gens))
-        coeffs = solve(mat, rest)
-        witness = None
-        if coeffs is not None:
-            witness = {
-                "terms": [
-                    {"coeff": c, **ident}
-                    for c, ident in zip(coeffs, idents) if c
-                ],
-            }
+        ann = annihilator(space, s_g, g)
+        coeffs = witness = None
+        if any(rest):
+            # the restricted form wedged with every degree - 2 monomial,
+            # and the pure wedges of annihilator functionals of g
+            idents = (
+                [{"kind": "form_wedge", "monomial": list(mu)}
+                 for mu in monomials(s_g.dim, degree - 2)]
+                + [{"kind": "annihilator_wedge", "rows": list(subset)}
+                   for subset in itertools.combinations(range(ann.dim), degree)]
+            )
+            gens = [_generator(p, s_g.dim, degree, omega_rest, ann, ident)
+                    for ident in idents]
+            coeffs = solve(Matrix(p, zip(*gens), cols=len(gens)), rest)
+            if coeffs is not None:
+                witness = {"terms": [{"coeff": c, **ident}
+                                     for c, ident in zip(coeffs, idents) if c]}
         records.append(CertificateRecord(
             g=g, dim_perp=s_g.dim, dim_radical=split.rad.dim,
             dim_complement=split.a.dim, dim_annihilator=ann.dim,
-            vacuous=False, member=coeffs is not None, witness=witness,
+            vacuous=not any(rest), member=coeffs is not None,
+            witness=witness,
         ))
     return CertificateReport(p=p, m=space.m, degree=degree,
                              target=target, records=records)
@@ -347,28 +333,22 @@ def verify_certificate_record(space: SymplecticSpace, target: Multivector,
 
     Returns True when the witness terms rebuild exactly the restriction
     of the target (or when the record is a vacuous pass and the
-    restriction really is zero).
+    restriction really is zero).  A malformed witness term, one that
+    names no generator at this vector, returns False.
     """
     degree = target.degree()
-    s_g, restrict, omega_rest = _restriction_data(space, record.g, degree)
-    rest = restrict.matvec(target.coords(degree))
+    s_g, rest, omega_rest = _restriction_data(space, record.g, target)
     if record.vacuous:
         return not any(rest)
-    if not record.member or record.witness is None:
+    terms = record.witness.get("terms") if isinstance(record.witness, dict) else None
+    if not record.member or not isinstance(terms, list):
         return False
     p = space.p
-    k = s_g.dim
     ann = annihilator(space, s_g, record.g)
-    total = [0] * dim_wedge(k, degree)
-    for term in record.witness["terms"]:
-        if term["kind"] == "form_wedge":
-            unit = [0] * dim_wedge(k, degree - 2)
-            unit[mono_rank(tuple(term["monomial"]))] = 1
-            vec = wedge_coords(k, p, 2, omega_rest, degree - 2, unit)
-        elif term["kind"] == "annihilator_wedge":
-            rows = [ann.basis.entries[i] for i in term["rows"]]
-            vec = pure_wedge_coords(rows, k, p)
-        else:
+    total = [0] * dim_wedge(s_g.dim, degree)
+    for term in terms:
+        vec = _generator(p, s_g.dim, degree, omega_rest, ann, term)
+        if vec is None or type(term.get("coeff")) is not int:
             return False
         c = term["coeff"]
         total = [(t + c * v) % p for t, v in zip(total, vec)]

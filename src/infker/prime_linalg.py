@@ -24,11 +24,15 @@ from .errors import (
     NotPrimeError,
 )
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+#: The smallest strong pseudoprime to every base in ``_SMALL_PRIMES``.
+PRIME_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test, exact for n < 3.3e24."""
+    """Miller-Rabin to the prime bases 2..41: exact for n < PRIME_BOUND
+    = 3317044064679887385961981, above which a composite can pass."""
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
@@ -53,8 +57,14 @@ def is_prime(n: int) -> bool:
 
 
 def check_prime(p: int) -> int:
+    """Return ``p`` when it is a prime below PRIME_BOUND, else raise
+    NotPrimeError."""
     if not isinstance(p, int) or not is_prime(p):
         raise NotPrimeError(f"modulus must be prime, got {p!r}")
+    if p >= PRIME_BOUND:
+        raise NotPrimeError(
+            f"modulus {p} is beyond the deterministic primality bound "
+            f"{PRIME_BOUND}")
     return p
 
 
@@ -114,10 +124,6 @@ class Matrix:
     @classmethod
     def zero(cls, p: int, rows: int, cols: int) -> "Matrix":
         return cls(p, ([0] * cols for _ in range(rows)), cols=cols)
-
-    @classmethod
-    def from_rows(cls, p: int, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "Matrix":
-        return cls(p, rows, cols=cols)
 
     @classmethod
     def vstack(cls, mats: Sequence["Matrix"]) -> "Matrix":
@@ -287,22 +293,12 @@ def _rref_packed2(rows: Sequence[Sequence[int]], ncols: int):
     return mat, tuple(pivots), rank
 
 
-def rref(mat: Matrix, method: str = "auto"):
-    """Reduced row echelon form.
+def rref(mat: Matrix):
+    """Reduced row echelon form, on the packed XOR path when p = 2.
 
-    Args:
-        mat: the matrix to reduce.
-        method: "auto" picks the packed XOR path when p = 2, "generic" and
-            "packed" force one path (packed demands p = 2).
-
-    Returns:
-        (reduced Matrix, pivot column tuple, rank).
+    Returns (reduced Matrix, pivot column tuple, rank).
     """
-    if method not in ("auto", "generic", "packed"):
-        raise ValueError(f"unknown rref method {method!r}")
-    if method == "packed" and mat.p != 2:
-        raise ValueError("packed elimination only applies to p = 2")
-    if mat.p == 2 and method != "generic":
+    if mat.p == 2:
         rows, pivots, rank = _rref_packed2(mat.entries, mat.cols)
     else:
         rows, pivots, rank = _rref_generic(mat.entries, mat.cols, mat.p)
@@ -411,11 +407,6 @@ class Subspace:
 
     def contains(self, vec: Sequence[int]) -> bool:
         return self.member(vec) is not None
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        if self.p != other.p or self.ambient_dim != other.ambient_dim:
-            raise FieldMismatchError("subspaces live in different ambient spaces")
-        return all(self.contains(row) for row in other.basis.entries)
 
     def vectors(self, limit: int = 1_000_000) -> Iterator[tuple]:
         """Every vector of the subspace, p^dim of them, in a fixed order."""

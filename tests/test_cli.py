@@ -241,6 +241,31 @@ def test_restrict_missing_file_is_usage_error(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("entry", [0.5, "a", True], ids=["float", "string", "bool"])
+def test_restrict_non_integer_entry_is_usage_error(capsys, tmp_path, entry):
+    sub = tmp_path / "subspace.json"
+    sub.write_text(json.dumps([[1, 0, 0, 0], [0, entry, 0, 0]]))
+    code, out, err = run_cli(
+        capsys, "restrict", "-p", "3", "-m", "2",
+        "--class", "x1^y1", "--subspace", str(sub))
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("modulus,code", [
+    ("318665857834031151167461", 2),   # strong pseudoprime to bases 2..37
+    ("3317044064679887385961981", 2),  # strong pseudoprime to bases 2..41
+    (str(2 ** 61 - 1), 0),
+])
+def test_moduli_near_the_primality_bound(capsys, modulus, code):
+    got, _, err = run_cli(
+        capsys, "premet-suprunenko", "-p", modulus, "-m", "1", "-r", "0")
+    assert got == code
+    assert "Traceback" not in err
+
+
 def test_ideal_and_vanishing_reports(capsys, schema):
     code, blob, _ = run_json(
         capsys, schema, "ideal-basis", "-p", "2", "-m", "3", "-r", "4")

@@ -11,7 +11,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from infker.errors import HomogeneityError, ParseError
+from infker.errors import DimensionMismatchError, HomogeneityError, ParseError
 from infker.exterior import (
     Multivector,
     VariableOrder,
@@ -21,6 +21,7 @@ from infker.exterior import (
     mono_unrank,
     monomials,
     parse,
+    pullback_coords,
     pullback_matrix,
     pure_wedge_coords,
     sort_to_monomial,
@@ -145,6 +146,28 @@ def test_pullback_contravariant(p, data):
     g = Matrix(p, [[data.draw(st.integers(0, p - 1)) for _ in range(n)]
                    for _ in range(n)])
     assert pullback_matrix(g @ f, r) == pullback_matrix(f, r) @ pullback_matrix(g, r)
+
+
+@given(primes, st.data())
+@settings(max_examples=40)
+def test_pullback_coords_matches_pullback_matrix(p, data):
+    """Pulling a class back through its own terms agrees with the full
+    pullback matrix, in every degree and for any k <= n."""
+    n = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(0, n))
+    f = Matrix(p, [[data.draw(st.integers(0, p - 1)) for _ in range(k)]
+                   for _ in range(n)], cols=k)
+    for r in range(n + 1):
+        monos = monomials(n, r)
+        coords = data.draw(st.lists(st.integers(0, p - 1),
+                                    min_size=len(monos), max_size=len(monos)))
+        terms = {mono: c for mono, c in zip(monos, coords) if c}
+        assert pullback_coords(f, r, terms) == pullback_matrix(f, r).matvec(coords)
+
+
+def test_pullback_coords_rejects_other_degrees():
+    with pytest.raises(DimensionMismatchError):
+        pullback_coords(Matrix.identity(3, 4), 2, {(0,): 1})
 
 
 @given(primes, st.data())

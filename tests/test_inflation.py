@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from infker.errors import HomogeneityError
-from infker.exterior import Multivector, parse, pullback_matrix
+from infker.exterior import Multivector, mono_rank, parse, pullback_matrix
 from infker.inflation import (
     certificate,
     counterexample,
@@ -190,13 +190,36 @@ class TestCertificate:
         for rec in rep.records:
             assert verify_certificate_record(space, zeta, rec)
 
-    def test_tampered_witness_fails_replay(self):
+    # each rewrites the first witness term, a form_wedge on a 5-dim perp
+    # whose annihilator has dimension 4
+    TAMPERS = {
+        "coeff": lambda t: {**t, "coeff": (t["coeff"] + 1) % 2},
+        "annihilator_row_out_of_range": lambda t: {
+            "coeff": 1, "kind": "annihilator_wedge", "rows": [0, 1, 2, 4]},
+        "form_monomial_out_of_range": lambda t: {**t, "monomial": [0, 5]},
+        "unsorted_monomial": lambda t: {**t, "monomial": t["monomial"][::-1]},
+        # a degree-1 list with the colex rank of the degree-2 monomial
+        "wrong_length_monomial": lambda t: {
+            **t, "monomial": [mono_rank(tuple(t["monomial"]))]},
+    }
+
+    @pytest.mark.parametrize("tamper", sorted(TAMPERS))
+    def test_tampered_witness_fails_replay(self, tamper):
         space, zeta, rep = self.report()
         rec = next(r for r in rep.records if not r.vacuous)
         terms = [dict(t) for t in rec.witness["terms"]]
-        terms[0]["coeff"] = (terms[0]["coeff"] + 1) % 2
+        assert terms[0]["kind"] == "form_wedge"
+        terms[0] = self.TAMPERS[tamper](terms[0])
         bad = dataclasses.replace(rec, witness={"terms": terms})
-        assert not verify_certificate_record(space, zeta, bad)
+        assert verify_certificate_record(space, zeta, bad) is False
+
+    @pytest.mark.parametrize("witness", [{}, {"terms": None}, {"terms": [None]}],
+                             ids=["no_terms", "terms_not_a_list", "term_not_a_dict"])
+    def test_malformed_witness_fails_replay(self, witness):
+        space, zeta, rep = self.report()
+        rec = next(r for r in rep.records if not r.vacuous)
+        bad = dataclasses.replace(rec, witness=witness)
+        assert verify_certificate_record(space, zeta, bad) is False
 
     def test_json_counts(self):
         _, _, rep = self.report()

@@ -10,8 +10,11 @@ from infker.errors import (
     NotPrimeError,
 )
 from infker.prime_linalg import (
+    PRIME_BOUND,
     Matrix,
     Subspace,
+    _rref_generic,
+    _rref_packed2,
     check_prime,
     count_subspaces,
     image_basis,
@@ -51,6 +54,20 @@ def test_is_prime_matches_trial_division():
         return all(n % d for d in range(2, int(n ** 0.5) + 1))
     for n in range(0, 2000):
         assert is_prime(n) == trial(n), n
+
+
+def test_strong_pseudoprimes_are_refused():
+    # 399165290221 * 798330580441: a strong pseudoprime to bases 2..37
+    assert 399165290221 * 798330580441 == 318665857834031151167461
+    assert not is_prime(318665857834031151167461)
+    with pytest.raises(NotPrimeError):
+        check_prime(318665857834031151167461)
+    # the smallest strong pseudoprime to bases 2..41 is the bound itself:
+    # it passes every base, so only the bound refuses it
+    assert is_prime(PRIME_BOUND)
+    with pytest.raises(NotPrimeError, match="bound"):
+        check_prime(PRIME_BOUND)
+    assert check_prime(2 ** 61 - 1) == 2 ** 61 - 1
 
 
 def test_check_prime_raises():
@@ -109,11 +126,7 @@ def test_transpose_empty_roundtrip():
 def test_packed_rref_matches_generic(mat):
     """The bitset path over F_2 must be indistinguishable from the
     generic path, including pivot choices."""
-    red_g, piv_g, rk_g = rref(mat, method="generic")
-    red_p, piv_p, rk_p = rref(mat, method="packed")
-    assert red_g == red_p
-    assert piv_g == piv_p
-    assert rk_g == rk_p
+    assert _rref_generic(mat.entries, mat.cols, 2) == _rref_packed2(mat.entries, mat.cols)
 
 
 @given(matrices)
