@@ -1,8 +1,11 @@
-"""Exact dense linear algebra over a prime field F_p.
+"""Exact linear algebra over a prime field F_p.
 
 Everything runs on plain Python integers reduced into [0, p); there is no
-floating point anywhere.  Matrices are immutable (entries live in a tuple
-of row tuples) so values can be cached and shared freely.
+floating point anywhere.  Matrices are immutable (dense entries live in a
+tuple of row tuples, sparse ones in a tuple of column tuples) so values
+can be cached and shared freely.  Elimination works on dense matrices;
+the sparse type serves products and matvecs of operators that are
+almost all zero.
 
 Row reduction is deterministic: pivots are chosen leftmost column first,
 then topmost available row.  Canonical objects downstream (subspace bases,
@@ -239,6 +242,144 @@ class Matrix:
     @classmethod
     def from_json(cls, obj: dict) -> "Matrix":
         return cls(obj["p"], obj["rows"])
+
+
+def _canonical_column(acc: dict, p: int) -> tuple:
+    """Sorted ``(row, value)`` pairs of a ``{row: value}`` accumulator,
+    values reduced into (0, p)."""
+    return tuple(sorted((i, r) for i, v in acc.items() if (r := v % p)))
+
+
+class SparseMatrix:
+    """Immutable sparse matrix over F_p, held by columns.
+
+    Each column is a tuple of ``(row, value)`` pairs, sorted by row, with
+    every value in (0, p).  That form is canonical, so ``==`` is an exact
+    shape-and-entry test, as it is for :class:`Matrix`.  The graded
+    operators and transvection compounds are under 1% nonzero, and
+    products of them cost a few multiply-adds per column here.
+    """
+
+    __slots__ = ("p", "rows", "cols", "columns")
+
+    def __init__(self, p: int, rows: int, columns: Iterable[Iterable[tuple]]):
+        """Sum the ``(row, value)`` pairs of each column modulo ``p``;
+        repeated rows add up and zero sums are dropped."""
+        check_prime(p)
+        canon = []
+        for col in columns:
+            acc: dict = {}
+            for i, v in col:
+                if not 0 <= i < rows:
+                    raise DimensionMismatchError(f"row {i} outside 0..{rows - 1}")
+                acc[i] = acc.get(i, 0) + v
+            canon.append(_canonical_column(acc, p))
+        self._set(p, rows, tuple(canon))
+
+    def _set(self, p: int, rows: int, columns: tuple):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", len(columns))
+        object.__setattr__(self, "columns", columns)
+
+    @classmethod
+    def _of(cls, p: int, rows: int, columns: tuple) -> "SparseMatrix":
+        # columns already canonical: the results of the operations below
+        out = object.__new__(cls)
+        out._set(p, rows, columns)
+        return out
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SparseMatrix is immutable")
+
+    # -- constructors -------------------------------------------------
+
+    @classmethod
+    def from_dense(cls, mat: Matrix) -> "SparseMatrix":
+        cols = zip(*mat.entries) if mat.rows else [()] * mat.cols
+        return cls._of(mat.p, mat.rows, tuple(
+            tuple((i, v) for i, v in enumerate(col) if v) for col in cols))
+
+    @classmethod
+    def diagonal(cls, p: int, n: int, c: int) -> "SparseMatrix":
+        """``c`` times the n x n identity."""
+        check_prime(p)
+        c %= p
+        return cls._of(p, n, tuple(((j, c),) if c else () for j in range(n)))
+
+    # -- basics -------------------------------------------------------
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, SparseMatrix)
+            and self.p == other.p
+            and self.rows == other.rows
+            and self.columns == other.columns
+        )
+
+    def __repr__(self) -> str:
+        return f"SparseMatrix(p={self.p}, {self.rows}x{self.cols})"
+
+    def to_dense(self) -> Matrix:
+        out = [[0] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, v in col:
+                out[i][j] = v
+        return Matrix(self.p, out, cols=self.cols)
+
+    def scale(self, c: int) -> "SparseMatrix":
+        p = self.p
+        c %= p
+        # p is prime, so a nonzero c keeps every value nonzero
+        return SparseMatrix._of(p, self.rows, tuple(
+            tuple((i, c * v % p) for i, v in col) if c else ()
+            for col in self.columns))
+
+    def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
+        if not isinstance(other, SparseMatrix):
+            raise TypeError("expected a SparseMatrix")
+        if self.p != other.p:
+            raise FieldMismatchError("mixed moduli")
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimensionMismatchError(
+                f"shape {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
+            )
+        p = self.p
+        out = []
+        for ca, cb in zip(self.columns, other.columns):
+            acc = dict(ca)
+            for i, v in cb:
+                acc[i] = acc.get(i, 0) - v
+            out.append(_canonical_column(acc, p))
+        return SparseMatrix._of(p, self.rows, tuple(out))
+
+    def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
+        if self.p != other.p:
+            raise FieldMismatchError("mixed moduli")
+        if self.cols != other.rows:
+            raise DimensionMismatchError(
+                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
+            )
+        p, mine = self.p, self.columns
+        out = []
+        for col in other.columns:
+            acc: dict = {}
+            for k, b in col:
+                for i, a in mine[k]:
+                    acc[i] = acc.get(i, 0) + a * b
+            out.append(_canonical_column(acc, p))
+        return SparseMatrix._of(p, self.rows, tuple(out))
+
+    def matvec(self, vec: Sequence[int]) -> tuple:
+        if len(vec) != self.cols:
+            raise DimensionMismatchError(f"vector length {len(vec)} vs {self.cols} columns")
+        p = self.p
+        out = [0] * self.rows
+        for col, b in zip(self.columns, vec):
+            if b:
+                for i, a in col:
+                    out[i] += a * b
+        return tuple(v % p for v in out)
 
 
 def _rref_generic(rows: Sequence[Sequence[int]], ncols: int, p: int):

@@ -44,6 +44,7 @@ from .exterior import (
 )
 from .prime_linalg import (
     Matrix,
+    SparseMatrix,
     Subspace,
     check_prime,
     image_basis,
@@ -65,6 +66,10 @@ SIGMA = -1
 #: C(10, 5), so m <= 5.  Every closure on a larger space is refused
 #: before any compound is built.
 CLOSURE_LIMIT = 252
+
+#: Largest middle-degree dimension C(2m, m) that ``sl2_check`` serves:
+#: C(16, 8), so m <= 8.
+TRIPLE_LIMIT = 12870
 
 
 def dim_wedge(n: int, r: int) -> int:
@@ -192,52 +197,49 @@ def _cached(space: SymplecticSpace, key, build):
     return cache[key]
 
 
-def x_minus_matrix(space: SymplecticSpace, r: int) -> Matrix:
-    """Matrix of the lowering operator from degree r to degree r + 2."""
+def x_minus_map(space: SymplecticSpace, r: int) -> SparseMatrix:
+    """Sparse map of the lowering operator from degree r to degree r + 2."""
     def build():
-        p, m, n = space.p, space.m, space.n
-        src = dim_wedge(n, r)
-        dst = dim_wedge(n, r + 2)
-        if src == 0 or dst == 0:
-            return Matrix.zero(p, dst, src)
-        cols = []
+        m, n = space.m, space.n
+        columns = []
         for mono in monomials(n, r):
-            col = [0] * dst
+            col = []
             for t in range(m):
                 merged = wedge_monomials((t, m + t), mono)
-                if merged is None:
-                    continue
-                sign, out = merged
-                col[mono_rank(out)] = (col[mono_rank(out)] + sign) % p
-            cols.append(col)
-        return Matrix(p, zip(*cols), cols=src)
+                if merged is not None:
+                    sign, out = merged
+                    col.append((mono_rank(out), sign))
+            columns.append(col)
+        return SparseMatrix(space.p, dim_wedge(n, r + 2), columns)
     return _cached(space, ("x_minus", r), build)
+
+
+def x_plus_map(space: SymplecticSpace, r: int, sigma: int = SIGMA) -> SparseMatrix:
+    """Sparse map of the raising operator from degree r to degree r - 2."""
+    def build():
+        m, n = space.m, space.n
+        columns = [[(mono_rank(reduced), sign)
+                    for sign, reduced in _x_plus_mono(m, mono, sigma)]
+                   for mono in monomials(n, r)]
+        return SparseMatrix(space.p, dim_wedge(n, r - 2), columns)
+    return _cached(space, ("x_plus", r, sigma), build)
+
+
+def h_map(space: SymplecticSpace, r: int) -> SparseMatrix:
+    """Sparse map of the weight operator on degree r: (m - r) times identity."""
+    return SparseMatrix.diagonal(space.p, dim_wedge(space.n, r), space.m - r)
+
+
+def x_minus_matrix(space: SymplecticSpace, r: int) -> Matrix:
+    """Matrix of the lowering operator from degree r to degree r + 2."""
+    return _cached(space, ("x_minus_matrix", r),
+                   lambda: x_minus_map(space, r).to_dense())
 
 
 def x_plus_matrix(space: SymplecticSpace, r: int, sigma: int = SIGMA) -> Matrix:
     """Matrix of the raising operator from degree r to degree r - 2."""
-    def build():
-        p, m, n = space.p, space.m, space.n
-        src = dim_wedge(n, r)
-        dst = dim_wedge(n, r - 2)
-        if src == 0 or dst == 0:
-            return Matrix.zero(p, dst, src)
-        cols = []
-        for mono in monomials(n, r):
-            col = [0] * dst
-            for sign, reduced in _x_plus_mono(m, mono, sigma):
-                col[mono_rank(reduced)] = (col[mono_rank(reduced)] + sign) % p
-            cols.append(col)
-        return Matrix(p, zip(*cols), cols=src)
-    if sigma == SIGMA:
-        return _cached(space, ("x_plus", r), build)
-    return build()
-
-
-def h_matrix(space: SymplecticSpace, r: int) -> Matrix:
-    """Matrix of the weight operator on degree r: (m - r) times identity."""
-    d = dim_wedge(space.n, r)
-    return Matrix.identity(space.p, d).scale(space.m - r)
+    return _cached(space, ("x_plus_matrix", r, sigma),
+                   lambda: x_plus_map(space, r, sigma).to_dense())
 
 
 # ---------------------------------------------------------------------------
@@ -288,32 +290,33 @@ class Sl2Report:
 def sl2_check(space: SymplecticSpace, sigma: int = SIGMA) -> Sl2Report:
     """Verify the full set of bracket relations degree by degree.
 
-    All three identities are checked as exact matrix equations on every
-    graded piece; nothing is assumed from the construction.
+    All three identities are checked as exact equations between sparse
+    matrices on every graded piece; nothing is assumed from the
+    construction.  Spaces whose middle degree has more than TRIPLE_LIMIT
+    coordinates are refused with CatalogTooLargeError before any map is
+    built.
     """
     p, m, n = space.p, space.m, space.n
+    middle = dim_wedge(n, m)
+    if middle > TRIPLE_LIMIT:
+        raise CatalogTooLargeError(middle, TRIPLE_LIMIT,
+                                   f"degree-{m} wedge coordinates")
     checks = []
     for r in range(n + 1):
         d = dim_wedge(n, r)
-        xm_r = x_minus_matrix(space, r)
-        xp_r = x_plus_matrix(space, r, sigma)
-        h_r = h_matrix(space, r)
-        lhs = x_plus_matrix(space, r + 2, sigma) @ xm_r
-        rhs = x_minus_matrix(space, r - 2) @ xp_r
-        bracket = lhs - rhs
-        minus_h = Matrix.identity(p, d).scale(r - m)
-        h_up = h_matrix(space, r - 2) @ xp_r
-        h_dn = xp_r @ h_r
-        raise_shift = (h_up - h_dn) == xp_r.scale(2)
-        l_up = h_matrix(space, r + 2) @ xm_r
-        l_dn = xm_r @ h_r
-        lower_shift = (l_up - l_dn) == xm_r.scale(-2)
+        xm_r = x_minus_map(space, r)
+        xp_r = x_plus_map(space, r, sigma)
+        h_r = h_map(space, r)
+        bracket = (x_plus_map(space, r + 2, sigma) @ xm_r
+                   - x_minus_map(space, r - 2) @ xp_r)
+        raise_shift = h_map(space, r - 2) @ xp_r - xp_r @ h_r
+        lower_shift = h_map(space, r + 2) @ xm_r - xm_r @ h_r
         checks.append(DegreeCheck(
             r=r,
-            bracket_ok=bracket == minus_h,
-            raise_shift_ok=raise_shift,
-            lower_shift_ok=lower_shift,
-            weight_ok=h_r == Matrix.identity(p, d).scale(m - r),
+            bracket_ok=bracket == SparseMatrix.diagonal(p, d, r - m),
+            raise_shift_ok=raise_shift == xp_r.scale(2),
+            lower_shift_ok=lower_shift == xm_r.scale(-2),
+            weight_ok=h_r == SparseMatrix.diagonal(p, d, 1).scale(m - r),
         ))
     return Sl2Report(p=p, m=m, sigma=sigma, ok=all(c.ok for c in checks),
                      degrees=tuple(checks))
@@ -423,7 +426,7 @@ def isotropic_span_basis(space: SymplecticSpace, r: int) -> Subspace:
     def build():
         seed = Multivector(p, m, {tuple(range(r)): 1})
         span = submodule_closure(space, r, [seed])
-        xp = x_plus_matrix(space, r)
+        xp = x_plus_map(space, r)
         if any(any(xp.matvec(row)) for row in span.basis.entries):
             raise InvariantError("isotropic wedge escaped the primitive subspace")
         expected = dim_wedge(n, r) - dim_wedge(n, r - 2)
@@ -529,7 +532,7 @@ def _generator_directions(m: int) -> list:
 def _transvection_compounds(space: SymplecticSpace, r: int) -> tuple:
     def build():
         return tuple(
-            compound_matrix(transvection(space, v), r)
+            SparseMatrix.from_dense(compound_matrix(transvection(space, v), r))
             for v in _generator_directions(space.m)
         )
     return _cached(space, ("tv_compound", r), build)

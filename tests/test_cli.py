@@ -1,14 +1,16 @@
 """Command-line surface: outputs, exit codes, schema conformance.
 
-Everything runs in-process through main(argv) except one smoke test for
-the installed console script.  Every JSON report is validated against
-the shipped schema.
+Everything runs in-process through main(argv) except the smoke test for
+the installed console script and the sl2-check refusal, whose process
+exit status and stderr are checked.  Every JSON report is validated
+against the shipped schema.
 """
 
 import importlib.resources
 import json
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -88,6 +90,24 @@ def test_closure_refusal_beyond_m_5(capsys, argv):
     assert code == 3
     assert out == ""
     assert "924 degree-6 wedge coordinates" in err
+
+
+def test_sl2_check_past_dense_products(capsys, schema):
+    code, blob, _ = run_json(capsys, schema, "sl2-check", "-p", "3", "-m", "6")
+    assert code == 0
+    assert blob["ok"] is True
+
+
+def test_sl2_check_refusal_beyond_m_8():
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "infker", "sl2-check", "-p", "2", "-m", "9"],
+        capture_output=True, text=True)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "48620 degree-9 wedge coordinates" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_closure_answers_past_the_lagrangian_catalog(capsys, schema):

@@ -12,6 +12,7 @@ from infker.errors import (
 from infker.prime_linalg import (
     PRIME_BOUND,
     Matrix,
+    SparseMatrix,
     Subspace,
     _rref_generic,
     _rref_packed2,
@@ -174,6 +175,64 @@ def test_matrix_algebra_basics():
         a @ Matrix(7, [[1, 2, 3]])
     with pytest.raises(FieldMismatchError):
         a @ Matrix(5, [[1, 2], [3, 4]])
+
+
+@st.composite
+def sparse_cases(draw):
+    """Dense a (r x k), a2 (r x k, often equal to a), b (k x c), an
+    unreduced vector of length k and an unreduced scalar, mostly zeros."""
+    p = draw(primes)
+    r, k, c = (draw(st.integers(0, 5)) for _ in range(3))
+    entry = st.one_of(st.just(0), st.integers(0, p - 1))
+
+    def mat(rows, cols):
+        return Matrix(p, draw(st.lists(
+            st.lists(entry, min_size=cols, max_size=cols),
+            min_size=rows, max_size=rows)), cols=cols)
+    a = mat(r, k)
+    a2 = a if draw(st.booleans()) else mat(r, k)
+    vec = draw(st.lists(st.integers(-p, 2 * p), min_size=k, max_size=k))
+    return a, a2, mat(k, c), vec, draw(st.integers(-2 * p, 2 * p))
+
+
+@given(sparse_cases())
+def test_sparse_matrix_matches_dense(case):
+    a, a2, b, vec, c = case
+    sparse = SparseMatrix.from_dense
+    sa, sa2, sb = sparse(a), sparse(a2), sparse(b)
+    assert sa.to_dense() == a
+    # results compare equal to the canonical form of the dense answer,
+    # so no operation leaves a stored zero or an unsorted column
+    assert sa @ sb == sparse(a @ b)
+    assert sa - sa2 == sparse(a - a2)
+    assert sa.scale(c) == sparse(a.scale(c))
+    assert sa.matvec(vec) == a.matvec(vec)
+    assert (sa == sa2) == (a == a2)
+    assert sa - sa == sparse(Matrix.zero(a.p, a.rows, a.cols))
+    assert not any((sa - sa).columns)
+
+
+def test_sparse_matrix_canonical_form():
+    # repeated rows add up, values reduce mod p, zero sums disappear
+    built = SparseMatrix(3, 2, [[(1, 2), (0, 4), (1, 1)], [(1, 5), (1, -2)], []])
+    assert built.columns == (((0, 1),), (), ())
+    assert built == SparseMatrix.from_dense(Matrix(3, [[1, 0, 0], [0, 0, 0]]))
+    assert built != SparseMatrix(3, 3, built.columns)
+    assert SparseMatrix.diagonal(5, 2, 7) == SparseMatrix.from_dense(
+        Matrix.identity(5, 2).scale(2))
+    assert SparseMatrix.diagonal(5, 2, 5).columns == ((), ())
+    with pytest.raises(DimensionMismatchError):
+        SparseMatrix(3, 2, [[(2, 1)]])
+    with pytest.raises(DimensionMismatchError):
+        built @ built
+    with pytest.raises(DimensionMismatchError):
+        built - SparseMatrix(3, 3, built.columns)
+    with pytest.raises(DimensionMismatchError):
+        built.matvec([1, 2])
+    with pytest.raises(FieldMismatchError):
+        built - SparseMatrix(5, 2, [[], [], []])
+    with pytest.raises(AttributeError):
+        built.rows = 4
 
 
 def test_matrix_json_roundtrip():

@@ -13,6 +13,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from infker import symplectic
 from infker.errors import DecompositionDefectError, PrimitivityError
 from infker.exterior import (
     Multivector,
@@ -22,17 +23,25 @@ from infker.exterior import (
     pure_wedge_coords,
 )
 from infker.isotropic import count_isotropic, iter_isotropic
-from infker.prime_linalg import Subspace, inv_mod, sum_and_intersection
+from infker.prime_linalg import (
+    Matrix,
+    SparseMatrix,
+    Subspace,
+    inv_mod,
+    sum_and_intersection,
+)
 from infker.symplectic import (
     SIGMA,
     _generator_directions,
+    DegreeCheck,
+    Sl2Report,
     SymplecticSpace,
     calibrate_sigma,
     decompose,
     dim_wedge,
     gamma,
     gamma_dual,
-    h_matrix,
+    h_map,
     h_op,
     injectivity_surjectivity_probe,
     isotropic_span_basis,
@@ -118,10 +127,73 @@ def test_sigma_calibration():
     assert set(calibrate_sigma(SymplecticSpace(2, 2))) == {1, -1}
 
 
+def dense_sl2_report(space, sigma):
+    """The bracket relations as dense matrix products: the oracle for
+    ``sl2_check``."""
+    p, m, n = space.p, space.m, space.n
+
+    def weight(r):
+        return Matrix.identity(p, dim_wedge(n, r)).scale(m - r)
+
+    checks = []
+    for r in range(n + 1):
+        d = dim_wedge(n, r)
+        xm_r = x_minus_matrix(space, r)
+        xp_r = x_plus_matrix(space, r, sigma)
+        h_r = weight(r)
+        bracket = (x_plus_matrix(space, r + 2, sigma) @ xm_r
+                   - x_minus_matrix(space, r - 2) @ xp_r)
+        raise_shift = (weight(r - 2) @ xp_r - xp_r @ h_r) == xp_r.scale(2)
+        lower_shift = (weight(r + 2) @ xm_r - xm_r @ h_r) == xm_r.scale(-2)
+        checks.append(DegreeCheck(
+            r=r,
+            bracket_ok=bracket == Matrix.identity(p, d).scale(r - m),
+            raise_shift_ok=raise_shift,
+            lower_shift_ok=lower_shift,
+            weight_ok=h_r == Matrix.identity(p, d).scale(m - r),
+        ))
+    return Sl2Report(p=p, m=m, sigma=sigma, ok=all(c.ok for c in checks),
+                     degrees=tuple(checks)).to_json()
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+@pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3, 5, 7) for m in (1, 2, 3)]
+                         + [(2, 4)])
+def test_sl2_check_matches_dense_oracle(p, m, sigma):
+    space = SymplecticSpace(p, m)
+    assert sl2_check(space, sigma).to_json() == dense_sl2_report(space, sigma)
+
+
+def test_sl2_check_makes_no_dense_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dense matrix product")
+    monkeypatch.setattr(Matrix, "__matmul__", refuse)
+    assert sl2_check(SymplecticSpace(3, 3)).ok
+
+
+@pytest.mark.parametrize("name", ["x_minus_map", "x_plus_map"])
+def test_tampered_operator_fails_bracket(monkeypatch, name):
+    space, r0 = SymplecticSpace(3, 2), 2
+    honest = getattr(symplectic, name)
+    true = honest(space, r0)
+    columns = [list(col) for col in true.columns]
+    j = next(j for j, col in enumerate(columns) if col)
+    i, v = columns[j][0]
+    columns[j][0] = (i, v + 1)
+    tampered = SparseMatrix(space.p, true.rows, columns)
+
+    def fake(sp, r, *args):
+        return tampered if r == r0 else honest(sp, r, *args)
+    monkeypatch.setattr(symplectic, name, fake)
+    report = sl2_check(space)
+    assert not report.ok
+    assert not report.degrees[r0].bracket_ok
+
+
 def test_weight_operator_is_scalar_per_degree():
     space = SymplecticSpace(5, 2)
     for r in range(5):
-        mat = h_matrix(space, r)
+        mat = h_map(space, r).to_dense()
         scalar = (space.m - r) % space.p
         for i in range(mat.rows):
             for j in range(mat.cols):
