@@ -26,7 +26,7 @@ from .errors import (
     HomogeneityError,
     ParseError,
 )
-from .prime_linalg import Matrix, check_prime, inv_mod
+from .prime_linalg import Matrix, check_prime
 
 Mono = tuple  # strictly increasing tuple of 0-based positions
 
@@ -44,14 +44,12 @@ def monomials(nvars: int, r: int) -> tuple:
                         key=lambda mono: mono[::-1]))
 
 
-def mono_rank(mono: Mono, r: Optional[int] = None) -> int:
+def mono_rank(mono: Mono) -> int:
     """Colex rank of a monomial among all monomials of its degree.
 
     The combinatorial number system: rank = sum of C(c_i, i) over the
     1-based positions i of the entries c_i.
     """
-    if r is not None and len(mono) != r:
-        raise DimensionMismatchError(f"monomial {mono} does not have degree {r}")
     if any(a >= b for a, b in zip(mono, mono[1:])):
         raise ValueError(f"monomial positions must strictly increase: {mono}")
     return sum(comb(c, i + 1) for i, c in enumerate(mono))
@@ -120,48 +118,19 @@ def sort_to_monomial(positions: Sequence[int]):
 
 
 # ---------------------------------------------------------------------------
-# minors, compound and pullback matrices
-
-
-def det_mod(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Determinant of a small square matrix over F_p."""
-    n = len(rows)
-    mat = [[v % p for v in row] for row in rows]
-    det = 1
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if mat[i][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        lead = mat[col][col]
-        det = det * lead % p
-        inv = inv_mod(lead, p)
-        for i in range(col + 1, n):
-            if mat[i][col]:
-                f = mat[i][col] * inv % p
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[col])]
-    return det % p
+# compound and pullback matrices: every minor is a wedge coordinate
 
 
 def compound_matrix(f: Matrix, r: int) -> Matrix:
     """The degree-r compound of ``f``: entry (I, J) is the minor with rows
     I and columns J.  It is the matrix of the induced map on degree-r
-    wedges, acting on colex coordinates."""
+    wedges, acting on colex coordinates; row I is the wedge of the rows
+    of ``f`` indexed by I."""
     if r < 0:
         raise ValueError("degree must be nonnegative")
-    row_monos = monomials(f.rows, r)
-    col_monos = monomials(f.cols, r)
-    p = f.p
-    ent = f.entries
-    out = []
-    for mi in row_monos:
-        out.append([
-            det_mod([[ent[i][j] for j in mj] for i in mi], p)
-            for mj in col_monos
-        ])
-    return Matrix(p, out, cols=len(col_monos))
+    return Matrix(f.p, (pure_wedge_coords([f.entries[i] for i in mono], f.cols, f.p)
+                        for mono in monomials(f.rows, r)),
+                  cols=comb(f.cols, r))
 
 
 def pullback_matrix(f: Matrix, r: int) -> Matrix:
@@ -183,13 +152,13 @@ def pure_wedge_coords(rows: Sequence[Sequence[int]], nvars: int, p: int) -> tupl
     """Colex coordinates of the wedge of the given vectors.
 
     ``rows`` is an r x nvars array; coordinate I of the result is the
-    r x r minor on columns I.
+    r x r minor on columns I.  The rows are wedged in one at a time,
+    starting from the degree-0 unit, so only nonzero entries are merged.
     """
-    r = len(rows)
-    return tuple(
-        det_mod([[row[j] for j in mono] for row in rows], p)
-        for mono in monomials(nvars, r)
-    )
+    acc = (1,)
+    for deg, row in enumerate(rows):
+        acc = wedge_coords(nvars, p, deg, acc, 1, row)
+    return acc
 
 
 def pullback_coords(f: Matrix, r: int, terms: dict) -> tuple:

@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import HomogeneityError, InvariantError
+from .errors import CatalogTooLargeError, HomogeneityError, InvariantError
 from .exterior import (
     Multivector,
     mono_rank,
@@ -48,6 +48,10 @@ from .symplectic import (
     isotropic_span_basis,
     x_minus_matrix,
 )
+
+#: Most nonzero vectors p^(2m) - 1 that ``certificate`` checks, the same
+#: budget as ``Subspace.vectors`` and the group scans.
+CERTIFICATE_LIMIT = 10 ** 6
 
 
 def ideal_component(space: SymplecticSpace, r: int) -> Subspace:
@@ -284,7 +288,9 @@ def certificate(space: SymplecticSpace, target: Multivector) -> CertificateRepor
 
     Vectors whose restriction of the target vanishes pass vacuously.
     Witness coefficient lists are stored for the non-vacuous passes so
-    the membership can be replayed independently.
+    the membership can be replayed independently.  Spaces with more than
+    CERTIFICATE_LIMIT nonzero vectors are refused with
+    CatalogTooLargeError before the first perp is built.
     """
     if target.p != space.p or target.m != space.m:
         raise ValueError("class does not live on this space")
@@ -294,6 +300,9 @@ def certificate(space: SymplecticSpace, target: Multivector) -> CertificateRepor
     if degree < 2:
         raise ValueError("degree must be at least 2")
     p, n = space.p, space.n
+    nonzero = p ** n - 1
+    if nonzero > CERTIFICATE_LIMIT:
+        raise CatalogTooLargeError(nonzero, CERTIFICATE_LIMIT, "vectors")
     records = []
     for g in itertools.product(range(p), repeat=n):
         if not any(g):

@@ -110,6 +110,20 @@ def test_sl2_check_refusal_beyond_m_8():
     assert "Traceback" not in proc.stderr
 
 
+def test_certificate_refusal_beyond_the_vector_budget():
+    # 7^8 - 1 nonzero vectors: refused before the first perp is built
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "infker", "certificate", "-p", "7", "-m", "4",
+         "--class", "x1^y1"],
+        capture_output=True, text=True)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "5764800 vectors" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_closure_answers_past_the_lagrangian_catalog(capsys, schema):
     # the (11,3) Lagrangian catalog holds over 10^6 subspaces
     code, blob, _ = run_json(capsys, schema, "theorem1", "-p", "11", "-m", "3")

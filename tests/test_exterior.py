@@ -2,11 +2,14 @@
 
 The oracles here are deliberately independent of the implementation:
 ranking is cross-checked against a full sort, signs against brute-force
-inversion counts, determinants against the permutation expansion.
+inversion counts, and minors (which the module computes as wedge
+coordinates) against a test-local Gaussian-elimination determinant and
+the permutation expansion.
 """
 
 import itertools
 import json
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +19,6 @@ from infker.exterior import (
     Multivector,
     VariableOrder,
     compound_matrix,
-    det_mod,
     mono_rank,
     mono_unrank,
     monomials,
@@ -103,19 +105,81 @@ def test_sort_to_monomial_matches_brute_sign(positions):
         assert mono == tuple(sorted(positions))
 
 
-@given(primes, st.data())
-def test_det_mod_permutation_expansion(p, data):
-    n = data.draw(st.integers(1, 3))
-    rows = data.draw(st.lists(
-        st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
-        min_size=n, max_size=n))
-    expected = 0
-    for perm in itertools.permutations(range(n)):
+def det_oracle(rows, p):
+    """Determinant of a small square matrix over F_p by elimination; it
+    shares no code with the wedge product."""
+    n = len(rows)
+    mat = [[v % p for v in row] for row in rows]
+    det = 1
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if mat[i][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            mat[col], mat[pivot] = mat[pivot], mat[col]
+            det = -det
+        lead = mat[col][col]
+        det = det * lead % p
+        inv = pow(lead, p - 2, p)
+        for i in range(col + 1, n):
+            if mat[i][col]:
+                f = mat[i][col] * inv % p
+                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[col])]
+    return det % p
+
+
+def leibniz(rows):
+    """Determinant as the signed sum over permutations, over the integers."""
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
         term = brute_sign(perm)
         for i, j in enumerate(perm):
             term *= rows[i][j]
-        expected += term
-    assert det_mod(rows, p) == expected % p
+        total += term
+    return total
+
+
+@given(primes, st.data())
+def test_pure_wedge_permutation_expansion(p, data):
+    n = data.draw(st.integers(1, 4))
+    rows = data.draw(st.lists(
+        st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+        min_size=n, max_size=n))
+    assert pure_wedge_coords(rows, n, p) == (leibniz(rows) % p,)
+
+
+@given(primes, st.data())
+@settings(max_examples=60)
+def test_minors_match_determinant_oracle(p, data):
+    """Every entry of the compound, and every coordinate of a pure wedge,
+    is the determinant of its square submatrix, on rectangular shapes up
+    to 5 x 6 and for every r up to one past the smaller side."""
+    rows = data.draw(st.integers(0, 5))
+    cols = data.draw(st.integers(0, 6))
+    entries = [[data.draw(st.integers(0, p - 1)) for _ in range(cols)]
+               for _ in range(rows)]
+    f = Matrix(p, entries, cols=cols)
+    for r in range(min(rows, cols) + 2):
+        comp = compound_matrix(f, r)
+        assert (comp.rows, comp.cols) == (comb(rows, r), comb(cols, r))
+        for i, mi in enumerate(monomials(rows, r)):
+            for j, mj in enumerate(monomials(cols, r)):
+                assert comp.entries[i][j] == det_oracle(
+                    [[entries[a][b] for b in mj] for a in mi], p)
+    for r in range(rows + 1):
+        wedge = pure_wedge_coords(entries[:r], cols, p)
+        assert wedge == tuple(
+            det_oracle([[row[b] for b in mono] for row in entries[:r]], p)
+            for mono in monomials(cols, r))
+
+
+def test_minor_edge_shapes():
+    f = Matrix(5, [[1, 2, 3, 4], [0, 1, 4, 2]])
+    assert compound_matrix(f, 0) == Matrix(5, [[1]])
+    too_many = compound_matrix(f, 3)
+    assert (too_many.rows, too_many.cols) == (0, comb(4, 3))
+    assert pure_wedge_coords([], 4, 5) == (1,)
+    assert pure_wedge_coords([[1, 0], [0, 1], [1, 1]], 2, 5) == ()
 
 
 @given(primes, st.data())
@@ -199,7 +263,6 @@ def test_wedge_coords_agrees_with_multivector_wedge(p, data):
     db = data.draw(st.integers(0, min(2, n)))
     if da + db > n:
         return
-    from math import comb
     va = [data.draw(st.integers(0, p - 1)) for _ in range(comb(n, da))]
     vb = [data.draw(st.integers(0, p - 1)) for _ in range(comb(n, db))]
     got = wedge_coords(n, p, da, va, db, vb)

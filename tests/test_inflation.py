@@ -7,6 +7,7 @@ load-bearing example and is frozen here in full.
 
 import dataclasses
 import functools
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,6 +80,20 @@ def test_theorem1_reports_gaps_when_p_is_small():
     # at p = 2, m = 3 a gap is legitimate output, not a failure
     gaps = [sw.gap for sw in theorem1_verify(space23())]
     assert gaps == [0, 0, 0, 0, 1, 0, 0]
+
+
+@pytest.mark.parametrize("p,m,gaps", [
+    (2, 4, [0, 0, 0, 0, 1, 8, 1, 0, 0]),
+    (3, 4, [0] * 9),
+])
+def test_theorem1_closure_at_m_4(p, m, gaps):
+    """The orbit closure at m = 4: the gap profile, and vanishing dims in
+    closed form (0 below degree 2, C(2m, r-2) up to m, C(2m, r) above)."""
+    sws = theorem1_verify(shared_space(p, m))
+    assert [sw.gap for sw in sws] == gaps
+    assert [sw.vanishing.dim for sw in sws] == [
+        0 if r < 2 else comb(2 * m, r - 2) if r <= m else comb(2 * m, r)
+        for r in range(2 * m + 1)]
 
 
 def test_counterexample_is_the_half_weight_class():
