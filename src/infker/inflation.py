@@ -6,7 +6,7 @@ coordinates on F_p^{2m}:
 * the ideal component, the image of wedging with the invariant 2-tensor
   from degree r - 2, and
 * the vanishing space, the classes whose pullback to every Lagrangian
-  subspace is zero.
+  subspace is zero: up to degree m, the divided-power ideal.
 
 The first always sits inside the second; the dimension gap between them
 is the interesting quantity.  For p > m the gap is zero in every degree
@@ -37,21 +37,25 @@ from .prime_linalg import (
     Matrix,
     Subspace,
     image_basis,
-    kernel_basis,
     solve,
 )
 from .symplectic import (
     SymplecticSpace,
     _cached,
+    _generator_directions,
     dim_wedge,
+    divided_power_map,
     gamma,
-    isotropic_span_basis,
+    transvection,
     x_minus_matrix,
 )
 
 #: Most nonzero vectors p^(2m) - 1 that ``certificate`` checks, the same
 #: budget as ``Subspace.vectors`` and the group scans.
 CERTIFICATE_LIMIT = 10 ** 6
+
+#: Largest C(2m, m) that ``vanishing_space`` serves up to degree m: C(12, 6).
+VANISHING_LIMIT = 924
 
 
 def ideal_component(space: SymplecticSpace, r: int) -> Subspace:
@@ -98,11 +102,29 @@ def vanishing_space(space: SymplecticSpace, r: int) -> Subspace:
     Pulling back to a Lagrangian pairs the class against the wedges of
     r-subsets of its basis, so the vanishing space is the annihilator of
     the isotropic span; above degree m there is nothing to pair against.
+    Up to degree m it is the divided-power ideal (images of gamma^(j) ^ from
+    degree r - 2j, j >= 1), which vanishes on every Lagrangian: its dimension
+    C(2m, r - 2), the annihilator's, is asserted, and every row is checked to
+    pair to zero with x1 ^ ... ^ xr and its generator-transvection images.
     """
     def build():
-        if r > space.m:
-            return Subspace.full(space.p, dim_wedge(space.n, r))
-        return kernel_basis(isotropic_span_basis(space, r).basis)
+        p, m, n, d = space.p, space.m, space.n, dim_wedge(space.n, r)
+        if r > m:
+            return Subspace.full(p, d)
+        if dim_wedge(n, m) > VANISHING_LIMIT:
+            raise CatalogTooLargeError(dim_wedge(n, m), VANISHING_LIMIT,
+                                       f"degree-{m} wedge coordinates")
+        span = Subspace.from_rows(p, d, (
+            [col.get(i, 0) for i in range(d)] for j in range(1, r // 2 + 1)
+            for col in map(dict, divided_power_map(space, j, r - 2 * j).columns)))
+        if span.dim != dim_wedge(n, r - 2):
+            raise InvariantError(f"degree {r}: divided-power ideal has dimension {span.dim}")
+        for v in _generator_directions(m):  # the one along x1 fixes x1 ^ ... ^ xr
+            wedge = pure_wedge_coords(transvection(space, v).transpose().entries[:r], n, p)
+            support = [(i, c) for i, c in enumerate(wedge) if c]
+            if any(sum(c * row[i] for i, c in support) % p for row in span.basis.entries):
+                raise InvariantError(f"degree {r}: a vanishing class pairs with an isotropic wedge")
+        return span
     return _cached(space, ("vanishing", r), build)
 
 

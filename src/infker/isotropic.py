@@ -137,8 +137,7 @@ class IsotropicCatalog:
         return len(self.subspaces)
 
 
-def enumerate_isotropic(space: SymplecticSpace, r: int,
-                        limit: int = CATALOG_LIMIT) -> IsotropicCatalog:
+def enumerate_isotropic(space: SymplecticSpace, r: int) -> IsotropicCatalog:
     """Materialize the full catalog, refusing beyond the size budget.
 
     Completeness is certified against the closed-form count, and every
@@ -146,8 +145,8 @@ def enumerate_isotropic(space: SymplecticSpace, r: int,
     """
     def build():
         expected = count_isotropic(space.p, space.m, r)
-        if expected > limit:
-            raise CatalogTooLargeError(expected, limit, "subspaces")
+        if expected > CATALOG_LIMIT:
+            raise CatalogTooLargeError(expected, CATALOG_LIMIT, "subspaces")
         subs = tuple(iter_isotropic(space, r))
         if len(subs) != expected:
             raise InvariantError(

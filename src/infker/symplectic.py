@@ -197,21 +197,23 @@ def _cached(space: SymplecticSpace, key, build):
     return cache[key]
 
 
-def x_minus_map(space: SymplecticSpace, r: int) -> SparseMatrix:
-    """Sparse map of the lowering operator from degree r to degree r + 2."""
+def divided_power_map(space: SymplecticSpace, j: int, r: int) -> SparseMatrix:
+    """Sparse map of the left wedge by gamma^(j), from degree r to r + 2j:
+    the sum over j-subsets A of the products of the x_a ^ y_a, a in A, each
+    sorting to A u (m + A) in j(j-1)/2 swaps.  Over p > j it is gamma^j / j!."""
     def build():
         m, n = space.m, space.n
-        columns = []
-        for mono in monomials(n, r):
-            col = []
-            for t in range(m):
-                merged = wedge_monomials((t, m + t), mono)
-                if merged is not None:
-                    sign, out = merged
-                    col.append((mono_rank(out), sign))
-            columns.append(col)
-        return SparseMatrix(space.p, dim_wedge(n, r + 2), columns)
-    return _cached(space, ("x_minus", r), build)
+        terms = [a + tuple(m + t for t in a) for a in monomials(m, j)]
+        columns = [[(mono_rank(merged[1]), (-1) ** (j * (j - 1) // 2) * merged[0])
+                    for term in terms if (merged := wedge_monomials(term, mono))]
+                   for mono in monomials(n, r)]
+        return SparseMatrix(space.p, dim_wedge(n, r + 2 * j), columns)
+    return _cached(space, ("divided_power", j, r), build)
+
+
+def x_minus_map(space: SymplecticSpace, r: int) -> SparseMatrix:
+    """Sparse map of the lowering operator from degree r to degree r + 2."""
+    return divided_power_map(space, 1, r)
 
 
 def x_plus_map(space: SymplecticSpace, r: int, sigma: int = SIGMA) -> SparseMatrix:

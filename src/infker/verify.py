@@ -35,6 +35,7 @@ from .prime_linalg import (
     SparseMatrix,
     count_subspaces,
     iter_subspaces,
+    kernel_basis,
     rank,
     sum_and_intersection,
 )
@@ -132,8 +133,9 @@ def criterion_3(grid: str = "small", seed: int = 0) -> CriterionResult:
             space = SymplecticSpace(p, m)
             for r in range(m + 1):
                 want = comb(2 * m, r) - (comb(2 * m, r - 2) if r >= 2 else 0)
-                got = isotropic_span_basis(space, r).dim
-                cases[f"({p},{m}) r={r}"] = got == want
+                got = isotropic_span_basis(space, r)
+                cases[f"({p},{m}) r={r}"] = got.dim == want and (
+                    vanishing_space(space, r) == kernel_basis(got.basis))
         return all(cases.values()), {"cases": cases}
     return _run(3, "span of isotropic wedges has dimension C(2m,r)-C(2m,r-2)",
                 60.0, body)

@@ -37,11 +37,12 @@ def test_battery_overall():
     assert len(REPORT["criteria"]) == 12
 
 
-def test_cli_battery_agrees():
+@pytest.mark.parametrize("grid", ["small", "full"])
+def test_cli_battery_agrees(grid):
     proc = subprocess.run(
-        [sys.executable, "-m", "infker", "verify-all", "--grid", "small"],
+        [sys.executable, "-m", "infker", "verify-all", "--grid", grid],
         capture_output=True, text=True)
-    print(f"[ACCEPTANCE] verify-all --grid small exit {proc.returncode}")
+    print(f"[ACCEPTANCE] verify-all --grid {grid} exit {proc.returncode}")
     assert proc.returncode == 0
     blob = json.loads(proc.stdout)
     assert blob["ok"] is True

@@ -1,11 +1,12 @@
 """Command-line surface: outputs, exit codes, schema conformance.
 
 Everything runs in-process through main(argv) except the smoke test for
-the installed console script and the sl2-check refusal, whose process
-exit status and stderr are checked.  Every JSON report is validated
+the installed console script and the timed refusals, whose process exit
+status and stderr are checked.  Every JSON report is validated
 against the shipped schema.
 """
 
+import hashlib
 import importlib.resources
 import json
 import subprocess
@@ -81,15 +82,52 @@ def test_catalog_refusal_exit_code(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("theorem1", "-p", "2", "-m", "6"),
-    ("vanishing-space", "-p", "2", "-m", "6", "-r", "2"),
-    ("counterexample", "-p", "2", "-m", "6"),
+    ("theorem1", "-p", "2", "-m", "7"),
+    ("vanishing-space", "-p", "2", "-m", "7", "-r", "2"),
+    ("counterexample", "-p", "2", "-m", "7"),
 ], ids=lambda argv: argv[0])
-def test_closure_refusal_beyond_m_5(capsys, argv):
+def test_closure_refusal_beyond_m_6(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
     assert out == ""
-    assert "924 degree-6 wedge coordinates" in err
+    assert "3432 degree-7 wedge coordinates" in err
+
+
+def test_vanishing_refusal_before_any_map():
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "infker", "theorem1", "-p", "3", "-m", "7"],
+        capture_output=True, text=True)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "3432 degree-7 wedge coordinates" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+#: Reports whose bytes were fixed while the vanishing spaces still came
+#: from the orbit closure.
+PINNED_DIGESTS = {
+    "theorem1 -p 2 -m 4":
+        "373c67dbc4d61fd80d472bbc3c0123f80c1d77a36dfad29046df436a1fd550d6",
+    "theorem1 -p 3 -m 4":
+        "30b7ae8dad02a873407a459190a3da5a6ce7b2d7a663c54ce2b6f878166e3ff8",
+    "theorem1 -p 2 -m 5":
+        "cd93ba0ffce5ac6fc48aa206d1188ef43673c90052a6f968b30f573e0952d85b",
+    "theorem1 -p 3 -m 5":
+        "895e8ff61fbd0160316938644e36dde244189987b9ffc7ff6b728c9cefb1800b",
+    "counterexample -p 2 -m 5":
+        "3077d2e5f4de1c9eadbd3681435d8ff0b26bc2c5ddf5d337ecee3cb387109d96",
+    "vanishing-space -p 2 -m 5 -r 5":
+        "602927921bc9eaba9eb7b262ce2e939570d9616bdb2f6eb09a38bbf55336b9cf",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_DIGESTS))
+def test_stdout_digests_pinned(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[command]
 
 
 def test_sl2_check_past_dense_products(capsys, schema):

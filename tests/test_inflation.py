@@ -12,8 +12,9 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from infker import exterior, symplectic
 from infker.errors import HomogeneityError
-from infker.exterior import Multivector, mono_rank, parse, pullback_matrix
+from infker.exterior import Multivector, mono_rank, monomials, parse, pullback_matrix
 from infker.inflation import (
     certificate,
     counterexample,
@@ -26,8 +27,14 @@ from infker.inflation import (
     verify_certificate_record,
 )
 from infker.isotropic import enumerate_isotropic
-from infker.prime_linalg import Matrix, Subspace, kernel_basis
-from infker.symplectic import SymplecticSpace, dim_wedge, gamma
+from infker.prime_linalg import Matrix, Subspace, inv_mod, kernel_basis
+from infker.symplectic import (
+    SymplecticSpace,
+    dim_wedge,
+    divided_power_map,
+    gamma,
+    isotropic_span_basis,
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -85,10 +92,12 @@ def test_theorem1_reports_gaps_when_p_is_small():
 @pytest.mark.parametrize("p,m,gaps", [
     (2, 4, [0, 0, 0, 0, 1, 8, 1, 0, 0]),
     (3, 4, [0] * 9),
+    (2, 6, [0, 0, 0, 0, 1, 12, 65, 208, 65, 12, 1, 0, 0]),
+    (3, 6, [0, 0, 0, 0, 0, 0, 1, 12, 1, 0, 0, 0, 0]),
 ])
 def test_theorem1_closure_at_m_4(p, m, gaps):
-    """The orbit closure at m = 4: the gap profile, and vanishing dims in
-    closed form (0 below degree 2, C(2m, r-2) up to m, C(2m, r) above)."""
+    """The gap profile at m = 4 and m = 6, and vanishing dims in closed
+    form (0 below degree 2, C(2m, r-2) up to m, C(2m, r) above)."""
     sws = theorem1_verify(shared_space(p, m))
     assert [sw.gap for sw in sws] == gaps
     assert [sw.vanishing.dim for sw in sws] == [
@@ -175,6 +184,44 @@ def test_vanishing_space_matches_catalog_oracle(p, m):
         vanish = vanishing_space(space, r)
         assert catalog_kernel(space, r, [m]) == vanish
         assert catalog_kernel(space, r, range(1, m + 1)) == vanish
+
+
+@pytest.mark.parametrize("p,m", [
+    (p, m) for m in (2, 3, 4) for p in (2, 3, 5, 7)] + [(2, 5)])
+def test_vanishing_space_matches_closure_oracle(p, m):
+    """The divided-power ideal is the annihilator of the orbit closure of
+    x1 ^ ... ^ xr up to degree m, and the full space above it (at m = 5,
+    the two top closures only)."""
+    space = shared_space(p, m)
+    for r in ((4, 5) if m == 5 else range(2 * m + 1)):
+        oracle = (kernel_basis(isotropic_span_basis(space, r).basis) if r <= m
+                  else Subspace.full(p, dim_wedge(space.n, r)))
+        assert vanishing_space(space, r) == oracle
+
+
+@pytest.mark.parametrize("p,m", [(5, 3), (7, 4)])
+def test_divided_power_map_is_gamma_power_over_factorial(p, m):
+    space = shared_space(p, m)
+    power, factorial = Multivector.one(p, m), 1
+    for j in range(1, m + 1):
+        power, factorial = power.wedge(gamma(space)), factorial * j
+        divided = power.scale(inv_mod(factorial, p))
+        for r in range(2 * m - 2 * j + 1):
+            cols = [divided.wedge(Multivector(p, m, {mono: 1})).coords(r + 2 * j)
+                    for mono in monomials(2 * m, r)]
+            assert divided_power_map(space, j, r).to_dense() == Matrix(
+                p, zip(*cols), cols=len(cols))
+
+
+def test_theorem1_reaches_no_closure(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("theorem1 reached the orbit closure")
+    monkeypatch.setattr(symplectic, "submodule_closure", refuse)
+    monkeypatch.setattr(symplectic, "compound_matrix", refuse)
+    monkeypatch.setattr(exterior, "compound_matrix", refuse)
+    space = SymplecticSpace(2, 4)
+    assert [sw.gap for sw in theorem1_verify(space)] == [0, 0, 0, 0, 1, 8, 1, 0, 0]
+    assert str(counterexample(space)) == "x2^x3^y2^y3 + x2^x4^y2^y4 + x3^x4^y3^y4"
 
 
 @functools.lru_cache(maxsize=1)
