@@ -187,14 +187,13 @@ def wedge_coords(nvars: int, p: int, deg_a: int, vec_a: Sequence[int],
     out = [0] * comb(nvars, deg_a + deg_b)
     monos_a = monomials(nvars, deg_a)
     monos_b = monomials(nvars, deg_b)
+    terms_b = [(monos_b[ib], cb) for ib, cb in enumerate(vec_b) if cb]
     for ia, ca in enumerate(vec_a):
         if not ca:
             continue
         ma = monos_a[ia]
-        for ib, cb in enumerate(vec_b):
-            if not cb:
-                continue
-            merged = wedge_monomials(ma, monos_b[ib])
+        for mb, cb in terms_b:
+            merged = wedge_monomials(ma, mb)
             if merged is None:
                 continue
             sign, mono = merged
@@ -296,7 +295,7 @@ class Multivector:
             raise DimensionMismatchError(
                 f"expected {len(monos)} coordinates for degree {r}, got {len(coords)}"
             )
-        return cls(p, m, {mono: c for mono, c in zip(monos, coords)})
+        return cls(p, m, {mono: c for mono, c in zip(monos, coords) if c})
 
     # -- inspection -------------------------------------------------------
 

@@ -20,7 +20,7 @@ ideal.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .errors import CatalogTooLargeError, HomogeneityError, InvariantError
@@ -37,6 +37,7 @@ from .prime_linalg import (
     Matrix,
     Subspace,
     image_basis,
+    inv_mod,
     solve,
 )
 from .symplectic import (
@@ -310,9 +311,12 @@ def certificate(space: SymplecticSpace, target: Multivector) -> CertificateRepor
 
     Vectors whose restriction of the target vanishes pass vacuously.
     Witness coefficient lists are stored for the non-vacuous passes so
-    the membership can be replayed independently.  Spaces with more than
-    CERTIFICATE_LIMIT nonzero vectors are refused with
-    CatalogTooLargeError before the first perp is built.
+    the membership can be replayed independently.  The test runs once per
+    projective point, at the g whose first nonzero entry is 1: c * g has
+    the same perp, restriction, annihilator and witness, so its record is
+    g's with only g replaced.  Spaces with more than CERTIFICATE_LIMIT
+    nonzero vectors are refused with CatalogTooLargeError before the
+    first perp is built.
     """
     if target.p != space.p or target.m != space.m:
         raise ValueError("class does not live on this space")
@@ -326,8 +330,14 @@ def certificate(space: SymplecticSpace, target: Multivector) -> CertificateRepor
     if nonzero > CERTIFICATE_LIMIT:
         raise CatalogTooLargeError(nonzero, CERTIFICATE_LIMIT, "vectors")
     records = []
+    by_point = {}  # normalized g -> its record; product order lists it first
     for g in itertools.product(range(p), repeat=n):
-        if not any(g):
+        lead = next((c for c in g if c), 0)
+        if lead > 1:
+            inv = inv_mod(lead, p)
+            records.append(replace(by_point[tuple(c * inv % p for c in g)], g=g))
+            continue
+        if not lead:
             continue
         s_g, rest, omega_rest = _restriction_data(space, g, target)
         split = radical_split(space, s_g)
@@ -348,12 +358,13 @@ def certificate(space: SymplecticSpace, target: Multivector) -> CertificateRepor
             if coeffs is not None:
                 witness = {"terms": [{"coeff": c, **ident}
                                      for c, ident in zip(coeffs, idents) if c]}
-        records.append(CertificateRecord(
+        by_point[g] = CertificateRecord(
             g=g, dim_perp=s_g.dim, dim_radical=split.rad.dim,
             dim_complement=split.a.dim, dim_annihilator=ann.dim,
             vacuous=not any(rest), member=coeffs is not None,
             witness=witness,
-        ))
+        )
+        records.append(by_point[g])
     return CertificateReport(p=p, m=space.m, degree=degree,
                              target=target, records=records)
 

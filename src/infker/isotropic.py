@@ -23,7 +23,6 @@ from .errors import (
 from .prime_linalg import (
     Matrix,
     Subspace,
-    inv_mod,
     kernel_basis,
     rref,
     solve,
@@ -185,63 +184,33 @@ def radical_split(space: SymplecticSpace, sub: Subspace) -> RadicalSplit:
     """Split ``sub`` into the radical of the restricted form and a
     complement on which the form is nondegenerate.
 
-    The complement comes from greedy hyperbolic-pair extraction over the
-    rref basis, always preferring the lowest-index vectors, so the output
-    is deterministic.  All the defining properties are asserted before
-    returning.
+    In coordinates over the rref basis the radical is the kernel of the
+    k x k restricted Gram matrix.  The complement is spanned by the basis
+    rows at the kernel's non-pivot positions: a kernel vector that is zero
+    at every pivot is zero, so those rows meet the radical only in zero,
+    and the output is deterministic.  Those rows are already reduced, so
+    they are the complement's basis and its form is the matching block
+    of the restricted Gram matrix.  All the defining properties are
+    asserted before returning.
     """
     p, n = space.p, space.n
     if sub.p != p or sub.ambient_dim != n:
         raise DimensionMismatchError("subspace does not live on this space")
-    k = sub.dim
-    b = sub.basis
-    gram_sub = b @ space.gram @ b.transpose()  # k x k restricted form
-
-    def form(u, v):
-        return sum(a * c for a, c in zip(gram_sub.matvec(v), u)) % p
-
-    remaining = [[int(i == j) for j in range(k)] for i in range(k)]
-    pair_vecs = []
-    while True:
-        hit = None
-        for iu, u in enumerate(remaining):
-            for iw in range(iu + 1, len(remaining)):
-                val = form(u, remaining[iw])
-                if val:
-                    hit = (iu, iw, val)
-                    break
-            if hit:
-                break
-        if hit is None:
-            break
-        iu, iw, val = hit
-        u = remaining[iu]
-        w = [(inv_mod(val, p) * c) % p for c in remaining[iw]]
-        others = [v for t, v in enumerate(remaining) if t not in (iu, iw)]
-        # make the rest orthogonal to the extracted pair
-        corrected = []
-        for v in others:
-            fvw = form(v, w)
-            fvu = form(v, u)
-            vv = [(a - fvw * bu + fvu * bw) % p
-                  for a, bu, bw in zip(v, u, w)]
-            corrected.append(vv)
-        pair_vecs.extend([u, w])
-        remaining = corrected
-
-    bt = b.transpose()
-    a_space = Subspace.from_rows(p, n, [bt.matvec(c) for c in pair_vecs])
-    sub_perp = kernel_basis(b @ space.gram)
-    _, rad = sum_and_intersection(sub, sub_perp)
+    b, bt = sub.basis, sub.basis.transpose()
+    b_gram = b @ space.gram  # row i is the functional psi(b_i, -)
+    gram_sub = b_gram @ bt  # k x k restricted form
+    kernel = kernel_basis(gram_sub)
+    rad = Subspace.from_rows(p, n, (bt.matvec(c) for c in kernel.basis.entries))
+    kept = [i for i in range(sub.dim) if i not in kernel.pivots]
+    a_space = Subspace.from_rows(p, n, (b.entries[i] for i in kept))
 
     total, overlap = sum_and_intersection(rad, a_space)
     if overlap.dim or total != sub:
         raise InvariantError("radical and complement do not split the subspace")
-    for rrow in rad.basis.entries:
-        if any(space.pairing(rrow, srow) for srow in b.entries):
-            raise InvariantError("radical vector pairs nontrivially inside the subspace")
-    ab = a_space.basis
-    gram_a = ab @ space.gram @ ab.transpose()
+    if not (rad.basis @ b_gram.transpose()).is_zero():
+        raise InvariantError("radical vector pairs nontrivially inside the subspace")
+    gram_a = Matrix(p, ([gram_sub.entries[i][j] for j in kept] for i in kept),
+                    cols=len(kept))
     if rref(gram_a)[2] != a_space.dim:
         raise InvariantError("complement form is degenerate")
     return RadicalSplit(sub=sub, rad=rad, a=a_space, gram_a=gram_a)

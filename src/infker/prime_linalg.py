@@ -110,10 +110,20 @@ class Matrix:
             cols = width
         elif cols is None:
             cols = 0
+        self._set(p, normalized, cols)
+
+    def _set(self, p: int, entries: tuple, cols: int):
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "rows", len(normalized))
+        object.__setattr__(self, "rows", len(entries))
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", normalized)
+        object.__setattr__(self, "entries", entries)
+
+    @classmethod
+    def _of(cls, p: int, entries: tuple, cols: int) -> "Matrix":
+        # entries already row tuples of width cols, reduced into [0, p)
+        out = object.__new__(cls)
+        out._set(p, entries, cols)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -122,7 +132,8 @@ class Matrix:
 
     @classmethod
     def identity(cls, p: int, n: int) -> "Matrix":
-        return cls(p, ([int(i == j) for j in range(n)] for i in range(n)), cols=n)
+        check_prime(p)
+        return cls._of(p, tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)), n)
 
     @classmethod
     def zero(cls, p: int, rows: int, cols: int) -> "Matrix":
@@ -172,8 +183,8 @@ class Matrix:
     def transpose(self) -> "Matrix":
         if not self.rows:
             # 0 x n transposes to n x 0
-            return Matrix(self.p, [()] * self.cols, cols=0)
-        return Matrix(self.p, zip(*self.entries), cols=self.rows)
+            return Matrix._of(self.p, ((),) * self.cols, 0)
+        return Matrix._of(self.p, tuple(zip(*self.entries)), self.rows)
 
     def scale(self, c: int) -> "Matrix":
         c %= self.p
@@ -223,10 +234,10 @@ class Matrix:
         out = []
         for row in self.entries:
             if cols_b:
-                out.append([sum(a * b for a, b in zip(row, col)) % p for col in cols_b])
+                out.append(tuple(sum(a * b for a, b in zip(row, col)) % p for col in cols_b))
             else:
-                out.append([0] * other.cols)
-        return Matrix(p, out, cols=other.cols)
+                out.append((0,) * other.cols)
+        return Matrix._of(p, tuple(out), other.cols)
 
     def matvec(self, vec: Sequence[int]) -> tuple:
         if len(vec) != self.cols:
@@ -383,7 +394,7 @@ class SparseMatrix:
 
 
 def _rref_generic(rows: Sequence[Sequence[int]], ncols: int, p: int):
-    mat = [[v % p for v in row] for row in rows]
+    mat = [[v % p for v in row] for row in rows]  # the one reduction mod p
     nrows = len(mat)
     pivots = []
     rank = 0
@@ -434,16 +445,23 @@ def _rref_packed2(rows: Sequence[Sequence[int]], ncols: int):
     return mat, tuple(pivots), rank
 
 
+def _rref_rows(rows: Sequence[Sequence[int]], ncols: int, p: int):
+    """Reduced rows as a tuple of tuples in [0, p), pivots and rank; rows
+    of any integers, reduced mod p once on the way in."""
+    if p == 2:
+        red, pivots, rank = _rref_packed2(rows, ncols)
+    else:
+        red, pivots, rank = _rref_generic(rows, ncols, p)
+    return tuple(map(tuple, red)), pivots, rank
+
+
 def rref(mat: Matrix):
     """Reduced row echelon form, on the packed XOR path when p = 2.
 
     Returns (reduced Matrix, pivot column tuple, rank).
     """
-    if mat.p == 2:
-        rows, pivots, rank = _rref_packed2(mat.entries, mat.cols)
-    else:
-        rows, pivots, rank = _rref_generic(mat.entries, mat.cols, mat.p)
-    return Matrix(mat.p, rows, cols=mat.cols), pivots, rank
+    red, pivots, rank = _rref_rows(mat.entries, mat.cols, mat.p)
+    return Matrix._of(mat.p, red, mat.cols), pivots, rank
 
 
 def rank(mat: Matrix) -> int:
@@ -494,9 +512,9 @@ class Subspace:
                 raise DimensionMismatchError(
                     f"row length {len(r)} vs ambient dimension {ambient_dim}"
                 )
-        mat = Matrix(p, rows, cols=ambient_dim)
-        red, pivots, rk = rref(mat)
-        return cls(p, ambient_dim, Matrix(p, red.entries[:rk], cols=ambient_dim), pivots)
+        check_prime(p)
+        red, pivots, rk = _rref_rows(rows, ambient_dim, p)
+        return cls(p, ambient_dim, Matrix._of(p, red[:rk], ambient_dim), pivots)
 
     @classmethod
     def zero(cls, p: int, ambient_dim: int) -> "Subspace":
@@ -504,7 +522,8 @@ class Subspace:
 
     @classmethod
     def full(cls, p: int, ambient_dim: int) -> "Subspace":
-        return cls.from_rows(p, ambient_dim, Matrix.identity(p, ambient_dim).entries)
+        # the identity is already reduced, with a pivot in every column
+        return cls(p, ambient_dim, Matrix.identity(p, ambient_dim), tuple(range(ambient_dim)))
 
     @property
     def dim(self) -> int:

@@ -120,6 +120,10 @@ PINNED_DIGESTS = {
         "3077d2e5f4de1c9eadbd3681435d8ff0b26bc2c5ddf5d337ecee3cb387109d96",
     "vanishing-space -p 2 -m 5 -r 5":
         "602927921bc9eaba9eb7b262ce2e939570d9616bdb2f6eb09a38bbf55336b9cf",
+    "certificate -p 3 -m 3 --class x2^x3^y2^y3":
+        "2668c9131db4cd4fbe208f5d539880aa90ea7f8064cb20a8c8f1b8e9350a6fb9",
+    "certificate -p 2 -m 4 --class x2^x3^x4^y2^y3^y4":
+        "2f858f63d7303f7a27a640bdc17f1339463bf7b9c811fada07c29b2e7214efee",
 }
 
 

@@ -271,6 +271,28 @@ def test_wedge_coords_agrees_with_multivector_wedge(p, data):
     assert mva.wedge(mvb).coords(da + db) == got
 
 
+@given(primes, st.data())
+@settings(max_examples=80)
+def test_sparse_wedge_coords_agrees_with_multivector_wedge(p, data):
+    # factors with a handful of nonzero coordinates, every degree pair
+    m = data.draw(st.integers(1, 3))
+    n = 2 * m
+    da = data.draw(st.integers(0, n))
+    db = data.draw(st.integers(0, n - da))
+
+    def sparse(r):
+        vec = [0] * comb(n, r)
+        for i in data.draw(st.lists(st.integers(0, len(vec) - 1), max_size=3)):
+            vec[i] = data.draw(st.integers(1, p - 1))
+        return vec
+
+    va, vb = sparse(da), sparse(db)
+    mva = Multivector(p, m, dict(zip(monomials(n, da), va)))
+    mvb = Multivector(p, m, dict(zip(monomials(n, db), vb)))
+    assert wedge_coords(n, p, da, va, db, vb) == mva.wedge(mvb).coords(da + db)
+    assert wedge_coords(n, p, db, vb, da, va) == mvb.wedge(mva).coords(da + db)
+
+
 def test_variable_order_naming():
     order = VariableOrder(3)
     assert [order.name(i) for i in range(6)] == ["x1", "x2", "x3", "y1", "y2", "y3"]

@@ -7,6 +7,7 @@ load-bearing example and is frozen here in full.
 
 import dataclasses
 import functools
+import itertools
 from math import comb
 
 import pytest
@@ -16,6 +17,9 @@ from infker import exterior, symplectic
 from infker.errors import HomogeneityError
 from infker.exterior import Multivector, mono_rank, monomials, parse, pullback_matrix
 from infker.inflation import (
+    CertificateRecord,
+    _generator,
+    _restriction_data,
     certificate,
     counterexample,
     ideal_component,
@@ -26,8 +30,8 @@ from infker.inflation import (
     vanishing_space,
     verify_certificate_record,
 )
-from infker.isotropic import enumerate_isotropic
-from infker.prime_linalg import Matrix, Subspace, inv_mod, kernel_basis
+from infker.isotropic import annihilator, enumerate_isotropic
+from infker.prime_linalg import Matrix, Subspace, inv_mod, kernel_basis, solve
 from infker.symplectic import (
     SymplecticSpace,
     dim_wedge,
@@ -35,6 +39,7 @@ from infker.symplectic import (
     gamma,
     isotropic_span_basis,
 )
+from test_isotropic import greedy_radical_split
 
 
 @functools.lru_cache(maxsize=None)
@@ -301,6 +306,57 @@ class TestCertificate:
             for term in rec.witness["terms"]:
                 assert term["kind"] in ("form_wedge", "annihilator_wedge")
                 assert term["coeff"] % 2 == 1
+
+
+def certificate_records_oracle(space, target):
+    """The per-vector loop that ``certificate`` ran before it solved once
+    per projective point, with the greedy radical split: every nonzero g
+    gets its own perp, split, annihilator and solve."""
+    degree = target.degree()
+    p, n = space.p, space.n
+    records = []
+    for g in itertools.product(range(p), repeat=n):
+        if not any(g):
+            continue
+        s_g, rest, omega_rest = _restriction_data(space, g, target)
+        rad, a = greedy_radical_split(space, s_g)
+        ann = annihilator(space, s_g, g)
+        coeffs = witness = None
+        if any(rest):
+            idents = (
+                [{"kind": "form_wedge", "monomial": list(mu)}
+                 for mu in monomials(s_g.dim, degree - 2)]
+                + [{"kind": "annihilator_wedge", "rows": list(subset)}
+                   for subset in itertools.combinations(range(ann.dim), degree)]
+            )
+            gens = [_generator(p, s_g.dim, degree, omega_rest, ann, ident)
+                    for ident in idents]
+            coeffs = solve(Matrix(p, zip(*gens), cols=len(gens)), rest)
+            if coeffs is not None:
+                witness = {"terms": [{"coeff": c, **ident}
+                                     for c, ident in zip(coeffs, idents) if c]}
+        records.append(CertificateRecord(
+            g=g, dim_perp=s_g.dim, dim_radical=rad.dim,
+            dim_complement=a.dim, dim_annihilator=ann.dim,
+            vacuous=not any(rest), member=coeffs is not None,
+            witness=witness,
+        ))
+    return records
+
+
+@pytest.mark.parametrize("p,m,cls,vacuous", [
+    (3, 2, "x1^x2+2*y1^y2+x1^y1", 0),
+    (3, 2, "x1^x2^y1+2*x2^y1^y2", 26),
+    (5, 2, "x1^x2+3*y1^y2+4*x1^y2", 0),
+    (5, 2, "x1^x2^y2+x1^y1^y2", 124),
+    (3, 3, "x2^x3^y2^y3", 80),
+])
+def test_certificate_matches_per_vector_oracle(p, m, cls, vacuous):
+    space = shared_space(p, m)
+    target = parse(cls, p, m)
+    rep = certificate(space, target)
+    assert list(rep.records) == certificate_records_oracle(space, target)
+    assert sum(rec.vacuous for rec in rep.records) == vacuous
 
 
 def test_certificate_rejects_zero_and_inhomogeneous_targets():

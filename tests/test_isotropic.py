@@ -20,7 +20,14 @@ from infker.isotropic import (
     perp,
     radical_split,
 )
-from infker.prime_linalg import Matrix, Subspace, iter_subspaces
+from infker.prime_linalg import (
+    Matrix,
+    Subspace,
+    inv_mod,
+    iter_subspaces,
+    kernel_basis,
+    sum_and_intersection,
+)
 from infker.symplectic import SymplecticSpace
 
 
@@ -133,6 +140,52 @@ def test_perp_is_pairing_kernel(data):
     assert pp.dim == expected_dim
 
 
+def greedy_radical_split(space, sub):
+    """The radical and a complement by greedy hyperbolic-pair extraction
+    over the rref basis, lowest-index vectors first: the split that
+    ``radical_split`` computed before it read the radical off the kernel
+    of the restricted Gram matrix.  Returns (rad, a)."""
+    p, n = space.p, space.n
+    k = sub.dim
+    b = sub.basis
+    gram_sub = b @ space.gram @ b.transpose()
+
+    def form(u, v):
+        return sum(a * c for a, c in zip(gram_sub.matvec(v), u)) % p
+
+    remaining = [[int(i == j) for j in range(k)] for i in range(k)]
+    pair_vecs = []
+    while True:
+        hit = None
+        for iu, u in enumerate(remaining):
+            for iw in range(iu + 1, len(remaining)):
+                val = form(u, remaining[iw])
+                if val:
+                    hit = (iu, iw, val)
+                    break
+            if hit:
+                break
+        if hit is None:
+            break
+        iu, iw, val = hit
+        u = remaining[iu]
+        w = [(inv_mod(val, p) * c) % p for c in remaining[iw]]
+        others = [v for t, v in enumerate(remaining) if t not in (iu, iw)]
+        # make the rest orthogonal to the extracted pair
+        corrected = []
+        for v in others:
+            fvw = form(v, w)
+            fvu = form(v, u)
+            corrected.append([(a - fvw * bu + fvu * bw) % p
+                              for a, bu, bw in zip(v, u, w)])
+        pair_vecs.extend([u, w])
+        remaining = corrected
+    bt = b.transpose()
+    a_space = Subspace.from_rows(p, n, [bt.matvec(c) for c in pair_vecs])
+    _, rad = sum_and_intersection(sub, kernel_basis(b @ space.gram))
+    return rad, a_space
+
+
 def random_subspace(data, p, n):
     k = data.draw(st.integers(0, n))
     rows = [[data.draw(st.integers(0, p - 1)) for _ in range(n)]
@@ -156,11 +209,26 @@ def test_radical_split_properties(data):
             assert space.pairing(u, v) == 0
     # the complement carries a nondegenerate restriction
     ga = split.gram_a
+    ab = split.a.basis
+    assert ga == ab @ space.gram @ ab.transpose()
     from infker.prime_linalg import rref
     assert rref(ga)[2] == split.a.dim
     # and sits inside the subspace
     for row in split.a.basis.entries:
         assert sub.member(row) is not None
+
+
+@given(st.data())
+@settings(max_examples=150)
+def test_radical_split_matches_greedy_oracle(data):
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    m = data.draw(st.integers(1, 3))
+    space = SymplecticSpace(p, m)
+    sub = random_subspace(data, p, 2 * m)
+    rad, a = greedy_radical_split(space, sub)
+    split = radical_split(space, sub)
+    assert split.rad == rad
+    assert split.a.dim == a.dim
 
 
 def test_radical_split_frozen_cases():

@@ -253,6 +253,38 @@ def test_subspace_member_and_canonical_form():
     assert coeffs[0] == 3
 
 
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n", range(7))
+def test_full_is_the_reduced_identity(p, n):
+    full = Subspace.full(p, n)
+    oracle = Subspace.from_rows(p, n, Matrix.identity(p, n).entries)
+    assert full == oracle
+    assert full.pivots == oracle.pivots == tuple(range(n))
+    assert (full.basis.rows, full.basis.cols) == (n, n)
+
+
+@given(primes, st.data())
+def test_from_rows_reduces_any_integers(p, data):
+    n = data.draw(st.integers(0, 5))
+    rows = data.draw(st.lists(
+        st.lists(st.integers(-3 * p, 3 * p), min_size=n, max_size=n),
+        max_size=4))
+    sub = Subspace.from_rows(p, n, rows)
+    red, pivots, rk = rref(Matrix(p, rows, cols=n))
+    assert sub.basis == Matrix(p, red.entries[:rk], cols=n)
+    assert sub.pivots == pivots
+    assert sub == Subspace.from_rows(p, n, [[v % p for v in row] for row in rows])
+
+
+def test_from_rows_errors():
+    with pytest.raises(DimensionMismatchError):
+        Subspace.from_rows(3, 3, [[1, 0, 0], [0, 1]])
+    with pytest.raises(NotPrimeError):
+        Subspace.from_rows(4, 2, [[1, 0]])
+    with pytest.raises(NotPrimeError):
+        Subspace.full(4, 2)
+
+
 @given(primes, st.data())
 def test_subspace_membership_closed_under_addition(p, data):
     n = data.draw(st.integers(1, 5))
