@@ -180,26 +180,39 @@ def pullback_coords(f: Matrix, r: int, terms: dict) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _wedge_table(nvars: int, deg_a: int, deg_b: int) -> tuple:
+    """Products of monomials by colex rank: entry [ia][ib] is (sign, rank)
+    of monomial ia of degree deg_a wedged with monomial ib of degree deg_b,
+    or None when they share a position."""
+    monos_b = monomials(nvars, deg_b)
+    table = []
+    for ma in monomials(nvars, deg_a):
+        row = []
+        for mb in monos_b:
+            merged = wedge_monomials(ma, mb)
+            row.append(None if merged is None else (merged[0], mono_rank(merged[1])))
+        table.append(tuple(row))
+    return tuple(table)
+
+
 def wedge_coords(nvars: int, p: int, deg_a: int, vec_a: Sequence[int],
                  deg_b: int, vec_b: Sequence[int]) -> tuple:
     """Wedge two coordinate vectors of pure degrees into one of degree
     deg_a + deg_b, all in colex coordinates on ``nvars`` positions."""
     out = [0] * comb(nvars, deg_a + deg_b)
-    monos_a = monomials(nvars, deg_a)
-    monos_b = monomials(nvars, deg_b)
-    terms_b = [(monos_b[ib], cb) for ib, cb in enumerate(vec_b) if cb]
+    table = _wedge_table(nvars, deg_a, deg_b)
+    terms_b = [(ib, cb) for ib, cb in enumerate(vec_b) if cb]
     for ia, ca in enumerate(vec_a):
         if not ca:
             continue
-        ma = monos_a[ia]
-        for mb, cb in terms_b:
-            merged = wedge_monomials(ma, mb)
-            if merged is None:
-                continue
-            sign, mono = merged
-            k = mono_rank(mono)
-            out[k] = (out[k] + sign * ca * cb) % p
-    return tuple(out)
+        row = table[ia]
+        for ib, cb in terms_b:
+            hit = row[ib]
+            if hit is not None:
+                out[hit[1]] += hit[0] * ca * cb
+    # from a list, so that the tuple is allocated at its exact length
+    return tuple([v % p for v in out])
 
 
 # ---------------------------------------------------------------------------

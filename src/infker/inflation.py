@@ -26,11 +26,11 @@ from typing import Optional, Sequence
 from .errors import CatalogTooLargeError, HomogeneityError, InvariantError
 from .exterior import (
     Multivector,
+    _wedge_table,
     mono_rank,
     monomials,
     pullback_coords,
     pure_wedge_coords,
-    wedge_coords,
 )
 from .isotropic import annihilator, perp, radical_split
 from .prime_linalg import (
@@ -282,6 +282,36 @@ def _restriction_data(space: SymplecticSpace, g, target: Multivector):
     return s_g, rest, omega_rest
 
 
+def _gram_form(gram: Matrix) -> tuple:
+    """Degree-2 coordinates of the form whose Gram matrix is ``gram``:
+    coordinate (a, b), a < b, is entry (a, b).  On a subspace's rref basis
+    this is the pullback of gamma = sum x_i ^ y_i, whose coordinate (a, b)
+    sums the minors b_a[i] b_b[m + i] - b_a[m + i] b_b[i] into
+    psi(b_a, b_b)."""
+    return tuple(gram.entries[a][b] for a, b in monomials(gram.rows, 2))
+
+
+def _form_wedge_column(p: int, k: int, degree: int, omega_terms, mu: int) -> tuple:
+    """Coordinates of the restricted form wedged with monomial ``mu``
+    (a colex rank) of degree - 2 on the k-dimensional perp; the form is
+    given by its nonzero ``(rank, coeff)`` terms."""
+    col = [0] * dim_wedge(k, degree)
+    table = _wedge_table(k, 2, degree - 2)
+    for ia, c in omega_terms:
+        hit = table[ia][mu]
+        if hit is not None:
+            col[hit[1]] += hit[0] * c
+    return tuple([v % p for v in col])
+
+
+def _form_wedge_block(p: int, k: int, degree: int, omega_rest) -> list:
+    """The restricted form wedged with every degree - 2 monomial of the
+    k-dimensional perp, one column per monomial in colex order."""
+    omega_terms = [(ia, c) for ia, c in enumerate(omega_rest) if c]
+    return [_form_wedge_column(p, k, degree, omega_terms, mu)
+            for mu in range(dim_wedge(k, degree - 2))]
+
+
 def _generator(p: int, k: int, degree: int, omega_rest, ann: Subspace,
                ident) -> Optional[tuple]:
     """Coordinates of the generator that an identity record names on the
@@ -299,9 +329,8 @@ def _generator(p: int, k: int, degree: int, omega_rest, ann: Subspace,
         return None
     if kind == "annihilator_wedge":
         return pure_wedge_coords([ann.basis.entries[i] for i in positions], k, p)
-    unit = [0] * dim_wedge(k, r)
-    unit[mono_rank(tuple(positions))] = 1
-    return wedge_coords(k, p, 2, omega_rest, r, unit)
+    omega_terms = [(ia, c) for ia, c in enumerate(omega_rest) if c]
+    return _form_wedge_column(p, k, degree, omega_terms, mono_rank(tuple(positions)))
 
 
 def certificate(space: SymplecticSpace, target: Multivector) -> CertificateReport:
@@ -339,27 +368,33 @@ def certificate(space: SymplecticSpace, target: Multivector) -> CertificateRepor
             continue
         if not lead:
             continue
-        s_g, rest, omega_rest = _restriction_data(space, g, target)
+        s_g = perp(space, g)
+        k = s_g.dim
+        rest = pullback_coords(s_g.basis.transpose(), degree, target.terms)
         split = radical_split(space, s_g)
         ann = annihilator(space, s_g, g)
         coeffs = witness = None
         if any(rest):
             # the restricted form wedged with every degree - 2 monomial,
             # and the pure wedges of annihilator functionals of g
+            subsets = list(itertools.combinations(range(ann.dim), degree))
             idents = (
                 [{"kind": "form_wedge", "monomial": list(mu)}
-                 for mu in monomials(s_g.dim, degree - 2)]
+                 for mu in monomials(k, degree - 2)]
                 + [{"kind": "annihilator_wedge", "rows": list(subset)}
-                   for subset in itertools.combinations(range(ann.dim), degree)]
+                   for subset in subsets]
             )
-            gens = [_generator(p, s_g.dim, degree, omega_rest, ann, ident)
-                    for ident in idents]
+            gens = (
+                _form_wedge_block(p, k, degree, _gram_form(split.gram))
+                + [pure_wedge_coords([ann.basis.entries[i] for i in subset], k, p)
+                   for subset in subsets]
+            )
             coeffs = solve(Matrix(p, zip(*gens), cols=len(gens)), rest)
             if coeffs is not None:
                 witness = {"terms": [{"coeff": c, **ident}
                                      for c, ident in zip(coeffs, idents) if c]}
         by_point[g] = CertificateRecord(
-            g=g, dim_perp=s_g.dim, dim_radical=split.rad.dim,
+            g=g, dim_perp=k, dim_radical=split.rad.dim,
             dim_complement=split.a.dim, dim_annihilator=ann.dim,
             vacuous=not any(rest), member=coeffs is not None,
             witness=witness,

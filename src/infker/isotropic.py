@@ -26,7 +26,6 @@ from .prime_linalg import (
     kernel_basis,
     rref,
     solve,
-    sum_and_intersection,
 )
 from .symplectic import SymplecticSpace, _cached
 
@@ -166,17 +165,20 @@ def perp(space: SymplecticSpace, g: Sequence[int]) -> Subspace:
     p, n = space.p, space.n
     if len(g) != n:
         raise DimensionMismatchError(f"vector length {len(g)} vs 2m = {n}")
-    functional = space.gram.transpose().matvec(g)
-    return kernel_basis(Matrix(p, [functional], cols=n))
+    # the one row g^T J, the functional J^T g
+    return kernel_basis(Matrix(p, [g], cols=n) @ space.gram)
 
 
 @dataclass(frozen=True)
 class RadicalSplit:
-    """A subspace split as radical plus a nondegenerate complement."""
+    """A subspace split as radical plus a nondegenerate complement, with
+    the restricted form: ``gram`` on the rref basis of ``sub``, ``gram_a``
+    on that of ``a``."""
 
     sub: Subspace
     rad: Subspace
     a: Subspace
+    gram: Matrix
     gram_a: Matrix
 
 
@@ -189,9 +191,9 @@ def radical_split(space: SymplecticSpace, sub: Subspace) -> RadicalSplit:
     rows at the kernel's non-pivot positions: a kernel vector that is zero
     at every pivot is zero, so those rows meet the radical only in zero,
     and the output is deterministic.  Those rows are already reduced, so
-    they are the complement's basis and its form is the matching block
-    of the restricted Gram matrix.  All the defining properties are
-    asserted before returning.
+    they are the complement's basis, with their own pivots, and its form
+    is the matching block of the restricted Gram matrix.  All the defining
+    properties are asserted before returning.
     """
     p, n = space.p, space.n
     if sub.p != p or sub.ambient_dim != n:
@@ -201,11 +203,13 @@ def radical_split(space: SymplecticSpace, sub: Subspace) -> RadicalSplit:
     gram_sub = b_gram @ bt  # k x k restricted form
     kernel = kernel_basis(gram_sub)
     rad = Subspace.from_rows(p, n, (bt.matvec(c) for c in kernel.basis.entries))
-    kept = [i for i in range(sub.dim) if i not in kernel.pivots]
-    a_space = Subspace.from_rows(p, n, (b.entries[i] for i in kept))
+    kernel_pivots = set(kernel.pivots)
+    kept = [i for i in range(sub.dim) if i not in kernel_pivots]
+    a_space = Subspace(p, n, Matrix._of(p, tuple(b.entries[i] for i in kept), n),
+                       tuple(sub.pivots[i] for i in kept))
 
-    total, overlap = sum_and_intersection(rad, a_space)
-    if overlap.dim or total != sub:
+    if (rad.dim + a_space.dim != sub.dim
+            or Subspace.from_rows(p, n, rad.basis.entries + a_space.basis.entries) != sub):
         raise InvariantError("radical and complement do not split the subspace")
     if not (rad.basis @ b_gram.transpose()).is_zero():
         raise InvariantError("radical vector pairs nontrivially inside the subspace")
@@ -213,7 +217,7 @@ def radical_split(space: SymplecticSpace, sub: Subspace) -> RadicalSplit:
                     cols=len(kept))
     if rref(gram_a)[2] != a_space.dim:
         raise InvariantError("complement form is degenerate")
-    return RadicalSplit(sub=sub, rad=rad, a=a_space, gram_a=gram_a)
+    return RadicalSplit(sub=sub, rad=rad, a=a_space, gram=gram_sub, gram_a=gram_a)
 
 
 def annihilator(space: SymplecticSpace, sub: Subspace, g: Sequence[int]) -> Subspace:

@@ -229,14 +229,16 @@ class Matrix:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        p = self.p
-        cols_b = list(zip(*other.entries)) if other.rows else []
+        p, zero, rows_b = self.p, [0] * other.cols, other.entries
         out = []
         for row in self.entries:
-            if cols_b:
-                out.append(tuple(sum(a * b for a, b in zip(row, col)) % p for col in cols_b))
-            else:
-                out.append((0,) * other.cols)
+            # a times row k of other, for each nonzero a = row[k]; one
+            # reduction mod p per output row
+            acc = zero
+            for a, row_b in zip(row, rows_b):
+                if a:
+                    acc = [x + a * y for x, y in zip(acc, row_b)]
+            out.append(tuple([v % p for v in acc]))
         return Matrix._of(p, tuple(out), other.cols)
 
     def matvec(self, vec: Sequence[int]) -> tuple:
@@ -475,14 +477,13 @@ def solve(mat: Matrix, rhs: Sequence[int]) -> Optional[tuple]:
     """
     if len(rhs) != mat.rows:
         raise DimensionMismatchError(f"rhs length {len(rhs)} vs {mat.rows} rows")
-    aug = Matrix(mat.p, (list(row) + [b] for row, b in zip(mat.entries, rhs)),
-                 cols=mat.cols + 1)
-    red, pivots, _ = rref(aug)
+    red, pivots, _ = _rref_rows([row + (b,) for row, b in zip(mat.entries, rhs)],
+                                mat.cols + 1, mat.p)
     if mat.cols in pivots:
         return None
     x = [0] * mat.cols
     for i, col in enumerate(pivots):
-        x[col] = red.entries[i][mat.cols]
+        x[col] = red[i][mat.cols]
     return tuple(x)
 
 

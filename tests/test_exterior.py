@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from infker.errors import DimensionMismatchError, HomogeneityError, ParseError
 from infker.exterior import (
+    _wedge_table,
     Multivector,
     VariableOrder,
     compound_matrix,
@@ -291,6 +292,22 @@ def test_sparse_wedge_coords_agrees_with_multivector_wedge(p, data):
     mvb = Multivector(p, m, dict(zip(monomials(n, db), vb)))
     assert wedge_coords(n, p, da, va, db, vb) == mva.wedge(mvb).coords(da + db)
     assert wedge_coords(n, p, db, vb, da, va) == mvb.wedge(mva).coords(da + db)
+
+
+@pytest.mark.parametrize("nvars", range(7))
+def test_wedge_table_matches_sorted_concatenation(nvars):
+    # every entry: the sign and colex position of the concatenated factors
+    # sorted by insertion, or None on a shared position
+    for da, db in itertools.product(range(nvars + 1), repeat=2):
+        ranks = {mono: i for i, mono in enumerate(monomials(nvars, da + db))}
+        expected = []
+        for ma in monomials(nvars, da):
+            row = []
+            for mb in monomials(nvars, db):
+                merged = sort_to_monomial(ma + mb)
+                row.append(None if merged is None else (merged[0], ranks[merged[1]]))
+            expected.append(tuple(row))
+        assert _wedge_table(nvars, da, db) == tuple(expected)
 
 
 def test_variable_order_naming():

@@ -15,10 +15,20 @@ from hypothesis import given, settings, strategies as st
 
 from infker import exterior, symplectic
 from infker.errors import HomogeneityError
-from infker.exterior import Multivector, mono_rank, monomials, parse, pullback_matrix
+from infker.exterior import (
+    Multivector,
+    mono_rank,
+    monomials,
+    parse,
+    pullback_coords,
+    pullback_matrix,
+    wedge_monomials,
+)
 from infker.inflation import (
     CertificateRecord,
+    _form_wedge_block,
     _generator,
+    _gram_form,
     _restriction_data,
     certificate,
     counterexample,
@@ -30,7 +40,7 @@ from infker.inflation import (
     vanishing_space,
     verify_certificate_record,
 )
-from infker.isotropic import annihilator, enumerate_isotropic
+from infker.isotropic import annihilator, enumerate_isotropic, perp, radical_split
 from infker.prime_linalg import Matrix, Subspace, inv_mod, kernel_basis, solve
 from infker.symplectic import (
     SymplecticSpace,
@@ -39,7 +49,7 @@ from infker.symplectic import (
     gamma,
     isotropic_span_basis,
 )
-from test_isotropic import greedy_radical_split
+from test_isotropic import greedy_radical_split, random_subspace
 
 
 @functools.lru_cache(maxsize=None)
@@ -357,6 +367,57 @@ def test_certificate_matches_per_vector_oracle(p, m, cls, vacuous):
     rep = certificate(space, target)
     assert list(rep.records) == certificate_records_oracle(space, target)
     assert sum(rec.vacuous for rec in rep.records) == vacuous
+
+
+@given(st.data())
+@settings(max_examples=80)
+def test_radical_split_gram_is_the_restricted_form(data):
+    p = data.draw(st.sampled_from((2, 3, 5, 7)))
+    m = data.draw(st.integers(1, 3))
+    space = shared_space(p, m)
+    sub = random_subspace(data, p, 2 * m)
+    gram = radical_split(space, sub).gram
+    b = sub.basis
+    assert gram == b @ space.gram @ b.transpose()
+    assert gram.entries == tuple(tuple(space.pairing(u, v) for v in b.entries)
+                                 for u in b.entries)
+    # the form that certificate reads off the Gram is the pullback of gamma
+    assert _gram_form(gram) == pullback_coords(b.transpose(), 2, gamma(space).terms)
+
+
+def form_wedge_oracle(p, k, degree, omega_rest, mu):
+    """The restricted form wedged with monomial ``mu``, merged term by
+    term on monomials."""
+    out = [0] * comb(k, degree)
+    for pair, c in zip(monomials(k, 2), omega_rest):
+        merged = wedge_monomials(pair, mu) if c else None
+        if merged is not None:
+            out[mono_rank(merged[1])] += merged[0] * c
+    return tuple(v % p for v in out)
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (2, 4)])
+def test_form_wedge_block_matches_generator_columns(p, m):
+    # certificate's block, from the Gram, against replay's columns, from
+    # the pullback of gamma, one identity record at a time
+    space = shared_space(p, m)
+    for g in itertools.product(range(p), repeat=2 * m):
+        if next((c for c in g if c), 0) != 1:
+            continue
+        s_g = perp(space, g)
+        k = s_g.dim
+        omega_rest = pullback_coords(s_g.basis.transpose(), 2, gamma(space).terms)
+        omega_gram = _gram_form(radical_split(space, s_g).gram)
+        ann = annihilator(space, s_g, g)
+        for degree in range(2, k + 1):
+            monos = monomials(k, degree - 2)
+            block = _form_wedge_block(p, k, degree, omega_gram)
+            assert block == [
+                _generator(p, k, degree, omega_rest, ann,
+                           {"kind": "form_wedge", "monomial": list(mu)})
+                for mu in monos]
+            assert block == [form_wedge_oracle(p, k, degree, omega_rest, mu)
+                             for mu in monos]
 
 
 def test_certificate_rejects_zero_and_inhomogeneous_targets():

@@ -216,6 +216,10 @@ def test_radical_split_properties(data):
     # and sits inside the subspace
     for row in split.a.basis.entries:
         assert sub.member(row) is not None
+    # its basis is already canonical, pivots included
+    again = Subspace.from_rows(p, 2 * m, split.a.basis.entries)
+    assert split.a == again
+    assert split.a.pivots == again.pivots
 
 
 @given(st.data())

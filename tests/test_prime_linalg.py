@@ -164,6 +164,68 @@ def test_solve_inconsistent():
     assert solve(mat, [0, 1]) is None
 
 
+def solve_by_matrix(mat, rhs):
+    """solve() as written before it handed the augmented rows straight to
+    the elimination: through a Matrix, reduced there and again in rref."""
+    aug = Matrix(mat.p, (list(row) + [b] for row, b in zip(mat.entries, rhs)),
+                 cols=mat.cols + 1)
+    red, pivots, _ = rref(aug)
+    if mat.cols in pivots:
+        return None
+    x = [0] * mat.cols
+    for i, col in enumerate(pivots):
+        x[col] = red.entries[i][mat.cols]
+    return tuple(x)
+
+
+@given(matrices, st.data())
+def test_solve_matches_matrix_oracle(mat, data):
+    # right-hand sides of any integers, consistent or not
+    rhs = data.draw(st.lists(st.integers(-3 * mat.p, 3 * mat.p),
+                             min_size=mat.rows, max_size=mat.rows))
+    assert solve(mat, rhs) == solve_by_matrix(mat, rhs)
+
+
+def column_dot_product(a, b):
+    """Entries of a @ b as computed before zero entries were skipped: each
+    one the dot product of a row of ``a`` with a column of ``b``."""
+    cols_b = list(zip(*b.entries)) if b.rows else []
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) % a.p for col in cols_b)
+        if cols_b else (0,) * b.cols
+        for row in a.entries)
+
+
+@st.composite
+def mostly_zero_products(draw):
+    p = draw(primes)
+    rows, inner, cols = (draw(st.integers(0, 5)) for _ in range(3))
+    # an entry is nonzero about a third of the time
+    entry = st.integers(0, 3 * p - 1).map(lambda v: v if v < p else 0)
+
+    def matrix(r, c):
+        return Matrix(p, [[draw(entry) for _ in range(c)] for _ in range(r)], cols=c)
+    return matrix(rows, inner), matrix(inner, cols)
+
+
+@given(mostly_zero_products())
+@settings(max_examples=200)
+def test_matmul_matches_column_dot_product(pair):
+    a, b = pair
+    prod = a @ b
+    assert (prod.rows, prod.cols) == (a.rows, b.cols)
+    assert prod.entries == column_dot_product(a, b)
+
+
+@pytest.mark.parametrize("rows,inner,cols", [(0, 3, 2), (3, 0, 2), (3, 2, 0), (0, 0, 0)])
+def test_matmul_empty_shapes(rows, inner, cols):
+    a = Matrix(5, [[1] * inner for _ in range(rows)], cols=inner)
+    b = Matrix(5, [[2] * cols for _ in range(inner)], cols=cols)
+    prod = a @ b
+    assert (prod.rows, prod.cols) == (rows, cols)
+    assert prod.entries == column_dot_product(a, b)
+
+
 def test_matrix_algebra_basics():
     a = Matrix(7, [[1, 2], [3, 4]])
     b = Matrix(7, [[0, 1], [1, 0]])
