@@ -472,6 +472,38 @@ def _text_lines(value, prefix=""):
         yield f"{prefix}: {value}"
 
 
+_ASCII = json.encoder.encode_basestring_ascii
+
+
+def _json_indented(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, joined from parts:
+    with ``indent`` set, ``json`` falls back to its pure-Python encoder."""
+    if type(value) is int:
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return _ASCII(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        return "{" + inner + ("," + inner).join([
+            _ASCII(k if isinstance(k, str) else json.dumps(k)) + ": "
+            + _json_indented(v, inner) for k, v in sorted(value.items())]) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join([
+            _json_indented(v, inner) for v in value]) + indent + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return json.dumps(value)  # floats (NaN and infinities too), int subclasses
+
+
 def _render(payload, fmt: str) -> str:
     if isinstance(payload, list):
         if fmt == "json":
@@ -480,7 +512,7 @@ def _render(payload, fmt: str) -> str:
         blocks = ["\n".join(_text_lines(rec)) for rec in payload]
         return "\n--\n".join(blocks)
     if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return _json_indented(payload)
     return "\n".join(_text_lines(payload))
 
 

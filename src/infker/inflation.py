@@ -389,7 +389,7 @@ def certificate(space: SymplecticSpace, target: Multivector) -> CertificateRepor
                 + [pure_wedge_coords([ann.basis.entries[i] for i in subset], k, p)
                    for subset in subsets]
             )
-            coeffs = solve(Matrix(p, zip(*gens), cols=len(gens)), rest)
+            coeffs = solve(Matrix._of(p, tuple(zip(*gens)), len(gens)), rest)
             if coeffs is not None:
                 witness = {"terms": [{"coeff": c, **ident}
                                      for c, ident in zip(coeffs, idents) if c]}

@@ -202,7 +202,10 @@ def radical_split(space: SymplecticSpace, sub: Subspace) -> RadicalSplit:
     b_gram = b @ space.gram  # row i is the functional psi(b_i, -)
     gram_sub = b_gram @ bt  # k x k restricted form
     kernel = kernel_basis(gram_sub)
-    rad = Subspace.from_rows(p, n, (bt.matvec(c) for c in kernel.basis.entries))
+    # c is 1 at its pivot f and 0 at the kernel's other pivots, so b^T c is
+    # 1 at sub's pivot f and 0 at the radical's other pivots: reduced rows
+    rad = Subspace(p, n, Matrix._of(p, tuple([bt.matvec(c) for c in kernel.basis.entries]), n),
+                   tuple([sub.pivots[f] for f in kernel.pivots]))
     kernel_pivots = set(kernel.pivots)
     kept = [i for i in range(sub.dim) if i not in kernel_pivots]
     a_space = Subspace(p, n, Matrix._of(p, tuple(b.entries[i] for i in kept), n),
@@ -211,10 +214,10 @@ def radical_split(space: SymplecticSpace, sub: Subspace) -> RadicalSplit:
     if (rad.dim + a_space.dim != sub.dim
             or Subspace.from_rows(p, n, rad.basis.entries + a_space.basis.entries) != sub):
         raise InvariantError("radical and complement do not split the subspace")
-    if not (rad.basis @ b_gram.transpose()).is_zero():
+    if any(any(b_gram.matvec(row)) for row in rad.basis.entries):
         raise InvariantError("radical vector pairs nontrivially inside the subspace")
-    gram_a = Matrix(p, ([gram_sub.entries[i][j] for j in kept] for i in kept),
-                    cols=len(kept))
+    gram_a = Matrix._of(p, tuple([tuple([gram_sub.entries[i][j] for j in kept]) for i in kept]),
+                        len(kept))
     if rref(gram_a)[2] != a_space.dim:
         raise InvariantError("complement form is degenerate")
     return RadicalSplit(sub=sub, rad=rad, a=a_space, gram=gram_sub, gram_a=gram_a)
@@ -229,4 +232,4 @@ def annihilator(space: SymplecticSpace, sub: Subspace, g: Sequence[int]) -> Subs
     coeffs = sub.member(g)
     if coeffs is None:
         raise ValueError("vector lies outside the subspace")
-    return kernel_basis(Matrix(sub.p, [coeffs], cols=sub.dim))
+    return kernel_basis(Matrix._of(sub.p, (coeffs,), sub.dim))

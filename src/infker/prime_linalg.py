@@ -17,6 +17,7 @@ test suite cross-checks the two on random inputs.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -416,6 +417,8 @@ def _rref_generic(rows: Sequence[Sequence[int]], ncols: int, p: int):
                 mat[i] = [(v - f * w) % p for v, w in zip(mat[i], prow)]
         pivots.append(col)
         rank += 1
+        if rank == nrows:
+            break
     return mat, tuple(pivots), rank
 
 
@@ -443,6 +446,8 @@ def _rref_packed2(rows: Sequence[Sequence[int]], ncols: int):
                 packed[i] ^= prow
         pivots.append(col)
         rank += 1
+        if rank == nrows:
+            break
     mat = [[(w >> c) & 1 for c in range(ncols)] for w in packed]
     return mat, tuple(pivots), rank
 
@@ -591,19 +596,26 @@ class Subspace:
 
 
 def kernel_basis(mat: Matrix) -> Subspace:
-    """Kernel of ``mat`` as a canonical subspace of F_p^cols."""
-    red, pivots, rk = rref(mat)
-    p = mat.p
-    n = mat.cols
-    free = [c for c in range(n) if c not in set(pivots)]
+    """Kernel of ``mat`` as a canonical subspace of F_p^cols.
+
+    One elimination of the column-reversed rows takes pivots from the
+    last column leftward, so each reduced row is 1 at its pivot c, zero at
+    the other pivots and zero right of c.  Free column f then gives
+    e_f minus the rows' entries in column f, placed at their pivots: that
+    vector is 1 at f, zero at every other free column and zero left of f,
+    so these vectors, f ascending, are already the kernel's rref.
+    """
+    p, n = mat.p, mat.cols
+    red, rev_pivots, _ = _rref_rows([row[::-1] for row in mat.entries], n, p)
+    free = sorted(set(range(n)).difference(n - 1 - c for c in rev_pivots))
     gens = []
     for f in free:
         vec = [0] * n
         vec[f] = 1
-        for i, c in enumerate(pivots):
-            vec[c] = (-red.entries[i][f]) % p
-        gens.append(vec)
-    return Subspace.from_rows(p, n, gens)
+        for row, c in zip(red, rev_pivots):
+            vec[n - 1 - c] = -row[n - 1 - f] % p
+        gens.append(tuple(vec))
+    return Subspace(p, n, Matrix._of(p, tuple(gens), n), tuple(free))
 
 
 def image_basis(mat: Matrix) -> Subspace:
@@ -662,16 +674,15 @@ def sum_and_intersection(u: Subspace, w: Subspace):
     if u.p != w.p or u.ambient_dim != w.ambient_dim:
         raise FieldMismatchError("subspaces live in different ambient spaces")
     p, n = u.p, u.ambient_dim
-    rows = []
-    for r in u.basis.entries:
-        rows.append(list(r) + list(r))
-    for r in w.basis.entries:
-        rows.append(list(r) + [0] * n)
-    big = Matrix(p, rows, cols=2 * n)
-    red, pivots, rk = rref(big)
-    total = Subspace.from_rows(p, n, (row[:n] for row in red.entries[:rk]))
-    inter_rows = [row[n:] for i, row in enumerate(red.entries[:rk]) if pivots[i] >= n]
-    inter = Subspace.from_rows(p, n, inter_rows)
+    red, pivots, _ = _rref_rows([r + r for r in u.basis.entries]
+                                + [r + (0,) * n for r in w.basis.entries], 2 * n, p)
+    # rows with pivots below n reduce U + W; those at n or beyond are zero
+    # in the first half and reduce U intersect W in the second
+    split = bisect.bisect_left(pivots, n)
+    total = Subspace(p, n, Matrix._of(p, tuple([row[:n] for row in red[:split]]), n),
+                     pivots[:split])
+    inter = Subspace(p, n, Matrix._of(p, tuple([row[n:] for row in red[split:len(pivots)]]),
+                                      n), tuple([c - n for c in pivots[split:]]))
     if total.dim + inter.dim != u.dim + w.dim:
         raise AssertionError("modular law violated; elimination bug")
     return total, inter

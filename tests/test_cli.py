@@ -15,8 +15,9 @@ import time
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from infker.cli import main
+from infker.cli import _json_indented, main
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +126,31 @@ PINNED_DIGESTS = {
     "certificate -p 2 -m 4 --class x2^x3^x4^y2^y3^y4":
         "2f858f63d7303f7a27a640bdc17f1339463bf7b9c811fada07c29b2e7214efee",
 }
+
+
+json_scalars = (st.none() | st.booleans() | st.integers()
+                | st.floats(allow_nan=True, allow_infinity=True) | st.text())
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20)
+
+
+@given(json_values)
+@settings(max_examples=300)
+def test_json_renderer_matches_json_dumps(value):
+    """Floats, NaN and infinities, non-ASCII text and escapes included."""
+    assert _json_indented(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [
+    {"é\n\"\\": [float("nan"), float("-inf"), -0.0, 1e300, "\u2603\U0001f600\x00"]},
+    ({"b": (), "a": {}},),
+    True, None, -2 ** 70, 0.1, {3: 0.5, 1: True, 2.5: None},
+])
+def test_json_renderer_frozen_cases(value):
+    assert _json_indented(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("command", sorted(PINNED_DIGESTS))

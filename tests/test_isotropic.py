@@ -30,6 +30,8 @@ from infker.prime_linalg import (
 )
 from infker.symplectic import SymplecticSpace
 
+from test_prime_linalg import count_calls, two_elimination_kernel
+
 
 def is_isotropic(space, sub):
     b = sub.basis
@@ -233,6 +235,36 @@ def test_radical_split_matches_greedy_oracle(data):
     split = radical_split(space, sub)
     assert split.rad == rad
     assert split.a.dim == a.dim
+
+
+@given(st.data())
+@settings(max_examples=150)
+def test_radical_split_rad_matches_two_elimination_oracle(data):
+    p = data.draw(st.sampled_from((2, 3, 5, 7)))
+    m = data.draw(st.integers(1, 3))
+    space = SymplecticSpace(p, m)
+    sub = random_subspace(data, p, 2 * m)
+    split = radical_split(space, sub)
+    b = sub.basis
+    kernel = two_elimination_kernel(b @ space.gram @ b.transpose())
+    oracle = Subspace.from_rows(
+        p, 2 * m, [b.transpose().matvec(c) for c in kernel.basis.entries])
+    assert split.rad == oracle and split.rad.pivots == oracle.pivots
+    again = Subspace.from_rows(p, 2 * m, split.rad.basis.entries)
+    assert split.rad == again and split.rad.pivots == again.pivots
+
+
+def test_radical_split_eliminates_three_times(monkeypatch):
+    """The kernel of the restricted Gram, the split check and the
+    complement's rank: the radical itself is wrapped, not re-reduced."""
+    import infker.prime_linalg as pl
+    space = SymplecticSpace(3, 2)
+    sub = Subspace.from_rows(3, 4, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    calls = count_calls(monkeypatch, pl, "_rref_rows")
+    split = radical_split(space, sub)
+    assert len(calls) == 3
+    assert split.rad.basis.entries == ((0, 0, 1, 0),)
+    assert split.rad.pivots == (2,)
 
 
 def test_radical_split_frozen_cases():

@@ -145,6 +145,78 @@ def test_kernel_vectors_annihilate(mat):
         assert not any(mat.matvec(row))
 
 
+def two_elimination_kernel(mat):
+    """Reference: the kernel as it was built before kernel_basis read its
+    rref off one right-to-left elimination.  Generators from the
+    left-to-right rref, then a second elimination."""
+    red, pivots, rk = rref(mat)
+    p = mat.p
+    n = mat.cols
+    free = [c for c in range(n) if c not in set(pivots)]
+    gens = []
+    for f in free:
+        vec = [0] * n
+        vec[f] = 1
+        for i, c in enumerate(pivots):
+            vec[c] = (-red.entries[i][f]) % p
+        gens.append(vec)
+    return Subspace.from_rows(p, n, gens)
+
+
+@st.composite
+def kernel_cases(draw):
+    """Matrices up to 6 x 7 over p in {2, 3, 5, 7}, empty shapes included:
+    random, zero, or of full rank min(rows, cols)."""
+    p = draw(primes)
+    r, c = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    kind = draw(st.sampled_from(("random", "zero", "full")))
+    entry = st.integers(0, p - 1)
+    rows = [[draw(entry) if kind == "random" else 0 for _ in range(c)] for _ in range(r)]
+    if kind == "full":
+        # unit staircase, random right of each step, in permuted columns
+        perm = draw(st.permutations(range(c)))
+        for i in range(min(r, c)):
+            rows[i][perm[i]] = 1
+            for j in range(i + 1, c):
+                rows[i][perm[j]] = draw(entry)
+    return Matrix(p, rows, cols=c)
+
+
+@given(kernel_cases())
+@settings(max_examples=300)
+def test_kernel_basis_matches_two_elimination_oracle(mat):
+    ker = kernel_basis(mat)
+    oracle = two_elimination_kernel(mat)
+    assert ker == oracle
+    assert ker.pivots == oracle.pivots
+    assert (mat @ ker.basis.transpose()).is_zero()
+    again = Subspace.from_rows(mat.p, mat.cols, ker.basis.entries)
+    assert ker == again and ker.pivots == again.pivots
+    assert ker.dim == mat.cols - rank(mat)
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so each call is counted in the returned list."""
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_kernel_basis_eliminates_once(monkeypatch):
+    import infker.prime_linalg as pl
+    calls = count_calls(monkeypatch, pl, "_rref_rows")
+    mat = Matrix(5, [[1, 2, 3, 4, 0], [0, 1, 4, 4, 2], [1, 3, 2, 3, 2]])
+    ker = kernel_basis(mat)
+    assert len(calls) == 1
+    assert ker == two_elimination_kernel(mat)
+
+
 @given(matrices, st.data())
 def test_solve_residual(mat, data):
     """solve() must return an exact preimage whenever one exists, with
@@ -395,6 +467,48 @@ def test_zassenhaus_modular_law(p, data):
         assert w.member(row) is not None
     for row in u.basis.entries:
         assert total.member(row) is not None
+
+
+def two_elimination_zassenhaus(u, w):
+    """Reference: U + W and U intersect W as they were read off the
+    Zassenhaus rref before it was split in place, each half eliminated
+    again by from_rows."""
+    p, n = u.p, u.ambient_dim
+    rows = [list(r) + list(r) for r in u.basis.entries]
+    rows += [list(r) + [0] * n for r in w.basis.entries]
+    red, pivots, rk = rref(Matrix(p, rows, cols=2 * n))
+    total = Subspace.from_rows(p, n, (row[:n] for row in red.entries[:rk]))
+    inter = Subspace.from_rows(
+        p, n, [row[n:] for i, row in enumerate(red.entries[:rk]) if pivots[i] >= n])
+    return total, inter
+
+
+@given(primes, st.data())
+@settings(max_examples=200)
+def test_zassenhaus_matches_two_elimination_oracle(p, data):
+    n = data.draw(st.integers(0, 6))
+    mk = lambda: data.draw(st.lists(
+        st.lists(st.integers(0, p - 1), min_size=n, max_size=n), max_size=5))
+    u = Subspace.from_rows(p, n, mk())
+    w = Subspace.from_rows(p, n, mk())
+    got = sum_and_intersection(u, w)
+    for sub, oracle in zip(got, two_elimination_zassenhaus(u, w)):
+        assert sub == oracle and sub.pivots == oracle.pivots
+        again = Subspace.from_rows(p, n, sub.basis.entries)
+        assert sub == again and sub.pivots == again.pivots
+        assert (sub.basis.rows, sub.basis.cols) == (sub.dim, n)
+
+
+def test_zassenhaus_eliminates_once(monkeypatch):
+    import infker.prime_linalg as pl
+    u = Subspace.from_rows(3, 4, [[1, 2, 0, 1], [0, 0, 1, 2]])
+    w = Subspace.from_rows(3, 4, [[1, 2, 1, 0], [0, 1, 0, 0]])
+    calls = count_calls(monkeypatch, pl, "_rref_rows")
+    total, inter = sum_and_intersection(u, w)
+    assert len(calls) == 1
+    assert (total, inter) == two_elimination_zassenhaus(u, w)
+    assert inter.basis.entries == ((1, 2, 1, 0),)  # the sum of u's rows
+    assert inter.pivots == (0,)
 
 
 def test_image_basis_is_column_space():
