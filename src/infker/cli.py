@@ -14,6 +14,7 @@ class expressions), 3 for a refused oversized computation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -47,34 +48,28 @@ from .symplectic import (
 from .verify import run_all
 
 
-def _prime(text: str) -> int:
+def _integer(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+
+
+def _prime(text: str) -> int:
     try:
-        check_prime(value)
+        return check_prime(_integer(text))
     except NotPrimeError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    return value
 
 
 def _positive(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
+    if (value := _integer(text)) < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
     return value
 
 
 def _nonnegative(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 0:
+    if (value := _integer(text)) < 0:
         raise argparse.ArgumentTypeError("must be nonnegative")
     return value
 
@@ -93,6 +88,15 @@ def _mv_strings(space: SymplecticSpace, r: int, sub: Subspace) -> list:
         str(Multivector.from_coords(space.p, space.m, r, row))
         for row in sub.basis.entries
     ]
+
+
+def _degree_report(args, command: str, basis_of):
+    """A basis report in one degree; ``basis_of(space, r)`` lists it."""
+    space = SymplecticSpace(args.prime, args.rank)
+    _check_degree(args.degree, space.m)
+    basis = basis_of(space, args.degree)
+    return {"command": command, "p": space.p, "m": space.m, "degree": args.degree,
+            "dim": len(basis), "basis": basis}, 0
 
 
 # ---------------------------------------------------------------------------
@@ -123,48 +127,18 @@ def _cmd_decompose(args):
 
 
 def _cmd_ideal_basis(args):
-    space = SymplecticSpace(args.prime, args.rank)
-    _check_degree(args.degree, space.m)
-    sub = ideal_component(space, args.degree)
-    payload = {
-        "command": "ideal-basis",
-        "p": space.p,
-        "m": space.m,
-        "degree": args.degree,
-        "dim": sub.dim,
-        "basis": _mv_strings(space, args.degree, sub),
-    }
-    return payload, 0
+    return _degree_report(args, "ideal-basis", lambda space, r: _mv_strings(
+        space, r, ideal_component(space, r)))
 
 
 def _cmd_quotient_basis(args):
-    space = SymplecticSpace(args.prime, args.rank)
-    _check_degree(args.degree, space.m)
-    monos = quotient_basis(space, args.degree)
-    payload = {
-        "command": "quotient-basis",
-        "p": space.p,
-        "m": space.m,
-        "degree": args.degree,
-        "dim": len(monos),
-        "basis": [space.order.mono_name(mono) for mono in monos],
-    }
-    return payload, 0
+    return _degree_report(args, "quotient-basis", lambda space, r: [
+        space.order.mono_name(mono) for mono in quotient_basis(space, r)])
 
 
 def _cmd_vanishing_space(args):
-    space = SymplecticSpace(args.prime, args.rank)
-    _check_degree(args.degree, space.m)
-    sub = vanishing_space(space, args.degree)
-    payload = {
-        "command": "vanishing-space",
-        "p": space.p,
-        "m": space.m,
-        "degree": args.degree,
-        "dim": sub.dim,
-        "basis": _mv_strings(space, args.degree, sub),
-    }
-    return payload, 0
+    return _degree_report(args, "vanishing-space", lambda space, r: _mv_strings(
+        space, r, vanishing_space(space, r)))
 
 
 def _cmd_theorem1(args):
@@ -363,86 +337,52 @@ def _add_common(sp, prime=True, rank=True, degree=False, class_expr=False):
                     help="seed for randomized checks")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as
+    it was, so every call of ``main`` reuses it."""
     parser = argparse.ArgumentParser(
         prog="infker",
         description="Exact computations around the inflation kernel of "
                     "extraspecial p-groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("sl2-check",
-                        help="verify the operator triple relations")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_sl2_check)
-
-    sp = sub.add_parser("decompose",
-                        help="split a class into primitive plus lowered")
-    _add_common(sp, class_expr=True)
-    sp.set_defaults(handler=_cmd_decompose)
-
-    sp = sub.add_parser("ideal-basis",
-                        help="basis of the ideal component in one degree")
-    _add_common(sp, degree=True)
-    sp.set_defaults(handler=_cmd_ideal_basis)
-
-    sp = sub.add_parser("quotient-basis",
-                        help="standard monomials modulo the ideal")
-    _add_common(sp, degree=True)
-    sp.set_defaults(handler=_cmd_quotient_basis)
-
-    sp = sub.add_parser("vanishing-space",
-                        help="classes pulling back to zero on all Lagrangians")
-    _add_common(sp, degree=True)
-    sp.set_defaults(handler=_cmd_vanishing_space)
-
-    sp = sub.add_parser("theorem1",
-                        help="ideal vs vanishing space in every degree")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_theorem1)
-
-    sp = sub.add_parser("counterexample",
-                        help="first class in the gap, if any")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_counterexample)
-
-    sp = sub.add_parser("certificate",
-                        help="pointwise membership test for one class")
-    _add_common(sp, class_expr=True)
-    sp.set_defaults(handler=_cmd_certificate)
-
-    sp = sub.add_parser("isotropic",
-                        help="catalog of totally isotropic subspaces")
-    _add_common(sp)
-    sp.add_argument("--dim", type=_nonnegative, required=True,
-                    help="dimension of the listed subspaces")
-    sp.add_argument("--count-only", action="store_true",
-                    help="closed-form count, no enumeration")
-    sp.set_defaults(handler=_cmd_isotropic)
-
-    sp = sub.add_parser("group",
-                        help="extraspecial group computations")
-    _add_common(sp)
-    sp.add_argument("--op", required=True,
-                    choices=("center", "order", "commutator-form", "type"))
-    sp.set_defaults(handler=_cmd_group)
-
-    sp = sub.add_parser("premet-suprunenko",
-                        help="irreducibility predicate for a primitive piece")
-    _add_common(sp, degree=True)
-    sp.set_defaults(handler=_cmd_premet_suprunenko)
-
-    sp = sub.add_parser("ladder",
-                        help="divided-power string through a primitive seed")
-    _add_common(sp, class_expr=True)
-    sp.set_defaults(handler=_cmd_ladder)
-
-    sp = sub.add_parser("restrict",
-                        help="pull a class back to a subspace")
-    _add_common(sp, class_expr=True)
-    sp.add_argument("--subspace", required=True, metavar="FILE",
-                    help="JSON file with an array of basis rows")
-    sp.set_defaults(handler=_cmd_restrict)
+    # name, help, handler, the common options taken, further arguments
+    for name, text, handler, common, extra in (
+        ("sl2-check", "verify the operator triple relations", _cmd_sl2_check, {}, ()),
+        ("decompose", "split a class into primitive plus lowered", _cmd_decompose,
+         {"class_expr": True}, ()),
+        ("ideal-basis", "basis of the ideal component in one degree", _cmd_ideal_basis,
+         {"degree": True}, ()),
+        ("quotient-basis", "standard monomials modulo the ideal", _cmd_quotient_basis,
+         {"degree": True}, ()),
+        ("vanishing-space", "classes pulling back to zero on all Lagrangians",
+         _cmd_vanishing_space, {"degree": True}, ()),
+        ("theorem1", "ideal vs vanishing space in every degree", _cmd_theorem1, {}, ()),
+        ("counterexample", "first class in the gap, if any", _cmd_counterexample, {}, ()),
+        ("certificate", "pointwise membership test for one class", _cmd_certificate,
+         {"class_expr": True}, ()),
+        ("isotropic", "catalog of totally isotropic subspaces", _cmd_isotropic, {}, (
+            ("--dim", dict(type=_nonnegative, required=True,
+                           help="dimension of the listed subspaces")),
+            ("--count-only", dict(action="store_true",
+                                  help="closed-form count, no enumeration")))),
+        ("group", "extraspecial group computations", _cmd_group, {}, (
+            ("--op", dict(required=True,
+                          choices=("center", "order", "commutator-form", "type"))),)),
+        ("premet-suprunenko", "irreducibility predicate for a primitive piece",
+         _cmd_premet_suprunenko, {"degree": True}, ()),
+        ("ladder", "divided-power string through a primitive seed", _cmd_ladder,
+         {"class_expr": True}, ()),
+        ("restrict", "pull a class back to a subspace", _cmd_restrict, {"class_expr": True}, (
+            ("--subspace", dict(required=True, metavar="FILE",
+                                help="JSON file with an array of basis rows")),)),
+    ):
+        sp = sub.add_parser(name, help=text)
+        _add_common(sp, **common)
+        for flag, kwargs in extra:
+            sp.add_argument(flag, **kwargs)
+        sp.set_defaults(handler=handler)
 
     sp = sub.add_parser("verify-all",
                         help="run the acceptance battery")

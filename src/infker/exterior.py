@@ -118,7 +118,7 @@ def sort_to_monomial(positions: Sequence[int]):
 
 
 # ---------------------------------------------------------------------------
-# compound and pullback matrices: every minor is a wedge coordinate
+# compounds and pullbacks: every minor is a wedge coordinate
 
 
 def compound_matrix(f: Matrix, r: int) -> Matrix:
@@ -131,21 +131,6 @@ def compound_matrix(f: Matrix, r: int) -> Matrix:
     return Matrix(f.p, (pure_wedge_coords([f.entries[i] for i in mono], f.cols, f.p)
                         for mono in monomials(f.rows, r)),
                   cols=comb(f.cols, r))
-
-
-def pullback_matrix(f: Matrix, r: int) -> Matrix:
-    """Matrix of the degree-r pullback of functionals along ``f``.
-
-    With ``f`` the 2m x a matrix of a linear map A -> V (columns are the
-    images of A's basis), the result maps colex coordinates on degree-r
-    wedges of V-functionals to the same for A.  Entry (J, I) is the r x r
-    minor of ``f`` with rows I and columns J, so the pullback is the
-    transpose of the compound and composition is contravariant.
-
-    Single classes are pulled back with :func:`pullback_coords`; the full
-    matrix is the reference that it is tested against.
-    """
-    return compound_matrix(f, r).transpose()
 
 
 def pure_wedge_coords(rows: Sequence[Sequence[int]], nvars: int, p: int) -> tuple:
@@ -167,8 +152,8 @@ def pullback_coords(f: Matrix, r: int, terms: dict) -> tuple:
     ``terms`` is the class as ``{monomial: coeff}`` on the rows of ``f``
     (the shape of :attr:`Multivector.terms`).  The pullback of x_I is the
     wedge of the rows of ``f`` indexed by I, so only the minors on the
-    class's own monomials are taken; the result equals
-    ``pullback_matrix(f, r).matvec(coords)``.
+    class's own monomials are taken; the result is the class's coordinates
+    times the transposed compound of ``f``.
     """
     p = f.p
     out = [0] * comb(f.cols, r)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .errors import CatalogTooLargeError, DimensionMismatchError, InvariantError
 from .prime_linalg import Subspace, check_prime

@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .errors import CatalogTooLargeError, HomogeneityError, InvariantError
+from .errors import CatalogTooLargeError, InvariantError
 from .exterior import (
     Multivector,
     _wedge_table,
@@ -33,22 +33,18 @@ from .exterior import (
     pure_wedge_coords,
 )
 from .isotropic import annihilator, perp, radical_split
-from .prime_linalg import (
-    Matrix,
-    Subspace,
-    image_basis,
-    inv_mod,
-    solve,
-)
+from .prime_linalg import Matrix, Subspace, inv_mod, solve
 from .symplectic import (
     SymplecticSpace,
     _cached,
-    _generator_directions,
+    assemble,
+    block_columns,
+    block_parts,
     dim_wedge,
-    divided_power_map,
+    divided_power_columns,
     gamma,
-    transvection,
-    x_minus_matrix,
+    generator_transvections,
+    weight_blocks,
 )
 
 #: Most nonzero vectors p^(2m) - 1 that ``certificate`` checks, the same
@@ -59,12 +55,25 @@ CERTIFICATE_LIMIT = 10 ** 6
 VANISHING_LIMIT = 924
 
 
+def _divided_power_span(space: SymplecticSpace, r: int, js: tuple) -> Subspace:
+    """The span of the images of gamma^(j) ^ from degree r - 2j over the j
+    in ``js``: one elimination per torus-weight block, then assembled."""
+    def build():
+        m, blocks, cols = space.m, weight_blocks(space.m, r)[0], {}
+        for j in js:
+            columns = divided_power_columns(m, j, r - 2 * j)
+            for w, block in block_columns(m, columns, r - 2 * j, r).items():
+                if w in blocks:  # else no degree-r monomial has weight w
+                    cols.setdefault(w, []).extend(block)
+        return assemble(space.p, m, r, {w: Subspace.from_rows(space.p, len(blocks[w]), c)
+                                        for w, c in cols.items()})
+    return _cached(space, ("divided_power_span", r, js), build)
+
+
 def ideal_component(space: SymplecticSpace, r: int) -> Subspace:
     """Degree-r part of the ideal generated by the invariant 2-tensor:
     the image of the lowering operator out of degree r - 2."""
-    def build():
-        return image_basis(x_minus_matrix(space, r - 2))
-    return _cached(space, ("ideal", r), build)
+    return _divided_power_span(space, r, (1,))
 
 
 def quotient_basis(space: SymplecticSpace, r: int) -> tuple:
@@ -85,16 +94,9 @@ def reduce_mod_ideal(space: SymplecticSpace, r: int, coords: Sequence[int]) -> t
     """Rewrite degree-r coordinates modulo the ideal so that every ideal
     pivot coordinate becomes zero.  The result is the canonical standard-
     monomial form of the class."""
-    p = space.p
-    ideal = ideal_component(space, r)
-    vec = [c % p for c in coords]
-    if len(vec) != dim_wedge(space.n, r):
+    if len(coords) != dim_wedge(space.n, r):
         raise ValueError("coordinate length does not match the degree")
-    for row, piv in zip(ideal.basis.entries, ideal.pivots):
-        c = vec[piv]
-        if c:
-            vec = [(a - c * b) % p for a, b in zip(vec, row)]
-    return tuple(vec)
+    return tuple(ideal_component(space, r).residual([c % space.p for c in coords]))
 
 
 def vanishing_space(space: SymplecticSpace, r: int) -> Subspace:
@@ -109,19 +111,17 @@ def vanishing_space(space: SymplecticSpace, r: int) -> Subspace:
     pair to zero with x1 ^ ... ^ xr and its generator-transvection images.
     """
     def build():
-        p, m, n, d = space.p, space.m, space.n, dim_wedge(space.n, r)
+        p, m, n = space.p, space.m, space.n
         if r > m:
-            return Subspace.full(p, d)
+            return Subspace.full(p, dim_wedge(n, r))
         if dim_wedge(n, m) > VANISHING_LIMIT:
             raise CatalogTooLargeError(dim_wedge(n, m), VANISHING_LIMIT,
                                        f"degree-{m} wedge coordinates")
-        span = Subspace.from_rows(p, d, (
-            [col.get(i, 0) for i in range(d)] for j in range(1, r // 2 + 1)
-            for col in map(dict, divided_power_map(space, j, r - 2 * j).columns)))
+        span = _divided_power_span(space, r, tuple(range(1, r // 2 + 1)))
         if span.dim != dim_wedge(n, r - 2):
             raise InvariantError(f"degree {r}: divided-power ideal has dimension {span.dim}")
-        for v in _generator_directions(m):  # the one along x1 fixes x1 ^ ... ^ xr
-            wedge = pure_wedge_coords(transvection(space, v).transpose().entries[:r], n, p)
+        for t in generator_transvections(space):  # the one along x1 fixes x1 ^ ... ^ xr
+            wedge = pure_wedge_coords(t.transpose().entries[:r], n, p)
             support = [(i, c) for i, c in enumerate(wedge) if c]
             if any(sum(c * row[i] for i, c in support) % p for row in span.basis.entries):
                 raise InvariantError(f"degree {r}: a vanishing class pairs with an isotropic wedge")
@@ -156,23 +156,28 @@ class KernelSandwich:
 def sandwich(space: SymplecticSpace, r: int) -> KernelSandwich:
     """Compute both spaces at degree r and certify the containment.
 
+    The containment, the reduction modulo the ideal and the gap
+    representatives are taken block by block over torus weights, on the
+    two spaces as they are returned.
+
     Raises InvariantError if the ideal ever escapes the vanishing space;
     that containment is unconditional.
     """
+    p, m = space.p, space.m
     ideal = ideal_component(space, r)
     vanish = vanishing_space(space, r)
-    for row in ideal.basis.entries:
-        if vanish.member(row) is None:
-            raise InvariantError(
-                f"degree {r}: ideal class escapes the vanishing space"
-            )
+    ideal_parts, vanish_parts, reduced = block_parts(ideal, m, r), block_parts(vanish, m, r), {}
+    for w, ideal_w in ideal_parts.items():
+        if w not in vanish_parts or any(vanish_parts[w].member(row) is None
+                                        for row in ideal_w.basis.entries):
+            raise InvariantError(f"degree {r}: ideal class escapes the vanishing space")
+    for w, vanish_w in vanish_parts.items():
+        ideal_w = ideal_parts.get(w)
+        res = [ideal_w.residual(row) if ideal_w else row for row in vanish_w.basis.entries]
+        if any(map(any, res)):
+            reduced[w] = Subspace.from_rows(p, vanish_w.ambient_dim, res)
     gap = vanish.dim - ideal.dim
-    reduced = []
-    for row in vanish.basis.entries:
-        res = reduce_mod_ideal(space, r, row)
-        if any(res):
-            reduced.append(res)
-    reps = Subspace.from_rows(space.p, dim_wedge(space.n, r), reduced)
+    reps = assemble(p, m, r, reduced)
     if reps.dim != gap:
         raise InvariantError(
             f"degree {r}: reduced representatives span {reps.dim}, gap is {gap}"

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     CatalogTooLargeError,
@@ -211,8 +211,11 @@ def radical_split(space: SymplecticSpace, sub: Subspace) -> RadicalSplit:
     a_space = Subspace(p, n, Matrix._of(p, tuple(b.entries[i] for i in kept), n),
                        tuple(sub.pivots[i] for i in kept))
 
-    if (rad.dim + a_space.dim != sub.dim
-            or Subspace.from_rows(p, n, rad.basis.entries + a_space.basis.entries) != sub):
+    # both parts lie in sub, so they split it when their coefficient vectors
+    # at sub's pivots, sub.dim of them, lead at distinct positions
+    rows = rad.basis.entries + a_space.basis.entries
+    leads = {next((i for i, c in enumerate(sub.pivots) if row[c]), None) for row in rows}
+    if len(rows) != sub.dim or len(leads) != sub.dim or None in leads:
         raise InvariantError("radical and complement do not split the subspace")
     if any(any(b_gram.matvec(row)) for row in rad.basis.entries):
         raise InvariantError("radical vector pairs nontrivially inside the subspace")

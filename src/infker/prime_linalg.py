@@ -140,19 +140,6 @@ class Matrix:
     def zero(cls, p: int, rows: int, cols: int) -> "Matrix":
         return cls(p, ([0] * cols for _ in range(rows)), cols=cols)
 
-    @classmethod
-    def vstack(cls, mats: Sequence["Matrix"]) -> "Matrix":
-        if not mats:
-            raise DimensionMismatchError("need at least one matrix to stack")
-        p = mats[0].p
-        cols = mats[0].cols
-        for m in mats:
-            if m.p != p:
-                raise FieldMismatchError("mixed moduli in stack")
-            if m.cols != cols:
-                raise DimensionMismatchError("mixed widths in stack")
-        return cls(p, itertools.chain.from_iterable(m.entries for m in mats), cols=cols)
-
     # -- basics -------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -560,19 +547,20 @@ class Subspace:
             raise DimensionMismatchError(
                 f"vector length {len(vec)} vs ambient {self.ambient_dim}"
             )
-        p = self.p
-        vec = [v % p for v in vec]
-        coeffs = tuple(vec[c] for c in self.pivots)
-        residual = list(vec)
-        for coeff, row in zip(coeffs, self.basis.entries):
-            if coeff:
-                residual = [(a - coeff * b) % p for a, b in zip(residual, row)]
-        if any(residual):
+        vec = [v % self.p for v in vec]
+        if any(self.residual(vec)):
             return None
-        return coeffs
+        return tuple(vec[c] for c in self.pivots)
 
-    def contains(self, vec: Sequence[int]) -> bool:
-        return self.member(vec) is not None
+    def residual(self, vec: Sequence[int]) -> Sequence[int]:
+        """``vec`` (entries in [0, p)) with each pivot entry cleared by its
+        basis row: zero exactly when ``vec`` lies in the subspace."""
+        p = self.p
+        for row, c in zip(self.basis.entries, self.pivots):
+            if vec[c]:
+                f = vec[c]
+                vec = [(a - f * b) % p for a, b in zip(vec, row)]
+        return vec
 
     def vectors(self, limit: int = 1_000_000) -> Iterator[tuple]:
         """Every vector of the subspace, p^dim of them, in a fixed order."""

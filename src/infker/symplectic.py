@@ -20,8 +20,10 @@ from scratch and the test suite pins it.
 
 from __future__ import annotations
 
+import bisect
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Sequence
 
@@ -197,18 +199,79 @@ def _cached(space: SymplecticSpace, key, build):
     return cache[key]
 
 
+@lru_cache(maxsize=None)
+def weight_blocks(m: int, r: int) -> tuple:
+    """Degree-r monomials by torus weight: x_I ^ y_J weighs e_I - e_J in
+    {-1, 0, 1}^m, which gamma^(j) ^ and the raising operator preserve.
+    Returns (blocks, slot): ``blocks`` maps each weight to the ascending
+    colex ranks of its monomials, ``slot[k]`` is rank k's place in its block."""
+    blocks, slot = {}, []
+    for k, mono in enumerate(monomials(2 * m, r)):
+        ranks = blocks.setdefault(tuple((i in mono) - (m + i in mono) for i in range(m)), [])
+        slot.append(len(ranks))
+        ranks.append(k)
+    return {w: tuple(ranks) for w, ranks in blocks.items()}, tuple(slot)
+
+
+def assemble(p: int, m: int, r: int, parts: dict) -> Subspace:
+    """The canonical subspace of degree r with the canonical local subspace
+    ``parts[w]`` in the block of each torus weight w.  Blocks have disjoint
+    supports, so the rows of all blocks, sorted by pivot, are the rref."""
+    blocks, d, rows = weight_blocks(m, r)[0], dim_wedge(2 * m, r), []
+    for w, part in parts.items():
+        ranks = blocks[w]
+        for row, pivot in zip(part.basis.entries, part.pivots):
+            vec = [0] * d
+            for k, v in zip(ranks, row):
+                vec[k] = v
+            rows.append((ranks[pivot], tuple(vec)))
+    rows.sort()
+    return Subspace(p, d, Matrix._of(p, tuple([row for _, row in rows]), d),
+                    tuple([pivot for pivot, _ in rows]))
+
+
+def block_parts(sub: Subspace, m: int, r: int) -> dict:
+    """A degree-r subspace read back block by block: per torus weight, the
+    rows whose pivots lie in its block, in the block's local coordinates."""
+    at, out = dict(zip(sub.pivots, sub.basis.entries)), {}
+    for w, ranks in weight_blocks(m, r)[0].items():
+        if local := [i for i, k in enumerate(ranks) if k in at]:
+            rows = tuple(tuple(at[ranks[i]][k] for k in ranks) for i in local)
+            out[w] = Subspace(sub.p, len(ranks), Matrix._of(sub.p, rows, len(ranks)), tuple(local))
+    return out
+
+
+def block_columns(m: int, columns, r: int, s: int) -> dict:
+    """Columns of a weight-preserving map from degree r to s, given as (rank,
+    value) pairs, grouped by torus weight and dense in the degree-s block."""
+    blocks, slot = weight_blocks(m, s)
+    out = {}
+    for w, ranks in weight_blocks(m, r)[0].items():
+        for k in ranks:
+            vec = [0] * len(blocks.get(w, ()))
+            for i, v in columns[k]:
+                vec[slot[i]] = v
+            out.setdefault(w, []).append(vec)
+    return out
+
+
+@lru_cache(maxsize=None)
+def divided_power_columns(m: int, j: int, r: int) -> tuple:
+    """The left wedge by gamma^(j) from degree r to r + 2j, as (rank, sign)
+    pairs per degree-r monomial: the sum over j-subsets A of the products
+    of the x_a ^ y_a, a in A, each sorting to A u (m + A) in j(j-1)/2
+    swaps.  Over p > j it is gamma^j / j!."""
+    terms = [a + tuple(m + t for t in a) for a in monomials(m, j)]
+    sign = (-1) ** (j * (j - 1) // 2)
+    return tuple(tuple((mono_rank(merged[1]), sign * merged[0])
+                       for term in terms if (merged := wedge_monomials(term, mono)))
+                 for mono in monomials(2 * m, r))
+
+
 def divided_power_map(space: SymplecticSpace, j: int, r: int) -> SparseMatrix:
-    """Sparse map of the left wedge by gamma^(j), from degree r to r + 2j:
-    the sum over j-subsets A of the products of the x_a ^ y_a, a in A, each
-    sorting to A u (m + A) in j(j-1)/2 swaps.  Over p > j it is gamma^j / j!."""
-    def build():
-        m, n = space.m, space.n
-        terms = [a + tuple(m + t for t in a) for a in monomials(m, j)]
-        columns = [[(mono_rank(merged[1]), (-1) ** (j * (j - 1) // 2) * merged[0])
-                    for term in terms if (merged := wedge_monomials(term, mono))]
-                   for mono in monomials(n, r)]
-        return SparseMatrix(space.p, dim_wedge(n, r + 2 * j), columns)
-    return _cached(space, ("divided_power", j, r), build)
+    """Sparse map of the left wedge by gamma^(j), from degree r to r + 2j."""
+    return _cached(space, ("divided_power", j, r), lambda: SparseMatrix(
+        space.p, dim_wedge(space.n, r + 2 * j), divided_power_columns(space.m, j, r)))
 
 
 def x_minus_map(space: SymplecticSpace, r: int) -> SparseMatrix:
@@ -402,9 +465,13 @@ def ladder(space: SymplecticSpace, seed: Multivector) -> LadderSequence:
 
 
 def primitive_basis(space: SymplecticSpace, r: int) -> Subspace:
-    """Kernel of the raising operator on degree r, canonical basis."""
+    """Kernel of the raising operator on degree r, canonical basis: one
+    kernel per torus-weight block."""
     def build():
-        return kernel_basis(x_plus_matrix(space, r))
+        blocks = block_columns(space.m, x_plus_map(space, r).columns, r, r - 2)
+        return assemble(space.p, space.m, r, {
+            w: kernel_basis(Matrix._of(space.p, tuple(zip(*cols)), len(cols)))
+            for w, cols in blocks.items()})
     return _cached(space, ("primitive", r), build)
 
 
@@ -515,8 +582,8 @@ def transvection(space: SymplecticSpace, v: Sequence[int]) -> Matrix:
     if not any(v):
         raise ValueError("transvection direction must be nonzero")
     gv = space.gram.matvec(v)
-    rows = [[(int(i == j) + v[i] * gv[j]) % p for j in range(n)] for i in range(n)]
-    t = Matrix(p, rows, cols=n)
+    t = Matrix._of(p, tuple(tuple((int(i == j) + a * b) % p for j, b in enumerate(gv))
+                            for i, a in enumerate(v)), n)
     if t.transpose() @ space.gram @ t != space.gram:
         raise InvariantError("transvection does not preserve the form")
     return t
@@ -531,13 +598,16 @@ def _generator_directions(m: int) -> list:
                     for i in range(m - 1)]
 
 
+def generator_transvections(space: SymplecticSpace) -> tuple:
+    """The transvections along the 3m - 1 generator directions."""
+    return _cached(space, ("transvections",), lambda: tuple(
+        transvection(space, v) for v in _generator_directions(space.m)))
+
+
 def _transvection_compounds(space: SymplecticSpace, r: int) -> tuple:
-    def build():
-        return tuple(
-            SparseMatrix.from_dense(compound_matrix(transvection(space, v), r))
-            for v in _generator_directions(space.m)
-        )
-    return _cached(space, ("tv_compound", r), build)
+    return _cached(space, ("tv_compound", r), lambda: tuple(
+        SparseMatrix.from_dense(compound_matrix(t, r))
+        for t in generator_transvections(space)))
 
 
 def submodule_closure(space: SymplecticSpace, r: int, seeds: Sequence[Multivector]) -> Subspace:
@@ -561,25 +631,33 @@ def submodule_closure(space: SymplecticSpace, r: int, seeds: Sequence[Multivecto
     if middle > CLOSURE_LIMIT:
         raise CatalogTooLargeError(middle, CLOSURE_LIMIT,
                                    f"degree-{m} wedge coordinates")
-    ambient = dim_wedge(n, r)
-    rows = []
+    # echelon rows (pivot, row), 1 at the pivot and 0 left of it, by pivot;
+    # each new vector is reduced against them and appended once, normalised
+    echelon, frontier = [], []
+
+    def absorb(vec):
+        res = list(vec)
+        for c, row in echelon:
+            if res[c]:
+                f = res[c]
+                res = [(a - f * b) % p for a, b in zip(res, row)]
+        lead = next((i for i, v in enumerate(res) if v), None)
+        if lead is not None:
+            inv = inv_mod(res[lead], p)
+            bisect.insort(echelon, (lead, [v * inv % p for v in res]))
+            frontier.append(vec)
+
     for s in seeds:
         _check_value(space, s)
         if not s.is_zero() and s.degrees() != (r,):
             raise HomogeneityError(f"seed {s} is not homogeneous of degree {r}")
-        rows.append(list(s.coords(r)))
-    span = Subspace.from_rows(p, ambient, rows)
+        absorb(s.coords(r))
     compounds = _transvection_compounds(space, r)
-    frontier = [list(row) for row in span.basis.entries]
     while frontier:
         vec = frontier.pop()
         for mat in compounds:
-            img = mat.matvec(vec)
-            if not span.contains(img):
-                span = Subspace.from_rows(p, ambient,
-                                          list(span.basis.entries) + [img])
-                frontier.append(img)
-    return span
+            absorb(mat.matvec(vec))
+    return Subspace.from_rows(p, dim_wedge(n, r), [row for _, row in echelon])
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import combinations, product
 from math import comb
 
-from .exterior import Multivector, monomials
+from .exterior import Multivector
 from .extraspecial import (
     abelian_preimage_check,
     center,

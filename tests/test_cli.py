@@ -17,6 +17,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from infker import cli
 from infker.cli import _json_indented, main
 
 
@@ -125,6 +126,16 @@ PINNED_DIGESTS = {
         "2668c9131db4cd4fbe208f5d539880aa90ea7f8064cb20a8c8f1b8e9350a6fb9",
     "certificate -p 2 -m 4 --class x2^x3^x4^y2^y3^y4":
         "2f858f63d7303f7a27a640bdc17f1339463bf7b9c811fada07c29b2e7214efee",
+    # fixed while ideal, vanishing space, gap classes and primitive pieces
+    # were still eliminated over full C(2m, r)-wide rows
+    "theorem1 -p 2 -m 6":
+        "fa9519950e7308eef004ca780f34dfa1386b6556305be01922d0835591697cff",
+    "ideal-basis -p 2 -m 4 -r 4":
+        "07ec04b273522fc7ab649b32827f356bad57702a3ae6a0fe785f8b9ee88da3b9",
+    "quotient-basis -p 2 -m 4 -r 5":
+        "b6d512a0946367c2c6514ed92b9b7a897c86fac8b740316a2241cee8e48af977",
+    "decompose -p 5 -m 3 --class x1^y1+x2^y2":
+        "22cced7aaba4de3b6f62fc37d359f508b59618855475a21748cd6b96872cd08c",
 }
 
 
@@ -158,6 +169,29 @@ def test_stdout_digests_pinned(capsys, command):
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[command]
+
+
+def test_one_parser_serves_every_call(capsys):
+    """Commands, usage errors and help through the parser that ``main``
+    keeps for the process give what a freshly built parser gives."""
+    runs = [("theorem1", "-p", "2", "-m", "3"),
+            ("theorem1", "-p", "4", "-m", "2"),
+            ("decompose", "-p", "5", "-m", "3", "--class", "x1^y1+x2^y2"),
+            ("vanishing-space", "-p", "2", "-m", "2"),
+            ("--help",),
+            ("ideal-basis", "--help"),
+            ("quotient-basis", "-p", "3", "-m", "2", "-r", "2", "--format", "text"),
+            ("group", "-p", "2", "-m", "1", "--op", "nope"),
+            ("theorem1", "-p", "2", "-m", "3")]
+    kept = [run_cli(capsys, *argv) for argv in runs]
+    assert cli.build_parser() is cli.build_parser()
+    fresh = []
+    for argv in runs:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert kept == fresh
+    assert [code for code, _, _ in kept] == [0, 2, 0, 2, 0, 0, 0, 2, 0]
+    assert kept[0] == kept[-1]
 
 
 def test_sl2_check_past_dense_products(capsys, schema):

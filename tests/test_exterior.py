@@ -25,7 +25,6 @@ from infker.exterior import (
     monomials,
     parse,
     pullback_coords,
-    pullback_matrix,
     pure_wedge_coords,
     sort_to_monomial,
     wedge_coords,
@@ -198,6 +197,15 @@ def test_compound_is_multiplicative(p, data):
 def test_compound_degree_one_is_identity_functor():
     mat = Matrix(5, [[1, 2], [3, 4]])
     assert compound_matrix(mat, 1) == mat
+
+
+def pullback_matrix(f, r):
+    """Matrix of the degree-r pullback of functionals along ``f``: with
+    ``f`` the n x k matrix of a map A -> V (columns are the images of A's
+    basis), entry (J, I) is the minor of ``f`` with rows I and columns J,
+    so the pullback is the transposed compound and composes
+    contravariantly.  The reference for :func:`pullback_coords`."""
+    return compound_matrix(f, r).transpose()
 
 
 @given(primes, st.data())

@@ -21,7 +21,6 @@ from infker.exterior import (
     monomials,
     parse,
     pullback_coords,
-    pullback_matrix,
     wedge_monomials,
 )
 from infker.inflation import (
@@ -41,14 +40,25 @@ from infker.inflation import (
     verify_certificate_record,
 )
 from infker.isotropic import annihilator, enumerate_isotropic, perp, radical_split
-from infker.prime_linalg import Matrix, Subspace, inv_mod, kernel_basis, solve
+from infker.prime_linalg import (
+    Matrix,
+    Subspace,
+    image_basis,
+    inv_mod,
+    kernel_basis,
+    solve,
+)
 from infker.symplectic import (
     SymplecticSpace,
     dim_wedge,
     divided_power_map,
     gamma,
     isotropic_span_basis,
+    primitive_basis,
+    x_minus_matrix,
+    x_plus_matrix,
 )
+from test_exterior import pullback_matrix
 from test_isotropic import greedy_radical_split, random_subspace
 
 
@@ -189,7 +199,8 @@ def catalog_kernel(space, r, dims):
               for sub in enumerate_isotropic(space, k)]
     if not blocks:
         return Subspace.full(space.p, dim_wedge(space.n, r))
-    return kernel_basis(Matrix.vstack(blocks))
+    return kernel_basis(Matrix(space.p, [row for b in blocks for row in b.entries],
+                               cols=dim_wedge(space.n, r)))
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3)])
@@ -212,6 +223,78 @@ def test_vanishing_space_matches_closure_oracle(p, m):
         oracle = (kernel_basis(isotropic_span_basis(space, r).basis) if r <= m
                   else Subspace.full(p, dim_wedge(space.n, r)))
         assert vanishing_space(space, r) == oracle
+
+
+def dense_ideal_component(space, r):
+    """The ideal as one image over full C(2m, r)-wide rows."""
+    return image_basis(x_minus_matrix(space, r - 2))
+
+
+def dense_vanishing_space(space, r):
+    """The divided-power ideal from the stacked d-wide images of every
+    gamma^(j) ^, j >= 1, up to degree m; the full space above it."""
+    p, m, d = space.p, space.m, dim_wedge(space.n, r)
+    if r > m:
+        return Subspace.full(p, d)
+    return Subspace.from_rows(p, d, (
+        [col.get(i, 0) for i in range(d)] for j in range(1, r // 2 + 1)
+        for col in map(dict, divided_power_map(space, j, r - 2 * j).columns)))
+
+
+def dense_primitive_basis(space, r):
+    """The kernel of the whole dense raising matrix."""
+    return kernel_basis(x_plus_matrix(space, r))
+
+
+def dense_sandwich(space, r):
+    """Dimensions, gap and gap classes from the dense spaces: containment
+    and reduction modulo the ideal over full rows."""
+    p, d = space.p, dim_wedge(space.n, r)
+    ideal, vanish = dense_ideal_component(space, r), dense_vanishing_space(space, r)
+    assert all(vanish.member(row) is not None for row in ideal.basis.entries)
+    reduced = []
+    for row in vanish.basis.entries:
+        vec = list(row)
+        for irow, piv in zip(ideal.basis.entries, ideal.pivots):
+            c = vec[piv]
+            if c:
+                vec = [(a - c * b) % p for a, b in zip(vec, irow)]
+        reduced.append(vec)
+    reps = Subspace.from_rows(p, d, reduced)
+    assert reps.dim == vanish.dim - ideal.dim
+    return (ideal.dim, vanish.dim, reps.dim,
+            tuple(Multivector.from_coords(p, space.m, r, row) for row in reps.basis.entries))
+
+
+def check_against_dense(space, r):
+    for got, want in ((ideal_component(space, r), dense_ideal_component(space, r)),
+                      (vanishing_space(space, r), dense_vanishing_space(space, r)),
+                      (primitive_basis(space, r), dense_primitive_basis(space, r))):
+        assert got == want
+        assert got.pivots == want.pivots
+    sw = sandwich(space, r)
+    assert (sw.ideal.dim, sw.vanishing.dim, sw.gap, sw.gap_classes) == dense_sandwich(space, r)
+
+
+@pytest.mark.parametrize("p,m", [
+    (p, m) for m in (1, 2, 3, 4) for p in (2, 3, 5, 7)] + [(2, 5), (3, 5)])
+def test_graded_spaces_match_dense_oracles(p, m):
+    """Ideal, vanishing space, sandwich and primitive piece, each assembled
+    from torus-weight blocks, equal their dense computations in every
+    degree, pivots included."""
+    space = SymplecticSpace(p, m)
+    for r in range(2 * m + 1):
+        check_against_dense(space, r)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_graded_spaces_match_dense_oracles_in_one_degree(data):
+    """A fresh space asked for one degree only: nothing depends on the
+    order in which degrees are computed."""
+    p = data.draw(st.sampled_from((2, 3, 5, 7)))
+    m = data.draw(st.integers(1, 4))
+    check_against_dense(SymplecticSpace(p, m), data.draw(st.integers(0, 2 * m)))
 
 
 @pytest.mark.parametrize("p,m", [(5, 3), (7, 4)])

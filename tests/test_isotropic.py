@@ -254,15 +254,16 @@ def test_radical_split_rad_matches_two_elimination_oracle(data):
     assert split.rad == again and split.rad.pivots == again.pivots
 
 
-def test_radical_split_eliminates_three_times(monkeypatch):
-    """The kernel of the restricted Gram, the split check and the
-    complement's rank: the radical itself is wrapped, not re-reduced."""
+def test_radical_split_eliminates_twice(monkeypatch):
+    """The kernel of the restricted Gram and the complement's rank: the
+    radical itself is wrapped, not re-reduced, and the split is checked
+    without an elimination."""
     import infker.prime_linalg as pl
     space = SymplecticSpace(3, 2)
     sub = Subspace.from_rows(3, 4, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     calls = count_calls(monkeypatch, pl, "_rref_rows")
     split = radical_split(space, sub)
-    assert len(calls) == 3
+    assert len(calls) == 2
     assert split.rad.basis.entries == ((0, 0, 1, 0),)
     assert split.rad.pivots == (2,)
 

@@ -33,12 +33,15 @@ from infker.prime_linalg import (
 from infker.symplectic import (
     SIGMA,
     _generator_directions,
+    _transvection_compounds,
     DegreeCheck,
     Sl2Report,
     SymplecticSpace,
+    assemble,
     calibrate_sigma,
     decompose,
     dim_wedge,
+    divided_power_map,
     gamma,
     gamma_dual,
     h_map,
@@ -51,9 +54,11 @@ from infker.symplectic import (
     sl2_check,
     submodule_closure,
     transvection,
+    weight_blocks,
     x_minus,
     x_minus_matrix,
     x_plus,
+    x_plus_map,
     x_plus_matrix,
 )
 
@@ -395,6 +400,93 @@ def test_submodule_closure_generates_primitives():
     assert closure.basis == prim.basis
 
 
+def torus_weight(m, mono):
+    return tuple(int(i in mono) - int(m + i in mono) for i in range(m))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_weight_blocks_partition_the_colex_ranks(m):
+    for r in range(-1, 2 * m + 2):
+        blocks, slot = weight_blocks(m, r)
+        monos = monomials(2 * m, r)
+        assert sorted(k for ranks in blocks.values() for k in ranks) == list(range(len(monos)))
+        for w, ranks in blocks.items():
+            assert list(ranks) == sorted(ranks)
+            assert all(torus_weight(m, monos[k]) == w for k in ranks)
+            assert [slot[k] for k in ranks] == list(range(len(ranks)))
+
+
+@pytest.mark.parametrize("p,m", [(2, 3), (3, 4)])
+def test_graded_operators_preserve_torus_weight(p, m):
+    space = SymplecticSpace(p, m)
+    for r in range(2 * m + 1):
+        maps = [(divided_power_map(space, j, r), r + 2 * j) for j in range(1, m + 1)]
+        for mat, s in maps + [(x_plus_map(space, r), r - 2)]:
+            for mono, col in zip(monomials(2 * m, r), mat.columns):
+                assert all(torus_weight(m, monomials(2 * m, s)[i]) == torus_weight(m, mono)
+                           for i, _ in col)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_assemble_is_the_rref_of_all_block_rows(data):
+    """Random local subspaces, one per torus weight: the assembled
+    subspace is the rref of their rows written in colex coordinates."""
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    m = data.draw(st.integers(1, 3))
+    r = data.draw(st.integers(0, 2 * m))
+    blocks = weight_blocks(m, r)[0]
+    parts, rows = {}, []
+    for w, ranks in blocks.items():
+        local = [[data.draw(st.integers(0, p - 1)) for _ in ranks]
+                 for _ in range(data.draw(st.integers(0, len(ranks))))]
+        parts[w] = Subspace.from_rows(p, len(ranks), local)
+        for row in local:
+            vec = [0] * dim_wedge(2 * m, r)
+            for k, v in zip(ranks, row):
+                vec[k] = v
+            rows.append(vec)
+    got = assemble(p, m, r, parts)
+    want = Subspace.from_rows(p, dim_wedge(2 * m, r), rows)
+    assert got == want
+    assert got.pivots == want.pivots
+
+
+def re_reducing_closure(space, r, seeds):
+    """The closure loop that re-reduced the whole span after every new
+    vector: a membership test per image, then an rref of span plus image."""
+    p = space.p
+    span = Subspace.from_rows(p, dim_wedge(space.n, r), [s.coords(r) for s in seeds])
+    frontier = list(span.basis.entries)
+    while frontier:
+        vec = frontier.pop()
+        for mat in _transvection_compounds(space, r):
+            img = mat.matvec(vec)
+            if span.member(img) is None:
+                span = Subspace.from_rows(p, span.ambient_dim, list(span.basis.entries) + [img])
+                frontier.append(img)
+    return span
+
+
+@pytest.mark.parametrize("p,m", [
+    (2, 1), (2, 2), (3, 2), (5, 2), (2, 3), (3, 3), (7, 3), (2, 4), (3, 4)])
+def test_closure_matches_re_reducing_loop(p, m):
+    """The incremental echelon closure against the re-reducing loop, from
+    x1 ^ ... ^ xr, from gamma and from a random class in every degree."""
+    rng = random.Random(p * 100 + m)
+    space = SymplecticSpace(p, m)
+    for r in range(2 * m + 1):
+        d = dim_wedge(2 * m, r)
+        seeds = [[Multivector(p, m, {tuple(range(r)): 1})],
+                 [Multivector.from_coords(p, m, r, [rng.randrange(p) for _ in range(d)])]]
+        if r == 2:
+            seeds.append([gamma(space)])
+        for seed in seeds:
+            got = submodule_closure(space, r, seed)
+            want = re_reducing_closure(space, r, seed)
+            assert got == want and got.pivots == want.pivots
+
+
 @pytest.mark.parametrize("p,m,r", [(2, 2, 2), (3, 2, 2), (2, 3, 2), (5, 2, 1)])
 def test_isotropic_span_dimension(p, m, r):
     space = SymplecticSpace(p, m)
@@ -432,7 +524,7 @@ def closure_under_all_transvections(p, m, r, seed):
         vec = frontier.pop()
         for mat in all_transvection_compounds(p, m, r):
             img = mat.matvec(vec)
-            if not span.contains(img):
+            if span.member(img) is None:
                 span = Subspace.from_rows(
                     p, span.ambient_dim, list(span.basis.entries) + [img])
                 frontier.append(img)
