@@ -55,23 +55,6 @@ def mono_rank(mono: Mono) -> int:
     return sum(comb(c, i + 1) for i, c in enumerate(mono))
 
 
-def mono_unrank(index: int, r: int, nvars: int) -> Mono:
-    """Inverse of :func:`mono_rank` for degree r on ``nvars`` positions."""
-    total = comb(nvars, r)
-    if not 0 <= index < total:
-        raise ValueError(f"rank {index} out of range for C({nvars},{r}) = {total}")
-    out = []
-    rem = index
-    c = nvars - 1
-    for i in range(r, 0, -1):
-        while comb(c, i) > rem:
-            c -= 1
-        out.append(c)
-        rem -= comb(c, i)
-        c -= 1
-    return tuple(reversed(out))
-
-
 def wedge_monomials(a: Mono, b: Mono):
     """Merge two monomials into one, tracking the transposition sign.
 

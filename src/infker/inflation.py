@@ -15,13 +15,19 @@ form (coordinates supported on monomials outside the ideal's pivot set),
 and ``certificate`` checks, one vector at a time, that a class passes
 every pointwise membership condition even when it lies outside the
 ideal.
+
+Both operators preserve the torus weight of a monomial, so both spaces
+are computed and kept as one local subspace per weight block
+(``_divided_power_parts``, ``_vanishing_parts``); ``sandwich`` works on
+those parts directly, and only ``ideal_component`` and ``vanishing_space``,
+whose bases are printed or compared, assemble them into colex rows.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import CatalogTooLargeError, InvariantError
 from .exterior import (
@@ -39,11 +45,11 @@ from .symplectic import (
     _cached,
     assemble,
     block_columns,
-    block_parts,
     dim_wedge,
     divided_power_columns,
     gamma,
     generator_transvections,
+    torus_weight,
     weight_blocks,
 )
 
@@ -55,9 +61,10 @@ CERTIFICATE_LIMIT = 10 ** 6
 VANISHING_LIMIT = 924
 
 
-def _divided_power_span(space: SymplecticSpace, r: int, js: tuple) -> Subspace:
+def _divided_power_parts(space: SymplecticSpace, r: int, js: tuple) -> dict:
     """The span of the images of gamma^(j) ^ from degree r - 2j over the j
-    in ``js``: one elimination per torus-weight block, then assembled."""
+    in ``js``, as one canonical local subspace per torus weight: one
+    elimination per block, cached per (r, js)."""
     def build():
         m, blocks, cols = space.m, weight_blocks(space.m, r)[0], {}
         for j in js:
@@ -65,15 +72,15 @@ def _divided_power_span(space: SymplecticSpace, r: int, js: tuple) -> Subspace:
             for w, block in block_columns(m, columns, r - 2 * j, r).items():
                 if w in blocks:  # else no degree-r monomial has weight w
                     cols.setdefault(w, []).extend(block)
-        return assemble(space.p, m, r, {w: Subspace.from_rows(space.p, len(blocks[w]), c)
-                                        for w, c in cols.items()})
-    return _cached(space, ("divided_power_span", r, js), build)
+        return {w: Subspace.from_rows(space.p, len(blocks[w]), c) for w, c in cols.items()}
+    return _cached(space, ("divided_power_parts", r, js), build)
 
 
 def ideal_component(space: SymplecticSpace, r: int) -> Subspace:
     """Degree-r part of the ideal generated by the invariant 2-tensor:
     the image of the lowering operator out of degree r - 2."""
-    return _divided_power_span(space, r, (1,))
+    return _cached(space, ("ideal", r), lambda: assemble(
+        space.p, space.m, r, _divided_power_parts(space, r, (1,))))
 
 
 def quotient_basis(space: SymplecticSpace, r: int) -> tuple:
@@ -82,21 +89,47 @@ def quotient_basis(space: SymplecticSpace, r: int) -> tuple:
     These are the colex monomials at the non-pivot columns of the ideal's
     reduced basis, listed in colex order.
     """
-    ideal = ideal_component(space, r)
-    pivots = set(ideal.pivots)
+    blocks = weight_blocks(space.m, r)[0]
+    pivots = {blocks[w][c] for w, part in _divided_power_parts(space, r, (1,)).items()
+              for c in part.pivots}
     return tuple(
-        mono for j, mono in enumerate(monomials(space.n, r))
-        if j not in pivots
+        mono for k, mono in enumerate(monomials(space.n, r))
+        if k not in pivots
     )
 
 
-def reduce_mod_ideal(space: SymplecticSpace, r: int, coords: Sequence[int]) -> tuple:
-    """Rewrite degree-r coordinates modulo the ideal so that every ideal
-    pivot coordinate becomes zero.  The result is the canonical standard-
-    monomial form of the class."""
-    if len(coords) != dim_wedge(space.n, r):
-        raise ValueError("coordinate length does not match the degree")
-    return tuple(ideal_component(space, r).residual([c % space.p for c in coords]))
+def _vanishing_parts(space: SymplecticSpace, r: int) -> dict:
+    """The vanishing space in degree r <= m, one local subspace per torus
+    weight: the divided-power ideal (images of gamma^(j) ^ from degree
+    r - 2j, j >= 1), which vanishes on every Lagrangian.  Its dimension
+    C(2m, r - 2), the annihilator's, is asserted, and every row is checked
+    to pair to zero with the images of x1 ^ ... ^ xr and y1 ^ ... ^ yr
+    under the generator transvections; the y-frame images reach the
+    blocks that hold pairs x_k ^ y_k."""
+    def build():
+        p, m, n = space.p, space.m, space.n
+        if dim_wedge(n, m) > VANISHING_LIMIT:
+            raise CatalogTooLargeError(dim_wedge(n, m), VANISHING_LIMIT,
+                                       f"degree-{m} wedge coordinates")
+        parts = _divided_power_parts(space, r, tuple(range(1, r // 2 + 1)))
+        dim = sum(part.dim for part in parts.values())
+        if dim != dim_wedge(n, r - 2):
+            raise InvariantError(f"degree {r}: divided-power ideal has dimension {dim}")
+        monos, slot = monomials(n, r), weight_blocks(m, r)[1]
+        for t in generator_transvections(space):  # those along x1, y1 fix the seeds
+            images = t.transpose().entries
+            for frame in (images[:r], images[m:m + r]):
+                support = {}  # weight -> (local slot, coefficient) of the wedge's terms
+                for k, c in enumerate(pure_wedge_coords(frame, n, p)):
+                    if c:
+                        support.setdefault(torus_weight(m, monos[k]), []).append((slot[k], c))
+                for w, terms in support.items():
+                    if w in parts and any(sum(c * row[i] for i, c in terms) % p
+                                          for row in parts[w].basis.entries):
+                        raise InvariantError(
+                            f"degree {r}: a vanishing class pairs with an isotropic wedge")
+        return parts
+    return _cached(space, ("vanishing_parts", r), build)
 
 
 def vanishing_space(space: SymplecticSpace, r: int) -> Subspace:
@@ -105,39 +138,25 @@ def vanishing_space(space: SymplecticSpace, r: int) -> Subspace:
     Pulling back to a Lagrangian pairs the class against the wedges of
     r-subsets of its basis, so the vanishing space is the annihilator of
     the isotropic span; above degree m there is nothing to pair against.
-    Up to degree m it is the divided-power ideal (images of gamma^(j) ^ from
-    degree r - 2j, j >= 1), which vanishes on every Lagrangian: its dimension
-    C(2m, r - 2), the annihilator's, is asserted, and every row is checked to
-    pair to zero with x1 ^ ... ^ xr and its generator-transvection images.
+    Up to degree m it is the divided-power ideal, checked as described in
+    ``_vanishing_parts``.
     """
     def build():
-        p, m, n = space.p, space.m, space.n
-        if r > m:
-            return Subspace.full(p, dim_wedge(n, r))
-        if dim_wedge(n, m) > VANISHING_LIMIT:
-            raise CatalogTooLargeError(dim_wedge(n, m), VANISHING_LIMIT,
-                                       f"degree-{m} wedge coordinates")
-        span = _divided_power_span(space, r, tuple(range(1, r // 2 + 1)))
-        if span.dim != dim_wedge(n, r - 2):
-            raise InvariantError(f"degree {r}: divided-power ideal has dimension {span.dim}")
-        for t in generator_transvections(space):  # the one along x1 fixes x1 ^ ... ^ xr
-            wedge = pure_wedge_coords(t.transpose().entries[:r], n, p)
-            support = [(i, c) for i, c in enumerate(wedge) if c]
-            if any(sum(c * row[i] for i, c in support) % p for row in span.basis.entries):
-                raise InvariantError(f"degree {r}: a vanishing class pairs with an isotropic wedge")
-        return span
+        if r > space.m:
+            return Subspace.full(space.p, dim_wedge(space.n, r))
+        return assemble(space.p, space.m, r, _vanishing_parts(space, r))
     return _cached(space, ("vanishing", r), build)
 
 
 @dataclass(frozen=True)
 class KernelSandwich:
-    """Both spaces at one degree, with the gap spelled out."""
+    """Both spaces' dimensions at one degree, with the gap spelled out."""
 
     p: int
     m: int
     r: int
-    ideal: Subspace
-    vanishing: Subspace
+    ideal_dim: int
+    vanishing_dim: int
     gap: int
     gap_classes: tuple
 
@@ -146,8 +165,8 @@ class KernelSandwich:
             "p": self.p,
             "m": self.m,
             "degree": self.r,
-            "ideal_dim": self.ideal.dim,
-            "vanishing_dim": self.vanishing.dim,
+            "ideal_dim": self.ideal_dim,
+            "vanishing_dim": self.vanishing_dim,
             "gap": self.gap,
             "gap_classes": [str(c) for c in self.gap_classes],
         }
@@ -156,38 +175,49 @@ class KernelSandwich:
 def sandwich(space: SymplecticSpace, r: int) -> KernelSandwich:
     """Compute both spaces at degree r and certify the containment.
 
-    The containment, the reduction modulo the ideal and the gap
-    representatives are taken block by block over torus weights, on the
-    two spaces as they are returned.
+    Both spaces stay one local subspace per torus weight.  The
+    containment, the reduction modulo the ideal and the gap
+    representatives are taken block by block; each representative goes
+    from its local row straight to a Multivector, and they are listed by
+    the colex rank of their pivots, the order of the dense rref.  Above
+    degree m every block vanishes whole, so its representatives are the
+    unit vectors off the ideal's pivots.
 
     Raises InvariantError if the ideal ever escapes the vanishing space;
     that containment is unconditional.
     """
-    p, m = space.p, space.m
-    ideal = ideal_component(space, r)
-    vanish = vanishing_space(space, r)
-    ideal_parts, vanish_parts, reduced = block_parts(ideal, m, r), block_parts(vanish, m, r), {}
-    for w, ideal_w in ideal_parts.items():
-        if w not in vanish_parts or any(vanish_parts[w].member(row) is None
-                                        for row in ideal_w.basis.entries):
-            raise InvariantError(f"degree {r}: ideal class escapes the vanishing space")
-    for w, vanish_w in vanish_parts.items():
-        ideal_w = ideal_parts.get(w)
-        res = [ideal_w.residual(row) if ideal_w else row for row in vanish_w.basis.entries]
-        if any(map(any, res)):
-            reduced[w] = Subspace.from_rows(p, vanish_w.ambient_dim, res)
-    gap = vanish.dim - ideal.dim
-    reps = assemble(p, m, r, reduced)
-    if reps.dim != gap:
+    p, m, n = space.p, space.m, space.n
+    blocks, monos = weight_blocks(m, r)[0], monomials(n, r)
+    ideal = _divided_power_parts(space, r, (1,))
+    ideal_dim, reps = sum(part.dim for part in ideal.values()), []
+    if r > m:
+        vanishing_dim = dim_wedge(n, r)
+        for w, ranks in blocks.items():
+            pivots = set(ideal[w].pivots) if w in ideal else ()
+            reps += [(k, {monos[k]: 1}) for i, k in enumerate(ranks) if i not in pivots]
+    else:
+        vanish = _vanishing_parts(space, r)
+        vanishing_dim = sum(part.dim for part in vanish.values())
+        for w, ideal_w in ideal.items():
+            if w not in vanish or any(vanish[w].member(row) is None
+                                      for row in ideal_w.basis.entries):
+                raise InvariantError(f"degree {r}: ideal class escapes the vanishing space")
+        for w, vanish_w in vanish.items():
+            ideal_w, ranks = ideal.get(w), blocks[w]
+            res = [ideal_w.residual(row) if ideal_w else row for row in vanish_w.basis.entries]
+            if any(map(any, res)):
+                red = Subspace.from_rows(p, len(ranks), res)
+                reps += [(ranks[c], {monos[ranks[i]]: v for i, v in enumerate(row) if v})
+                         for row, c in zip(red.basis.entries, red.pivots)]
+    gap = vanishing_dim - ideal_dim
+    if len(reps) != gap:
         raise InvariantError(
-            f"degree {r}: reduced representatives span {reps.dim}, gap is {gap}"
+            f"degree {r}: reduced representatives span {len(reps)}, gap is {gap}"
         )
-    classes = tuple(
-        Multivector.from_coords(space.p, space.m, r, row)
-        for row in reps.basis.entries
-    )
-    return KernelSandwich(p=space.p, m=space.m, r=r, ideal=ideal,
-                          vanishing=vanish, gap=gap, gap_classes=classes)
+    reps.sort(key=lambda rep: rep[0])
+    classes = tuple(Multivector(p, m, terms) for _, terms in reps)
+    return KernelSandwich(p=p, m=m, r=r, ideal_dim=ideal_dim,
+                          vanishing_dim=vanishing_dim, gap=gap, gap_classes=classes)
 
 
 def theorem1_verify(space: SymplecticSpace) -> tuple:

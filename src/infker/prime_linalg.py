@@ -562,10 +562,11 @@ class Subspace:
                 vec = [(a - f * b) % p for a, b in zip(vec, row)]
         return vec
 
-    def vectors(self, limit: int = 1_000_000) -> Iterator[tuple]:
-        """Every vector of the subspace, p^dim of them, in a fixed order."""
-        if self.p ** self.dim > limit:
-            raise CatalogTooLargeError(self.p ** self.dim, limit, "vectors")
+    def vectors(self) -> Iterator[tuple]:
+        """Every vector of the subspace, p^dim of them, in a fixed order;
+        more than 10^6 are refused with CatalogTooLargeError."""
+        if self.p ** self.dim > 10 ** 6:
+            raise CatalogTooLargeError(self.p ** self.dim, 10 ** 6, "vectors")
         p = self.p
         rows = self.basis.entries
         for coeffs in itertools.product(range(p), repeat=self.dim):

@@ -142,12 +142,6 @@ def gamma(space: SymplecticSpace) -> Multivector:
                        {(i, space.m + i): 1 for i in range(space.m)})
 
 
-def gamma_dual(space: SymplecticSpace) -> Multivector:
-    """The dual 2-form; each hyperbolic term carries coefficient -1."""
-    return Multivector(space.p, space.m,
-                       {(i, space.m + i): -1 for i in range(space.m)})
-
-
 def x_minus(space: SymplecticSpace, a: Multivector) -> Multivector:
     """Lowering operator: left wedge by gamma."""
     _check_value(space, a)
@@ -199,15 +193,21 @@ def _cached(space: SymplecticSpace, key, build):
     return cache[key]
 
 
+def torus_weight(m: int, mono: tuple) -> tuple:
+    """The torus weight e_I - e_J in {-1, 0, 1}^m of x_I ^ y_J, whatever
+    pairs x_k ^ y_k it also holds."""
+    return tuple((i in mono) - (m + i in mono) for i in range(m))
+
+
 @lru_cache(maxsize=None)
 def weight_blocks(m: int, r: int) -> tuple:
-    """Degree-r monomials by torus weight: x_I ^ y_J weighs e_I - e_J in
-    {-1, 0, 1}^m, which gamma^(j) ^ and the raising operator preserve.
-    Returns (blocks, slot): ``blocks`` maps each weight to the ascending
-    colex ranks of its monomials, ``slot[k]`` is rank k's place in its block."""
+    """Degree-r monomials by torus weight, which gamma^(j) ^ and the
+    raising operator preserve.  Returns (blocks, slot): ``blocks`` maps
+    each weight to the ascending colex ranks of its monomials, ``slot[k]``
+    is rank k's place in its block."""
     blocks, slot = {}, []
     for k, mono in enumerate(monomials(2 * m, r)):
-        ranks = blocks.setdefault(tuple((i in mono) - (m + i in mono) for i in range(m)), [])
+        ranks = blocks.setdefault(torus_weight(m, mono), [])
         slot.append(len(ranks))
         ranks.append(k)
     return {w: tuple(ranks) for w, ranks in blocks.items()}, tuple(slot)
@@ -228,17 +228,6 @@ def assemble(p: int, m: int, r: int, parts: dict) -> Subspace:
     rows.sort()
     return Subspace(p, d, Matrix._of(p, tuple([row for _, row in rows]), d),
                     tuple([pivot for pivot, _ in rows]))
-
-
-def block_parts(sub: Subspace, m: int, r: int) -> dict:
-    """A degree-r subspace read back block by block: per torus weight, the
-    rows whose pivots lie in its block, in the block's local coordinates."""
-    at, out = dict(zip(sub.pivots, sub.basis.entries)), {}
-    for w, ranks in weight_blocks(m, r)[0].items():
-        if local := [i for i, k in enumerate(ranks) if k in at]:
-            rows = tuple(tuple(at[ranks[i]][k] for k in ranks) for i in local)
-            out[w] = Subspace(sub.p, len(ranks), Matrix._of(sub.p, rows, len(ranks)), tuple(local))
-    return out
 
 
 def block_columns(m: int, columns, r: int, s: int) -> dict:

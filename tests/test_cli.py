@@ -136,6 +136,14 @@ PINNED_DIGESTS = {
         "b6d512a0946367c2c6514ed92b9b7a897c86fac8b740316a2241cee8e48af977",
     "decompose -p 5 -m 3 --class x1^y1+x2^y2":
         "22cced7aaba4de3b6f62fc37d359f508b59618855475a21748cd6b96872cd08c",
+    # fixed while theorem1 still wrote its block results into colex rows and
+    # read them back per block; odd p and degrees above m, where signs matter
+    "theorem1 -p 3 -m 6":
+        "86848a4c70dc651ac9049a5efbaf34ad047bf9d289ea59602cdadde1583e1532",
+    "counterexample -p 3 -m 6":
+        "8f1a613e618dfd17491cd595de148fb2253012e03ddb499874853e720518ff0f",
+    "vanishing-space -p 3 -m 5 -r 7":
+        "6699c025c1aa40da565565656847e040a8e677a3c1d7174c415a56dbd1e77370",
 }
 
 

@@ -13,8 +13,8 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from infker import exterior, symplectic
-from infker.errors import HomogeneityError
+from infker import exterior, inflation, symplectic
+from infker.errors import HomogeneityError, InvariantError
 from infker.exterior import (
     Multivector,
     mono_rank,
@@ -33,7 +33,6 @@ from infker.inflation import (
     counterexample,
     ideal_component,
     quotient_basis,
-    reduce_mod_ideal,
     sandwich,
     theorem1_verify,
     vanishing_space,
@@ -55,6 +54,7 @@ from infker.symplectic import (
     gamma,
     isotropic_span_basis,
     primitive_basis,
+    weight_blocks,
     x_minus_matrix,
     x_plus_matrix,
 )
@@ -125,7 +125,7 @@ def test_theorem1_closure_at_m_4(p, m, gaps):
     form (0 below degree 2, C(2m, r-2) up to m, C(2m, r) above)."""
     sws = theorem1_verify(shared_space(p, m))
     assert [sw.gap for sw in sws] == gaps
-    assert [sw.vanishing.dim for sw in sws] == [
+    assert [sw.vanishing_dim for sw in sws] == [
         0 if r < 2 else comb(2 * m, r - 2) if r <= m else comb(2 * m, r)
         for r in range(2 * m + 1)]
 
@@ -164,31 +164,6 @@ def test_ideal_at_degree_two_is_the_invariant_line():
         ideal = ideal_component(space, 2)
         assert ideal.dim == 1
         assert ideal.member(gamma(space).coords(2)) is not None
-
-
-@given(st.data())
-@settings(max_examples=60)
-def test_reduce_mod_ideal_properties(data):
-    p = data.draw(st.sampled_from((2, 3)))
-    m = data.draw(st.integers(2, 3))
-    space = shared_space(p, m)
-    r = data.draw(st.integers(2, 2 * m))
-    d = dim_wedge(2 * m, r)
-    coords = [data.draw(st.integers(0, p - 1)) for _ in range(d)]
-    reduced = reduce_mod_ideal(space, r, coords)
-    ideal = ideal_component(space, r)
-    diff = [(a - b) % p for a, b in zip(coords, reduced)]
-    assert ideal.member(diff) is not None
-    assert reduce_mod_ideal(space, r, reduced) == tuple(reduced)
-    for pivot in ideal.basis_pivots if hasattr(ideal, "basis_pivots") else []:
-        assert reduced[pivot] == 0
-
-
-def test_reduction_of_ideal_member_is_zero():
-    space = space23()
-    ideal = ideal_component(space, 4)
-    for row in ideal.basis.entries:
-        assert all(c == 0 for c in reduce_mod_ideal(space, 4, row))
 
 
 def catalog_kernel(space, r, dims):
@@ -273,7 +248,7 @@ def check_against_dense(space, r):
         assert got == want
         assert got.pivots == want.pivots
     sw = sandwich(space, r)
-    assert (sw.ideal.dim, sw.vanishing.dim, sw.gap, sw.gap_classes) == dense_sandwich(space, r)
+    assert (sw.ideal_dim, sw.vanishing_dim, sw.gap, sw.gap_classes) == dense_sandwich(space, r)
 
 
 @pytest.mark.parametrize("p,m", [
@@ -320,6 +295,40 @@ def test_theorem1_reaches_no_closure(monkeypatch):
     space = SymplecticSpace(2, 4)
     assert [sw.gap for sw in theorem1_verify(space)] == [0, 0, 0, 0, 1, 8, 1, 0, 0]
     assert str(counterexample(space)) == "x2^x3^y2^y3 + x2^x4^y2^y4 + x3^x4^y3^y4"
+
+
+@pytest.mark.parametrize("p,m,gaps,first", [
+    (2, 5, [0, 0, 0, 0, 1, 10, 44, 10, 1, 0, 0],
+     "x2^x3^y2^y3 + x2^x4^y2^y4 + x3^x4^y3^y4 + x2^x5^y2^y5 + x3^x5^y3^y5 + x4^x5^y4^y5"),
+    (3, 5, [0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0], "x3^x4^x5^y3^y4^y5"),
+])
+def test_theorem1_builds_no_dense_row(monkeypatch, p, m, gaps, first):
+    """The theorem1 path keeps its spaces per torus-weight block: it never
+    assembles colex rows and builds no identity, not even above degree m."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("theorem1 built a dense subspace")
+    monkeypatch.setattr(inflation, "assemble", refuse)
+    monkeypatch.setattr(Matrix, "identity", refuse)
+    space = SymplecticSpace(p, m)
+    assert [sw.gap for sw in theorem1_verify(space)] == gaps
+    assert str(counterexample(space)) == first
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (5, 3), (3, 4)])
+def test_pairing_check_sees_paired_blocks(monkeypatch, p, m):
+    """Flipping the sign of x1^y1 in the zero-weight block's gamma columns
+    keeps every dimension; only pairing with the transvection images of
+    y1 ^ ... ^ yr, which reach the blocks holding pairs, catches it."""
+    zero, at = (0,) * m, weight_blocks(m, 2)[1][mono_rank((0, m))]
+
+    def flipped(m_, columns, r, s):
+        out = symplectic.block_columns(m_, columns, r, s)
+        if s == 2 and zero in out:
+            out[zero] = [[-v if i == at else v for i, v in enumerate(col)] for col in out[zero]]
+        return out
+    monkeypatch.setattr(inflation, "block_columns", flipped)
+    with pytest.raises(InvariantError, match="pairs with an isotropic wedge"):
+        vanishing_space(SymplecticSpace(p, m), 2)
 
 
 @functools.lru_cache(maxsize=1)
@@ -523,5 +532,5 @@ def test_certificate_on_an_ideal_class_also_passes():
 def test_gap_class_reduction_is_itself():
     space = space23()
     cx = counterexample(space)
-    reduced = reduce_mod_ideal(space, 4, cx.coords(4))
+    reduced = ideal_component(space, 4).residual(cx.coords(4))
     assert Multivector.from_coords(2, 3, 4, reduced) == cx

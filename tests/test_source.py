@@ -1,4 +1,5 @@
-"""Source hygiene: every module of the package uses what it imports."""
+"""Source hygiene: every module of the package uses what it imports, and
+every public function or class has a reader in the package."""
 
 import ast
 import pathlib
@@ -33,3 +34,35 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+#: Public names that no module reads, each kept for a stated reason.
+UNREAD_ON_PURPOSE = {
+    "calibrate_sigma": "recomputes SIGMA by trying both signs; the tests pin the choice",
+    "centralizer_image": "the group-side check of perps that the extraspecial docstring promises",
+    "x_plus_matrix": "the benchmark's tracer counts the raising-matrix calls",
+}
+
+
+def unread_definitions(sources: list) -> list:
+    """Public top-level functions and classes of the given module sources
+    that no name or attribute in any of them reads."""
+    trees = [ast.parse(source) for source in sources]
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    return sorted(node.name for tree in trees for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_") and node.name not in read)
+
+
+def test_unread_definitions_are_found():
+    sources = ["def used():\n    return 1\n\nclass Orphan:\n    pass\n\n"
+               "def _private():\n    pass\n",
+               "from a import used\n\ndef lonely():\n    return used()\n"]
+    assert unread_definitions(sources) == ["Orphan", "lonely"]
+
+
+def test_public_code_has_a_reader():
+    sources = [path.read_text(encoding="utf-8") for path in MODULES]
+    assert unread_definitions(sources) == sorted(UNREAD_ON_PURPOSE)

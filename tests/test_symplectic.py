@@ -43,7 +43,6 @@ from infker.symplectic import (
     dim_wedge,
     divided_power_map,
     gamma,
-    gamma_dual,
     h_map,
     h_op,
     injectivity_surjectivity_probe,
@@ -101,7 +100,6 @@ def test_gamma_coefficients(space):
         " + ".join(f"x{i}^y{i}" for i in range(1, space.m + 1)),
         space.p, space.m)
     assert g == expected
-    assert gamma_dual(space) == expected.scale(-1)
 
 
 def test_dim_wedge():
