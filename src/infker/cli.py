@@ -202,7 +202,6 @@ def _cmd_isotropic(args):
         "m": space.m,
         "dim": args.dim,
         "count": catalog.count,
-        "complete": catalog.complete,
         "enumerated": True,
     }
     return lines + [summary], 0

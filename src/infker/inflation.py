@@ -38,7 +38,7 @@ from .exterior import (
     pullback_coords,
     pure_wedge_coords,
 )
-from .isotropic import annihilator, perp, radical_split
+from .isotropic import perp_chart
 from .prime_linalg import Matrix, Subspace, inv_mod, solve
 from .symplectic import (
     SymplecticSpace,
@@ -57,8 +57,16 @@ from .symplectic import (
 #: budget as ``Subspace.vectors`` and the group scans.
 CERTIFICATE_LIMIT = 10 ** 6
 
-#: Largest C(2m, m) that ``vanishing_space`` serves up to degree m: C(12, 6).
+#: Most C(2m, r) that ``ideal_component`` and ``vanishing_space`` serve,
+#: and most C(2m, m) for the vanishing space up to degree m: C(12, 6).
 VANISHING_LIMIT = 924
+
+
+def _refuse_wider(n: int, r: int):
+    """Refuse more than VANISHING_LIMIT degree-r wedge coordinates."""
+    if dim_wedge(n, r) > VANISHING_LIMIT:
+        raise CatalogTooLargeError(dim_wedge(n, r), VANISHING_LIMIT,
+                                   f"degree-{r} wedge coordinates")
 
 
 def _divided_power_parts(space: SymplecticSpace, r: int, js: tuple) -> dict:
@@ -79,6 +87,7 @@ def _divided_power_parts(space: SymplecticSpace, r: int, js: tuple) -> dict:
 def ideal_component(space: SymplecticSpace, r: int) -> Subspace:
     """Degree-r part of the ideal generated by the invariant 2-tensor:
     the image of the lowering operator out of degree r - 2."""
+    _refuse_wider(space.n, r)
     return _cached(space, ("ideal", r), lambda: assemble(
         space.p, space.m, r, _divided_power_parts(space, r, (1,))))
 
@@ -108,9 +117,7 @@ def _vanishing_parts(space: SymplecticSpace, r: int) -> dict:
     blocks that hold pairs x_k ^ y_k."""
     def build():
         p, m, n = space.p, space.m, space.n
-        if dim_wedge(n, m) > VANISHING_LIMIT:
-            raise CatalogTooLargeError(dim_wedge(n, m), VANISHING_LIMIT,
-                                       f"degree-{m} wedge coordinates")
+        _refuse_wider(n, m)
         parts = _divided_power_parts(space, r, tuple(range(1, r // 2 + 1)))
         dim = sum(part.dim for part in parts.values())
         if dim != dim_wedge(n, r - 2):
@@ -143,6 +150,7 @@ def vanishing_space(space: SymplecticSpace, r: int) -> Subspace:
     """
     def build():
         if r > space.m:
+            _refuse_wider(space.n, r)
             return Subspace.full(space.p, dim_wedge(space.n, r))
         return assemble(space.p, space.m, r, _vanishing_parts(space, r))
     return _cached(space, ("vanishing", r), build)
@@ -307,16 +315,6 @@ class CertificateReport:
         }
 
 
-def _restriction_data(space: SymplecticSpace, g, target: Multivector):
-    """Perp of g, the restriction of the target to it, and the restricted
-    symplectic form, each pulled back through its own terms."""
-    s_g = perp(space, g)
-    f = s_g.basis.transpose()
-    rest = pullback_coords(f, target.degree(), target.terms)
-    omega_rest = pullback_coords(f, 2, gamma(space).terms)
-    return s_g, rest, omega_rest
-
-
 def _gram_form(gram: Matrix) -> tuple:
     """Degree-2 coordinates of the form whose Gram matrix is ``gram``:
     coordinate (a, b), a < b, is entry (a, b).  On a subspace's rref basis
@@ -403,11 +401,9 @@ def certificate(space: SymplecticSpace, target: Multivector) -> CertificateRepor
             continue
         if not lead:
             continue
-        s_g = perp(space, g)
-        k = s_g.dim
-        rest = pullback_coords(s_g.basis.transpose(), degree, target.terms)
-        split = radical_split(space, s_g)
-        ann = annihilator(space, s_g, g)
+        chart = perp_chart(space, g)
+        k, ann = chart.sub.dim, chart.ann
+        rest = pullback_coords(chart.sub.basis.transpose(), degree, target.terms)
         coeffs = witness = None
         if any(rest):
             # the restricted form wedged with every degree - 2 monomial,
@@ -420,7 +416,7 @@ def certificate(space: SymplecticSpace, target: Multivector) -> CertificateRepor
                    for subset in subsets]
             )
             gens = (
-                _form_wedge_block(p, k, degree, _gram_form(split.gram))
+                _form_wedge_block(p, k, degree, _gram_form(chart.gram))
                 + [pure_wedge_coords([ann.basis.entries[i] for i in subset], k, p)
                    for subset in subsets]
             )
@@ -429,8 +425,8 @@ def certificate(space: SymplecticSpace, target: Multivector) -> CertificateRepor
                 witness = {"terms": [{"coeff": c, **ident}
                                      for c, ident in zip(coeffs, idents) if c]}
         by_point[g] = CertificateRecord(
-            g=g, dim_perp=k, dim_radical=split.rad.dim,
-            dim_complement=split.a.dim, dim_annihilator=ann.dim,
+            g=g, dim_perp=k, dim_radical=chart.rad.dim,
+            dim_complement=chart.a.dim, dim_annihilator=ann.dim,
             vacuous=not any(rest), member=coeffs is not None,
             witness=witness,
         )
@@ -448,18 +444,21 @@ def verify_certificate_record(space: SymplecticSpace, target: Multivector,
     restriction really is zero).  A malformed witness term, one that
     names no generator at this vector, returns False.
     """
-    degree = target.degree()
-    s_g, rest, omega_rest = _restriction_data(space, record.g, target)
+    degree, chart = target.degree(), perp_chart(space, record.g)
+    f = chart.sub.basis.transpose()
+    rest = pullback_coords(f, degree, target.terms)
     if record.vacuous:
         return not any(rest)
     terms = record.witness.get("terms") if isinstance(record.witness, dict) else None
     if not record.member or not isinstance(terms, list):
         return False
-    p = space.p
-    ann = annihilator(space, s_g, record.g)
-    total = [0] * dim_wedge(s_g.dim, degree)
+    # the form pulled back by minors cross-checks the one certificate read
+    # off the chart's Gram matrix
+    omega_rest = pullback_coords(f, 2, gamma(space).terms)
+    p, k = space.p, chart.sub.dim
+    total = [0] * dim_wedge(k, degree)
     for term in terms:
-        vec = _generator(p, s_g.dim, degree, omega_rest, ann, term)
+        vec = _generator(p, k, degree, omega_rest, chart.ann, term)
         if vec is None or type(term.get("coeff")) is not int:
             return False
         c = term["coeff"]

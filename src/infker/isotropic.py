@@ -1,4 +1,4 @@
-"""Catalogs of totally isotropic subspaces, perps, and radical splittings.
+"""Catalogs of totally isotropic subspaces, and the perp chart of a vector.
 
 Subspaces are enumerated through their reduced-row-echelon bases: for each
 pivot pattern the rows are filled top to bottom, and the isotropy
@@ -6,7 +6,8 @@ conditions against the rows already placed form an affine-linear system in
 the free entries of the next row.  Enumerating the solution set of that
 system (particular solution plus kernel combinations, in a fixed order)
 visits every isotropic subspace exactly once, deterministically, without
-scanning the full row space.
+scanning the full row space.  The perp of a nonzero vector, its split
+and the annihilator are written down from psi(g, -) alone (``perp_chart``).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import (
 from .prime_linalg import (
     Matrix,
     Subspace,
+    inv_mod,
     kernel_basis,
     rref,
     solve,
@@ -125,7 +127,6 @@ class IsotropicCatalog:
     m: int
     r: int
     count: int
-    complete: bool
     subspaces: tuple
 
     def __iter__(self) -> Iterator[Subspace]:
@@ -155,84 +156,83 @@ def enumerate_isotropic(space: SymplecticSpace, r: int) -> IsotropicCatalog:
             b = sub.basis
             if not (b @ gram @ b.transpose()).is_zero():
                 raise InvariantError("catalog contains a non-isotropic subspace")
-        return IsotropicCatalog(p=space.p, m=space.m, r=r, count=expected,
-                                complete=True, subspaces=subs)
+        return IsotropicCatalog(p=space.p, m=space.m, r=r, count=expected, subspaces=subs)
     return _cached(space, ("catalog", r), build)
 
 
-def perp(space: SymplecticSpace, g: Sequence[int]) -> Subspace:
-    """The set of vectors pairing to zero with ``g``."""
-    p, n = space.p, space.n
-    if len(g) != n:
-        raise DimensionMismatchError(f"vector length {len(g)} vs 2m = {n}")
-    # the one row g^T J, the functional J^T g
-    return kernel_basis(Matrix(p, [g], cols=n) @ space.gram)
+def _hyperplane(p: int, phi: Sequence[int]) -> Subspace:
+    """Kernel of the nonzero functional ``phi``: with f its last nonzero
+    position, the rows e_i - (phi_i/phi_f) e_f, i != f ascending, are its
+    rref, the rows ``kernel_basis`` returns for the one-row matrix phi."""
+    n, f = len(phi), max(i for i, c in enumerate(phi) if c)
+    scale, free = -inv_mod(phi[f], p), tuple(i for i in range(n) if i != f)
+    rows = tuple(tuple(int(j == i) if j != f else scale * phi[i] % p for j in range(n))
+                 for i in free)
+    return Subspace(p, n, Matrix._of(p, rows, n), free)
 
 
 @dataclass(frozen=True)
-class RadicalSplit:
-    """A subspace split as radical plus a nondegenerate complement, with
-    the restricted form: ``gram`` on the rref basis of ``sub``, ``gram_a``
-    on that of ``a``."""
+class PerpChart:
+    """The perp ``sub`` of a nonzero g, split as ``rad`` = <g> plus ``a``;
+    the form on their rref bases (``gram``, ``gram_a``); and ``ann``, the
+    functionals on ``sub`` (dual to its rref basis) killing g."""
 
     sub: Subspace
     rad: Subspace
     a: Subspace
     gram: Matrix
     gram_a: Matrix
+    ann: Subspace
 
 
-def radical_split(space: SymplecticSpace, sub: Subspace) -> RadicalSplit:
-    """Split ``sub`` into the radical of the restricted form and a
-    complement on which the form is nondegenerate.
+def perp_chart(space: SymplecticSpace, g: Sequence[int]) -> PerpChart:
+    """The perp chart of the nonzero vector ``g``, with no product or kernel.
 
-    In coordinates over the rref basis the radical is the kernel of the
-    k x k restricted Gram matrix.  The complement is spanned by the basis
-    rows at the kernel's non-pivot positions: a kernel vector that is zero
-    at every pivot is zero, so those rows meet the radical only in zero,
-    and the output is deterministic.  Those rows are already reduced, so
-    they are the complement's basis, with their own pivots, and its form
-    is the matching block of the restricted Gram matrix.  All the defining
-    properties are asserted before returning.
+    g^perp is the hyperplane of phi = psi(g, -) = (-g_y, g_x); its rows are
+    unit vectors plus multiples of e_f, f phi's last nonzero position, so
+    its Gram matrix is the form on the pivots but in the row and column of
+    f's partner.  The radical is <g>, with coordinates g at the pivots, led
+    never at f, so the other rows span a complement.  The split, the
+    radical's pairings and the complement's rank are asserted: together
+    they prove that ``rad`` is the whole radical.
     """
-    p, n = space.p, space.n
-    if sub.p != p or sub.ambient_dim != n:
-        raise DimensionMismatchError("subspace does not live on this space")
-    b, bt = sub.basis, sub.basis.transpose()
-    b_gram = b @ space.gram  # row i is the functional psi(b_i, -)
-    gram_sub = b_gram @ bt  # k x k restricted form
-    kernel = kernel_basis(gram_sub)
-    # c is 1 at its pivot f and 0 at the kernel's other pivots, so b^T c is
-    # 1 at sub's pivot f and 0 at the radical's other pivots: reduced rows
-    rad = Subspace(p, n, Matrix._of(p, tuple([bt.matvec(c) for c in kernel.basis.entries]), n),
-                   tuple([sub.pivots[f] for f in kernel.pivots]))
-    kernel_pivots = set(kernel.pivots)
-    kept = [i for i in range(sub.dim) if i not in kernel_pivots]
-    a_space = Subspace(p, n, Matrix._of(p, tuple(b.entries[i] for i in kept), n),
-                       tuple(sub.pivots[i] for i in kept))
+    p, m, n = space.p, space.m, space.n
+    if len(g) != n:
+        raise DimensionMismatchError(f"vector length {len(g)} vs 2m = {n}")
+    g = [c % p for c in g]
+    if not any(g):
+        raise ValueError("the perp chart needs a nonzero vector")
+    phi = [-c % p for c in g[m:]] + g[:m]
+    if sum(a * b for a, b in zip(phi, g)) % p:
+        raise ValueError("vector lies outside the subspace")
+    sub = _hyperplane(p, phi)
+    idx, f, J = sub.pivots, max(i for i, c in enumerate(phi) if c), space.gram.entries
+    rows = [[J[i][j] for j in idx] for i in idx]  # the form on the unit vectors
+    q = f + m if f < m else f - m  # the one position pairing with e_f
+    aq, sigma = q - (q > f), J[q][f]
+    for b, row in enumerate(sub.basis.entries):  # row b is e_idx[b] + row[f] e_f
+        if b != aq:
+            rows[aq][b], rows[b][aq] = sigma * row[f] % p, -sigma * row[f] % p
+    gram = Matrix._of(p, tuple(map(tuple, rows)), n - 1)
+    coords = [g[i] for i in idx]  # g on sub's rref basis
+    lead = next(a for a, c in enumerate(coords) if c)
+    inv, kept = inv_mod(coords[lead], p), [a for a in range(n - 1) if a != lead]
+    rad = Subspace(p, n, Matrix._of(p, (tuple(c * inv % p for c in g),), n), (idx[lead],))
+    a_space = Subspace(p, n, Matrix._of(p, tuple(sub.basis.entries[a] for a in kept), n),
+                       tuple(idx[a] for a in kept))
+    gram_a = Matrix._of(p, tuple(tuple(rows[a][b] for b in kept) for a in kept), n - 2)
+    chart = PerpChart(sub=sub, rad=rad, a=a_space, gram=gram, gram_a=gram_a,
+                      ann=_hyperplane(p, coords))
 
     # both parts lie in sub, so they split it when their coefficient vectors
     # at sub's pivots, sub.dim of them, lead at distinct positions
-    rows = rad.basis.entries + a_space.basis.entries
-    leads = {next((i for i, c in enumerate(sub.pivots) if row[c]), None) for row in rows}
-    if len(rows) != sub.dim or len(leads) != sub.dim or None in leads:
+    split_rows = chart.rad.basis.entries + chart.a.basis.entries
+    leads = {next((a for a, c in enumerate(idx) if row[c]), None) for row in split_rows}
+    if len(split_rows) != sub.dim or len(leads) != sub.dim or None in leads:
         raise InvariantError("radical and complement do not split the subspace")
-    if any(any(b_gram.matvec(row)) for row in rad.basis.entries):
+    if any(sum(u[i] * v[m + i] - u[m + i] * v[i] for i in range(m)) % p
+           for u in chart.rad.basis.entries for v in sub.basis.entries):
         raise InvariantError("radical vector pairs nontrivially inside the subspace")
-    gram_a = Matrix._of(p, tuple([tuple([gram_sub.entries[i][j] for j in kept]) for i in kept]),
-                        len(kept))
-    if rref(gram_a)[2] != a_space.dim:
+    if rref(chart.gram_a)[2] != chart.a.dim:
         raise InvariantError("complement form is degenerate")
-    return RadicalSplit(sub=sub, rad=rad, a=a_space, gram=gram_sub, gram_a=gram_a)
-
-
-def annihilator(space: SymplecticSpace, sub: Subspace, g: Sequence[int]) -> Subspace:
-    """Functionals on ``sub`` (in the dual of its rref basis) killing ``g``.
-
-    For g = 0 this is the whole dual; otherwise a hyperplane.  Raises when
-    ``g`` lies outside the subspace.
-    """
-    coeffs = sub.member(g)
-    if coeffs is None:
-        raise ValueError("vector lies outside the subspace")
-    return kernel_basis(Matrix._of(sub.p, (coeffs,), sub.dim))
+    return chart

@@ -107,6 +107,27 @@ def test_vanishing_refusal_before_any_map():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv,noun", [
+    (("vanishing-space", "-p", "2", "-m", "7", "-r", "8"), "3003 degree-8 wedge coordinates"),
+    (("ideal-basis", "-p", "2", "-m", "7", "-r", "7"), "3432 degree-7 wedge coordinates"),
+], ids=["vanishing-space", "ideal-basis"])
+def test_dense_basis_refusal_before_allocating(argv, noun):
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "infker", *argv],
+                          capture_output=True, text=True)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert noun in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_narrow_degrees_answer_past_m_6(capsys, schema):
+    code, blob, _ = run_json(capsys, schema, "ideal-basis", "-p", "2", "-m", "8", "-r", "2")
+    assert code == 0
+    assert blob["dim"] == 1
+
+
 #: Reports whose bytes were fixed while the vanishing spaces still came
 #: from the orbit closure.
 PINNED_DIGESTS = {
@@ -144,6 +165,12 @@ PINNED_DIGESTS = {
         "8f1a613e618dfd17491cd595de148fb2253012e03ddb499874853e720518ff0f",
     "vanishing-space -p 3 -m 5 -r 7":
         "6699c025c1aa40da565565656847e040a8e677a3c1d7174c415a56dbd1e77370",
+    # fixed while each perp was a kernel and its radical split came from the
+    # kernel of its Gram matrix; odd p, where phi_f != 1 and signs matter
+    "certificate -p 5 -m 2 --class x1^x2+3*y1^y2+4*x1^y2":
+        "56ba3bbdc88e65d466123ed2c71f25d540f2f85484c15d221ecaac4ad2fd2e5a",
+    "certificate -p 7 -m 2 --class x1^x2^y1+3*x2^y1^y2":
+        "d9ec90e8d6c10c3dbb5f7ca03631e8ee97171742077b2561ffffc943375e6637",
 }
 
 
@@ -279,7 +306,7 @@ def test_isotropic_stream_shape(capsys, schema):
     summary = json.loads(lines[-1])
     jsonschema.validate(summary, schema)
     assert summary["count"] == 15
-    assert summary["complete"] is True
+    assert "complete" not in summary
     assert summary["enumerated"] is True
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from infker import exterior, inflation, symplectic
-from infker.errors import HomogeneityError, InvariantError
+from infker.errors import CatalogTooLargeError, HomogeneityError, InvariantError
 from infker.exterior import (
     Multivector,
     mono_rank,
@@ -28,7 +28,6 @@ from infker.inflation import (
     _form_wedge_block,
     _generator,
     _gram_form,
-    _restriction_data,
     certificate,
     counterexample,
     ideal_component,
@@ -38,7 +37,7 @@ from infker.inflation import (
     vanishing_space,
     verify_certificate_record,
 )
-from infker.isotropic import annihilator, enumerate_isotropic, perp, radical_split
+from infker.isotropic import enumerate_isotropic, perp_chart
 from infker.prime_linalg import (
     Matrix,
     Subspace,
@@ -59,7 +58,7 @@ from infker.symplectic import (
     x_plus_matrix,
 )
 from test_exterior import pullback_matrix
-from test_isotropic import greedy_radical_split, random_subspace
+from test_isotropic import greedy_radical_split, kernel_annihilator, kernel_perp
 
 
 @functools.lru_cache(maxsize=None)
@@ -314,6 +313,22 @@ def test_theorem1_builds_no_dense_row(monkeypatch, p, m, gaps, first):
     assert str(counterexample(space)) == first
 
 
+def test_dense_bases_refused_before_any_is_built(monkeypatch):
+    """Past C(12, 6) wedge coordinates in a degree, the printed bases are
+    refused before a block is eliminated or a dense row is written."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a basis was built before the refusal")
+    monkeypatch.setattr(inflation, "_divided_power_parts", refuse)
+    monkeypatch.setattr(inflation, "assemble", refuse)
+    monkeypatch.setattr(Subspace, "full", refuse)
+    space = SymplecticSpace(2, 7)
+    for build, r, count in ((vanishing_space, 8, 3003), (vanishing_space, 3, 3432),
+                            (ideal_component, 7, 3432), (ideal_component, 9, 2002)):
+        with pytest.raises(CatalogTooLargeError) as exc:
+            build(space, r)
+        assert exc.value.count == count
+
+
 @pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (5, 3), (3, 4)])
 def test_pairing_check_sees_paired_blocks(monkeypatch, p, m):
     """Flipping the sign of x1^y1 in the zero-weight block's gamma columns
@@ -413,16 +428,19 @@ class TestCertificate:
 def certificate_records_oracle(space, target):
     """The per-vector loop that ``certificate`` ran before it solved once
     per projective point, with the greedy radical split: every nonzero g
-    gets its own perp, split, annihilator and solve."""
+    gets its own perp, split, annihilator and solve, each from the kernel
+    oracles rather than the perp chart."""
     degree = target.degree()
     p, n = space.p, space.n
     records = []
     for g in itertools.product(range(p), repeat=n):
         if not any(g):
             continue
-        s_g, rest, omega_rest = _restriction_data(space, g, target)
+        s_g = kernel_perp(space, g)
+        rest = pullback_coords(s_g.basis.transpose(), degree, target.terms)
+        omega_rest = pullback_coords(s_g.basis.transpose(), 2, gamma(space).terms)
         rad, a = greedy_radical_split(space, s_g)
-        ann = annihilator(space, s_g, g)
+        ann = kernel_annihilator(s_g, g)
         coeffs = witness = None
         if any(rest):
             idents = (
@@ -463,17 +481,20 @@ def test_certificate_matches_per_vector_oracle(p, m, cls, vacuous):
 
 @given(st.data())
 @settings(max_examples=80)
-def test_radical_split_gram_is_the_restricted_form(data):
+def test_perp_chart_gram_is_the_restricted_form(data):
     p = data.draw(st.sampled_from((2, 3, 5, 7)))
     m = data.draw(st.integers(1, 3))
     space = shared_space(p, m)
-    sub = random_subspace(data, p, 2 * m)
-    gram = radical_split(space, sub).gram
-    b = sub.basis
+    g = [data.draw(st.integers(0, p - 1)) for _ in range(2 * m)]
+    if not any(g):
+        return
+    chart = perp_chart(space, g)
+    gram, b = chart.gram, chart.sub.basis
     assert gram == b @ space.gram @ b.transpose()
     assert gram.entries == tuple(tuple(space.pairing(u, v) for v in b.entries)
                                  for u in b.entries)
-    # the form that certificate reads off the Gram is the pullback of gamma
+    # the form that certificate reads off the Gram is the pullback of gamma,
+    # which the replay computes by minors
     assert _gram_form(gram) == pullback_coords(b.transpose(), 2, gamma(space).terms)
 
 
@@ -496,11 +517,10 @@ def test_form_wedge_block_matches_generator_columns(p, m):
     for g in itertools.product(range(p), repeat=2 * m):
         if next((c for c in g if c), 0) != 1:
             continue
-        s_g = perp(space, g)
-        k = s_g.dim
-        omega_rest = pullback_coords(s_g.basis.transpose(), 2, gamma(space).terms)
-        omega_gram = _gram_form(radical_split(space, s_g).gram)
-        ann = annihilator(space, s_g, g)
+        chart = perp_chart(space, g)
+        k, ann = chart.sub.dim, chart.ann
+        omega_rest = pullback_coords(chart.sub.basis.transpose(), 2, gamma(space).terms)
+        omega_gram = _gram_form(chart.gram)
         for degree in range(2, k + 1):
             monos = monomials(k, degree - 2)
             block = _form_wedge_block(p, k, degree, omega_gram)

@@ -1,8 +1,12 @@
-"""Isotropic subspace catalogs, perpendiculars, and radical splits.
+"""Isotropic subspace catalogs and the perp chart of a vector.
 
 The enumeration is cross-checked two independent ways: against the
 closed-form count, and for small spaces against a filter over every
-subspace of the right dimension.
+subspace of the right dimension.  The chart, written down in closed
+form, is checked field by field against the general subspace machinery
+it replaced, kept here as oracles: the perp as a kernel, the radical
+split of any subspace through the kernel of its Gram matrix, and the
+annihilator as a kernel.
 """
 
 import itertools
@@ -10,15 +14,14 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from infker.errors import CatalogTooLargeError
+from infker import isotropic
+from infker.errors import CatalogTooLargeError, DimensionMismatchError, InvariantError
 from infker.isotropic import (
     CATALOG_LIMIT,
-    annihilator,
     count_isotropic,
     enumerate_isotropic,
     iter_isotropic,
-    perp,
-    radical_split,
+    perp_chart,
 )
 from infker.prime_linalg import (
     Matrix,
@@ -26,6 +29,7 @@ from infker.prime_linalg import (
     inv_mod,
     iter_subspaces,
     kernel_basis,
+    rref,
     sum_and_intersection,
 )
 from infker.symplectic import SymplecticSpace
@@ -88,7 +92,7 @@ def test_catalog_record_fields():
     cat = enumerate_isotropic(space, 2)
     assert (cat.p, cat.m, cat.r) == (2, 2, 2)
     assert cat.count == 15
-    assert cat.complete
+    assert tuple(cat) == tuple(iter_isotropic(space, 2))
     assert len(cat) == 15
     assert all(sub.dim == 2 for sub in cat)
     assert all(is_isotropic(space, sub) for sub in cat)
@@ -116,14 +120,124 @@ def test_lagrangian_catalog_under_limit():
     assert count_isotropic(7, 3, 3) < CATALOG_LIMIT
 
 
+def kernel_perp(space, g):
+    """The set of vectors pairing to zero with ``g``: the kernel of the one
+    row g^T J, as production computed it before the perp chart."""
+    p, n = space.p, space.n
+    return kernel_basis(Matrix(p, [g], cols=n) @ space.gram)
+
+
+def kernel_radical_split(space, sub):
+    """Split any subspace into the radical of the restricted form and a
+    complement, as production did before the perp chart: the radical is
+    the kernel of the k x k restricted Gram matrix, the complement the
+    basis rows at the kernel's non-pivot positions.  Returns (rad, a,
+    gram, gram_a)."""
+    p, n = space.p, space.n
+    b, bt = sub.basis, sub.basis.transpose()
+    gram = b @ space.gram @ bt
+    kernel = kernel_basis(gram)
+    rad = Subspace(p, n, Matrix._of(p, tuple(bt.matvec(c) for c in kernel.basis.entries), n),
+                   tuple(sub.pivots[f] for f in kernel.pivots))
+    kept = [i for i in range(sub.dim) if i not in set(kernel.pivots)]
+    a = Subspace(p, n, Matrix._of(p, tuple(b.entries[i] for i in kept), n),
+                 tuple(sub.pivots[i] for i in kept))
+    gram_a = Matrix._of(p, tuple(tuple(gram.entries[i][j] for j in kept) for i in kept),
+                        len(kept))
+    return rad, a, gram, gram_a
+
+
+def kernel_annihilator(sub, g):
+    """Functionals on ``sub`` (in the dual of its rref basis) killing ``g``:
+    the kernel of g's coordinate row.  Raises when ``g`` lies outside."""
+    coeffs = sub.member(g)
+    if coeffs is None:
+        raise ValueError("vector lies outside the subspace")
+    return kernel_basis(Matrix._of(sub.p, (coeffs,), sub.dim))
+
+
+def assert_chart_matches_oracles(space, g):
+    chart = perp_chart(space, g)
+    sub = kernel_perp(space, g)
+    rad, a, gram, gram_a = kernel_radical_split(space, sub)
+    ann = kernel_annihilator(sub, g)
+    for got, want in ((chart.sub, sub), (chart.rad, rad), (chart.a, a), (chart.ann, ann)):
+        assert got == want and got.pivots == want.pivots
+    for got, want in ((chart.gram, gram), (chart.gram_a, gram_a)):
+        assert got == want and (got.rows, got.cols) == (want.rows, want.cols)
+    greedy_rad, greedy_a = greedy_radical_split(space, sub)
+    assert chart.rad == greedy_rad and chart.a.dim == greedy_a.dim
+    assert (chart.sub.dim, chart.rad.dim, chart.a.dim, chart.ann.dim) == (
+        space.n - 1, 1, space.n - 2, space.n - 2)
+
+
+@given(st.data())
+@settings(max_examples=150)
+def test_perp_chart_matches_oracles(data):
+    p = data.draw(st.sampled_from((2, 3, 5, 7)))
+    m = data.draw(st.integers(1, 3))
+    g = [data.draw(st.integers(0, p - 1)) for _ in range(2 * m)]
+    if any(g):
+        assert_chart_matches_oracles(SymplecticSpace(p, m), g)
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (2, 3), (2, 4)])
+def test_perp_chart_matches_oracles_everywhere(p, m):
+    space = SymplecticSpace(p, m)
+    for g in itertools.product(range(p), repeat=2 * m):
+        if any(g):
+            assert_chart_matches_oracles(space, g)
+
+
+def test_perp_chart_refuses_zero_and_wrong_length():
+    space = SymplecticSpace(3, 2)
+    with pytest.raises(ValueError):
+        perp_chart(space, [0, 0, 0, 0])
+    with pytest.raises(ValueError):
+        perp_chart(space, [3, 0, 6, 0])  # zero mod 3
+    with pytest.raises(DimensionMismatchError):
+        perp_chart(space, [1, 0, 0])
+
+
+def test_perp_chart_rejects_a_complement_row_as_radical(monkeypatch):
+    """A chart whose radical is one of the complement's rows fails the
+    split check."""
+    real = isotropic.PerpChart
+
+    def swapped(**fields):
+        a = fields["a"]
+        rad = Subspace(a.p, a.ambient_dim, Matrix._of(a.p, a.basis.entries[:1], a.ambient_dim),
+                       a.pivots[:1])
+        return real(**{**fields, "rad": rad})
+    monkeypatch.setattr(isotropic, "PerpChart", swapped)
+    for p, m, g in ((2, 2, [1, 0, 0, 0]), (3, 2, [0, 1, 2, 0]), (5, 3, [1, 2, 3, 4, 0, 1])):
+        with pytest.raises(InvariantError, match="do not split"):
+            perp_chart(SymplecticSpace(p, m), g)
+
+
+def test_perp_chart_rejects_a_degenerate_complement(monkeypatch):
+    """A complement form that has lost its top row fails the rank check."""
+    real = isotropic.PerpChart
+
+    def degenerate(**fields):
+        gram_a = fields["gram_a"]
+        rows = ((0,) * gram_a.cols,) + gram_a.entries[1:]
+        return real(**{**fields, "gram_a": Matrix._of(gram_a.p, rows, gram_a.cols)})
+    monkeypatch.setattr(isotropic, "PerpChart", degenerate)
+    with pytest.raises(InvariantError, match="degenerate"):
+        perp_chart(SymplecticSpace(3, 2), [0, 0, 1, 0])
+
+
 def test_perp_dimensions():
     space = SymplecticSpace(2, 3)
-    assert perp(space, [1, 0, 0, 0, 0, 0]).dim == 5
-    assert perp(space, [0, 0, 0, 0, 0, 0]).dim == 6
+    assert perp_chart(space, [1, 0, 0, 0, 0, 0]).sub.dim == 5
+    with pytest.raises(ValueError):
+        perp_chart(space, [0, 0, 0, 0, 0, 0])
+    assert kernel_perp(space, [0, 0, 0, 0, 0, 0]).dim == 6
     for g in itertools.product(range(2), repeat=6):
         if not any(g):
             continue
-        pp = perp(space, g)
+        pp = perp_chart(space, g).sub
         assert pp.dim == 5
         assert pp.member(g) is not None
 
@@ -135,18 +249,21 @@ def test_perp_is_pairing_kernel(data):
     m = data.draw(st.integers(1, 3))
     space = SymplecticSpace(p, m)
     g = [data.draw(st.integers(0, p - 1)) for _ in range(2 * m)]
-    pp = perp(space, g)
+    if not any(g):
+        with pytest.raises(ValueError):
+            perp_chart(space, g)
+        return
+    pp = perp_chart(space, g).sub
     for row in pp.basis.entries:
         assert space.pairing(g, row) == 0
-    expected_dim = 2 * m if not any(g) else 2 * m - 1
-    assert pp.dim == expected_dim
+    assert pp.dim == 2 * m - 1
 
 
 def greedy_radical_split(space, sub):
     """The radical and a complement by greedy hyperbolic-pair extraction
-    over the rref basis, lowest-index vectors first: the split that
-    ``radical_split`` computed before it read the radical off the kernel
-    of the restricted Gram matrix.  Returns (rad, a)."""
+    over the rref basis, lowest-index vectors first: the split computed
+    before the radical was read off the kernel of the restricted Gram
+    matrix.  Returns (rad, a)."""
     p, n = space.p, space.n
     k = sub.dim
     b = sub.basis
@@ -202,26 +319,23 @@ def test_radical_split_properties(data):
     m = data.draw(st.integers(1, 3))
     space = SymplecticSpace(p, m)
     sub = random_subspace(data, p, 2 * m)
-    split = radical_split(space, sub)
-    assert split.sub == sub
-    assert split.rad.dim + split.a.dim == sub.dim
+    rad, a, _, ga = kernel_radical_split(space, sub)
+    assert rad.dim + a.dim == sub.dim
     # the radical pairs to zero against the whole subspace
-    for u in split.rad.basis.entries:
+    for u in rad.basis.entries:
         for v in sub.basis.entries:
             assert space.pairing(u, v) == 0
     # the complement carries a nondegenerate restriction
-    ga = split.gram_a
-    ab = split.a.basis
+    ab = a.basis
     assert ga == ab @ space.gram @ ab.transpose()
-    from infker.prime_linalg import rref
-    assert rref(ga)[2] == split.a.dim
+    assert rref(ga)[2] == a.dim
     # and sits inside the subspace
-    for row in split.a.basis.entries:
+    for row in a.basis.entries:
         assert sub.member(row) is not None
     # its basis is already canonical, pivots included
-    again = Subspace.from_rows(p, 2 * m, split.a.basis.entries)
-    assert split.a == again
-    assert split.a.pivots == again.pivots
+    again = Subspace.from_rows(p, 2 * m, a.basis.entries)
+    assert a == again
+    assert a.pivots == again.pivots
 
 
 @given(st.data())
@@ -231,10 +345,10 @@ def test_radical_split_matches_greedy_oracle(data):
     m = data.draw(st.integers(1, 3))
     space = SymplecticSpace(p, m)
     sub = random_subspace(data, p, 2 * m)
-    rad, a = greedy_radical_split(space, sub)
-    split = radical_split(space, sub)
-    assert split.rad == rad
-    assert split.a.dim == a.dim
+    greedy_rad, greedy_a = greedy_radical_split(space, sub)
+    rad, a, _, _ = kernel_radical_split(space, sub)
+    assert rad == greedy_rad
+    assert a.dim == greedy_a.dim
 
 
 @given(st.data())
@@ -244,78 +358,92 @@ def test_radical_split_rad_matches_two_elimination_oracle(data):
     m = data.draw(st.integers(1, 3))
     space = SymplecticSpace(p, m)
     sub = random_subspace(data, p, 2 * m)
-    split = radical_split(space, sub)
+    rad = kernel_radical_split(space, sub)[0]
     b = sub.basis
     kernel = two_elimination_kernel(b @ space.gram @ b.transpose())
     oracle = Subspace.from_rows(
         p, 2 * m, [b.transpose().matvec(c) for c in kernel.basis.entries])
-    assert split.rad == oracle and split.rad.pivots == oracle.pivots
-    again = Subspace.from_rows(p, 2 * m, split.rad.basis.entries)
-    assert split.rad == again and split.rad.pivots == again.pivots
+    assert rad == oracle and rad.pivots == oracle.pivots
+    again = Subspace.from_rows(p, 2 * m, rad.basis.entries)
+    assert rad == again and rad.pivots == again.pivots
 
 
-def test_radical_split_eliminates_twice(monkeypatch):
-    """The kernel of the restricted Gram and the complement's rank: the
-    radical itself is wrapped, not re-reduced, and the split is checked
-    without an elimination."""
+def test_perp_chart_eliminates_once(monkeypatch):
+    """The complement's rank is the chart's one elimination; the perp, the
+    Gram matrix, the radical and the annihilator are written down, with
+    no matrix product or matrix-vector product."""
     import infker.prime_linalg as pl
+
+    def refuse(*args):
+        raise AssertionError("the chart multiplied matrices")
     space = SymplecticSpace(3, 2)
-    sub = Subspace.from_rows(3, 4, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     calls = count_calls(monkeypatch, pl, "_rref_rows")
-    split = radical_split(space, sub)
-    assert len(calls) == 2
-    assert split.rad.basis.entries == ((0, 0, 1, 0),)
-    assert split.rad.pivots == (2,)
+    monkeypatch.setattr(Matrix, "__matmul__", refuse)
+    monkeypatch.setattr(Matrix, "matvec", refuse)
+    chart = perp_chart(space, [0, 0, 1, 0])
+    assert len(calls) == 1
+    assert chart.sub.basis.entries == ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert chart.rad.basis.entries == ((0, 0, 1, 0),)
+    assert chart.rad.pivots == (2,)
 
 
 def test_radical_split_frozen_cases():
     space = SymplecticSpace(3, 2)
     degenerate = Subspace.from_rows(
         3, 4, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    split = radical_split(space, degenerate)
-    assert split.rad.dim == 1
-    assert split.a.dim == 2
-    assert split.rad.basis.entries == ((0, 0, 1, 0),)
+    rad, a, _, _ = kernel_radical_split(space, degenerate)
+    assert rad.dim == 1
+    assert a.dim == 2
+    assert rad.basis.entries == ((0, 0, 1, 0),)
+    # the same hyperplane is the perp of y1, and the chart agrees
+    chart = perp_chart(space, [0, 0, 1, 0])
+    assert (chart.sub, chart.rad, chart.a) == (degenerate, rad, a)
 
     plane = Subspace.from_rows(3, 4, [[1, 0, 0, 0], [0, 0, 1, 0]])
-    split = radical_split(space, plane)
-    assert split.rad.dim == 0
-    assert split.a.dim == 2
+    rad, a, _, _ = kernel_radical_split(space, plane)
+    assert rad.dim == 0
+    assert a.dim == 2
 
     lagrangian = Subspace.from_rows(3, 4, [[1, 0, 0, 0], [0, 1, 0, 0]])
-    split = radical_split(space, lagrangian)
-    assert split.rad.dim == 2
-    assert split.a.dim == 0
+    rad, a, _, _ = kernel_radical_split(space, lagrangian)
+    assert rad.dim == 2
+    assert a.dim == 0
 
 
 def test_radical_of_isotropic_is_everything():
     space = SymplecticSpace(2, 3)
     for sub in iter_isotropic(space, 2):
-        split = radical_split(space, sub)
-        assert split.rad == sub
-        assert split.a.dim == 0
+        rad, a, _, _ = kernel_radical_split(space, sub)
+        assert rad == sub
+        assert a.dim == 0
 
 
 def test_annihilator_dimensions():
     space = SymplecticSpace(3, 2)
     sub = Subspace.from_rows(3, 4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
-    inside = annihilator(space, sub, [1, 2, 0, 0])
+    inside = kernel_annihilator(sub, [1, 2, 0, 0])
     assert inside.dim == 2
     assert inside.ambient_dim == 3
-    zero = annihilator(space, sub, [0, 0, 0, 0])
+    zero = kernel_annihilator(sub, [0, 0, 0, 0])
     assert zero.dim == 3
     with pytest.raises(ValueError):
-        annihilator(space, sub, [0, 0, 0, 1])
+        kernel_annihilator(sub, [0, 0, 0, 1])
+    # that sub is the perp of x2, whose chart's annihilator is a hyperplane
+    chart = perp_chart(space, [0, 1, 0, 0])
+    assert chart.sub == sub
+    assert chart.ann == kernel_annihilator(sub, [0, 1, 0, 0])
+    assert (chart.ann.dim, chart.ann.ambient_dim) == (2, 3)
 
 
 def test_annihilator_rows_kill_the_vector():
     space = SymplecticSpace(5, 2)
-    sub = Subspace.from_rows(5, 4, [[1, 0, 0, 0], [0, 1, 0, 0]])
-    g = [2, 3, 0, 0]
-    coords = sub.member(g)
-    ann = annihilator(space, sub, g)
-    for row in ann.basis.entries:
-        assert sum(a * b for a, b in zip(row, coords)) % 5 == 0
+    for g in itertools.product(range(5), repeat=4):
+        if not any(g):
+            continue
+        chart = perp_chart(space, g)
+        coords = chart.sub.member(g)
+        for row in chart.ann.basis.entries:
+            assert sum(a * b for a, b in zip(row, coords)) % 5 == 0
 
 
 def test_isotropy_closed_under_subspaces():
