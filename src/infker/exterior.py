@@ -149,6 +149,71 @@ def pullback_coords(f: Matrix, r: int, terms: dict) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _hyperplane_terms(nvars: int, f: int, r: int) -> tuple:
+    """The wedges of r rows of a hyperplane chart, as positions and signs.
+
+    Row b of the chart at ``f`` is e_u + t_b e_f, u = b + (b >= f): a
+    basis of a hyperplane on ``nvars`` positions with one row per position
+    other than f, its rref rows when f is the last position its functional
+    reads.  The wedge of rows B, with U = u(B), is e_U plus, for
+    each b in B, (-1)^s t_b e_{U - u + f}, s the number of positions of U
+    strictly between u and f; every other term takes e_f twice.  Returns
+    (by_rows, by_mono): by_rows maps B to (rank of U, ((rank of U - u + f,
+    sign, b), ...)); by_mono maps each degree-r monomial I on ``nvars``
+    positions to the transpose, (rank of B with U = I or None, ((rank of
+    B, sign, b), ...)), ranks colex.
+    """
+    by_rows, units, hits = {}, {}, {}
+    for rows in itertools.combinations(range(nvars - 1), r):
+        us, rank_b = tuple(b + (b >= f) for b in rows), mono_rank(rows)
+        terms = []
+        for b, u in zip(rows, us):
+            sign, mono = sort_to_monomial([f if v == u else v for v in us])
+            terms.append((mono_rank(mono), sign, b))
+            hits.setdefault(mono, []).append((rank_b, sign, b))
+        by_rows[rows] = (mono_rank(us), tuple(terms))
+        units[us] = rank_b
+    by_mono = {mono: (units.get(mono), tuple(hits.get(mono, ())))
+               for mono in itertools.combinations(range(nvars), r)}
+    return by_rows, by_mono
+
+
+def hyperplane_wedge(nvars: int, p: int, f: int, t: Sequence[int], rows: Mono) -> tuple:
+    """Colex coordinates of the wedge of the rows ``rows`` (a monomial
+    on the nvars - 1 row numbers) of the hyperplane chart (f, t), whose
+    row b is e_u + t_b e_f, u = b + (b >= f): e_U plus the signed t_b at
+    U - u + f, as ``_hyperplane_terms`` lists them.  What
+    ``pure_wedge_coords`` gives for those rows, with no minor."""
+    unit, terms = _hyperplane_terms(nvars, f, len(rows))[0][rows]
+    out = [0] * comb(nvars, len(rows))
+    out[unit] = 1
+    for rank, sign, b in terms:
+        out[rank] = sign * t[b] % p
+    return tuple(out)
+
+
+def hyperplane_restriction(nvars: int, p: int, f: int, t: Sequence[int], r: int,
+                           terms: dict) -> tuple:
+    """Colex coordinates, on the nvars - 1 rows of the hyperplane chart
+    (f, t), of the restriction of one degree-r class given as
+    ``{monomial: coeff}`` on ``nvars`` positions.  Coordinate B is the
+    class at the wedge of rows B, so this is the transpose of
+    ``hyperplane_wedge``: what ``pullback_coords`` gives along the
+    transposed rows, with no minor."""
+    table = _hyperplane_terms(nvars, f, r)[1]
+    out = [0] * comb(nvars - 1, r)
+    for mono, coeff in terms.items():
+        if len(mono) != r:
+            raise DimensionMismatchError(f"monomial {mono} does not have degree {r}")
+        unit, entries = table[mono]
+        if unit is not None:
+            out[unit] += coeff
+        for rank, sign, b in entries:
+            out[rank] += sign * t[b] * coeff
+    return tuple([v % p for v in out])
+
+
+@lru_cache(maxsize=None)
 def _wedge_table(nvars: int, deg_a: int, deg_b: int) -> tuple:
     """Products of monomials by colex rank: entry [ia][ib] is (sign, rank)
     of monomial ia of degree deg_a wedged with monomial ib of degree deg_b,

@@ -33,6 +33,8 @@ from .errors import CatalogTooLargeError, InvariantError
 from .exterior import (
     Multivector,
     _wedge_table,
+    hyperplane_restriction,
+    hyperplane_wedge,
     mono_rank,
     monomials,
     pullback_coords,
@@ -315,34 +317,29 @@ class CertificateReport:
         }
 
 
-def _gram_form(gram: Matrix) -> tuple:
-    """Degree-2 coordinates of the form whose Gram matrix is ``gram``:
-    coordinate (a, b), a < b, is entry (a, b).  On a subspace's rref basis
-    this is the pullback of gamma = sum x_i ^ y_i, whose coordinate (a, b)
-    sums the minors b_a[i] b_b[m + i] - b_a[m + i] b_b[i] into
-    psi(b_a, b_b)."""
-    return tuple(gram.entries[a][b] for a, b in monomials(gram.rows, 2))
+def _gram_form(gram: tuple) -> tuple:
+    """Degree-2 coordinates of the form whose Gram matrix has the rows
+    ``gram``: coordinate (a, b), a < b, is entry (a, b).  On a subspace's
+    rref basis this is the pullback of gamma = sum x_i ^ y_i, whose
+    coordinate (a, b) sums the minors b_a[i] b_b[m + i] - b_a[m + i] b_b[i]
+    into psi(b_a, b_b)."""
+    return tuple(gram[a][b] for a, b in monomials(len(gram), 2))
 
 
-def _form_wedge_column(p: int, k: int, degree: int, omega_terms, mu: int) -> tuple:
-    """Coordinates of the restricted form wedged with monomial ``mu``
-    (a colex rank) of degree - 2 on the k-dimensional perp; the form is
-    given by its nonzero ``(rank, coeff)`` terms."""
-    col = [0] * dim_wedge(k, degree)
-    table = _wedge_table(k, 2, degree - 2)
-    for ia, c in omega_terms:
-        hit = table[ia][mu]
-        if hit is not None:
-            col[hit[1]] += hit[0] * c
-    return tuple([v % p for v in col])
-
-
-def _form_wedge_block(p: int, k: int, degree: int, omega_rest) -> list:
-    """The restricted form wedged with every degree - 2 monomial of the
-    k-dimensional perp, one column per monomial in colex order."""
+def _form_wedge_columns(p: int, k: int, degree: int, omega_rest, mus) -> list:
+    """Coordinates of the restricted form wedged with each monomial in
+    ``mus`` (colex ranks of degree - 2) on the k-dimensional perp, one
+    column per monomial."""
     omega_terms = [(ia, c) for ia, c in enumerate(omega_rest) if c]
-    return [_form_wedge_column(p, k, degree, omega_terms, mu)
-            for mu in range(dim_wedge(k, degree - 2))]
+    table, size, cols = _wedge_table(k, 2, degree - 2), dim_wedge(k, degree), []
+    for mu in mus:
+        col = [0] * size
+        for ia, c in omega_terms:
+            hit = table[ia][mu]
+            if hit is not None:
+                col[hit[1]] += hit[0] * c
+        cols.append(tuple([v % p for v in col]))
+    return cols
 
 
 def _generator(p: int, k: int, degree: int, omega_rest, ann: Subspace,
@@ -362,8 +359,7 @@ def _generator(p: int, k: int, degree: int, omega_rest, ann: Subspace,
         return None
     if kind == "annihilator_wedge":
         return pure_wedge_coords([ann.basis.entries[i] for i in positions], k, p)
-    omega_terms = [(ia, c) for ia, c in enumerate(omega_rest) if c]
-    return _form_wedge_column(p, k, degree, omega_terms, mono_rank(tuple(positions)))
+    return _form_wedge_columns(p, k, degree, omega_rest, [mono_rank(tuple(positions))])[0]
 
 
 def certificate(space: SymplecticSpace, target: Multivector) -> CertificateReport:
@@ -376,9 +372,14 @@ def certificate(space: SymplecticSpace, target: Multivector) -> CertificateRepor
     the membership can be replayed independently.  The test runs once per
     projective point, at the g whose first nonzero entry is 1: c * g has
     the same perp, restriction, annihilator and witness, so its record is
-    g's with only g replaced.  Spaces with more than CERTIFICATE_LIMIT
-    nonzero vectors are refused with CatalogTooLargeError before the
-    first perp is built.
+    g's with only g replaced.  Each point works from its perp chart's
+    data alone: the restriction and the annihilator wedges are the
+    closed forms ``hyperplane_restriction`` and ``hyperplane_wedge`` of
+    the perp's and the annihilator's hyperplane charts, and the form
+    wedges come from the chart's Gram rows; identity records are built
+    only for a witness's nonzero coefficients.  Spaces with more than
+    CERTIFICATE_LIMIT nonzero vectors are refused with
+    CatalogTooLargeError before the first perp is built.
     """
     if target.p != space.p or target.m != space.m:
         raise ValueError("class does not live on this space")
@@ -391,6 +392,19 @@ def certificate(space: SymplecticSpace, target: Multivector) -> CertificateRepor
     nonzero = p ** n - 1
     if nonzero > CERTIFICATE_LIMIT:
         raise CatalogTooLargeError(nonzero, CERTIFICATE_LIMIT, "vectors")
+    # g^perp has dimension k, its radical <g> dimension 1, and the
+    # complement and the annihilator dimension k - 1; the generators are
+    # the form wedged with each monomial, then the annihilator's wedges
+    k = n - 1
+    monos = monomials(k, degree - 2)
+    form_mus = range(len(monos))
+    subsets = list(itertools.combinations(range(k - 1), degree))
+
+    def identity(j: int) -> dict:
+        if j < len(monos):
+            return {"kind": "form_wedge", "monomial": list(monos[j])}
+        return {"kind": "annihilator_wedge", "rows": list(subsets[j - len(monos)])}
+
     records = []
     by_point = {}  # normalized g -> its record; product order lists it first
     for g in itertools.product(range(p), repeat=n):
@@ -402,33 +416,20 @@ def certificate(space: SymplecticSpace, target: Multivector) -> CertificateRepor
         if not lead:
             continue
         chart = perp_chart(space, g)
-        k, ann = chart.sub.dim, chart.ann
-        rest = pullback_coords(chart.sub.basis.transpose(), degree, target.terms)
+        rest = hyperplane_restriction(n, p, chart.f, chart.c, degree, target.terms)
         coeffs = witness = None
         if any(rest):
-            # the restricted form wedged with every degree - 2 monomial,
-            # and the pure wedges of annihilator functionals of g
-            subsets = list(itertools.combinations(range(ann.dim), degree))
-            idents = (
-                [{"kind": "form_wedge", "monomial": list(mu)}
-                 for mu in monomials(k, degree - 2)]
-                + [{"kind": "annihilator_wedge", "rows": list(subset)}
-                   for subset in subsets]
-            )
-            gens = (
-                _form_wedge_block(p, k, degree, _gram_form(chart.gram))
-                + [pure_wedge_coords([ann.basis.entries[i] for i in subset], k, p)
-                   for subset in subsets]
-            )
+            gens = (_form_wedge_columns(p, k, degree, _gram_form(chart.gram), form_mus)
+                    + [hyperplane_wedge(k, p, chart.f_ann, chart.t, subset)
+                       for subset in subsets])
             coeffs = solve(Matrix._of(p, tuple(zip(*gens)), len(gens)), rest)
             if coeffs is not None:
-                witness = {"terms": [{"coeff": c, **ident}
-                                     for c, ident in zip(coeffs, idents) if c]}
+                witness = {"terms": [{"coeff": c, **identity(j)}
+                                     for j, c in enumerate(coeffs) if c]}
         by_point[g] = CertificateRecord(
-            g=g, dim_perp=k, dim_radical=chart.rad.dim,
-            dim_complement=chart.a.dim, dim_annihilator=ann.dim,
-            vacuous=not any(rest), member=coeffs is not None,
-            witness=witness,
+            g=g, dim_perp=k, dim_radical=1, dim_complement=k - 1,
+            dim_annihilator=k - 1, vacuous=not any(rest),
+            member=coeffs is not None, witness=witness,
         )
         records.append(by_point[g])
     return CertificateReport(p=p, m=space.m, degree=degree,

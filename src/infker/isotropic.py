@@ -26,7 +26,7 @@ from .prime_linalg import (
     Subspace,
     inv_mod,
     kernel_basis,
-    rref,
+    rank,
     solve,
 )
 from .symplectic import SymplecticSpace, _cached
@@ -160,79 +160,135 @@ def enumerate_isotropic(space: SymplecticSpace, r: int) -> IsotropicCatalog:
     return _cached(space, ("catalog", r), build)
 
 
-def _hyperplane(p: int, phi: Sequence[int]) -> Subspace:
-    """Kernel of the nonzero functional ``phi``: with f its last nonzero
-    position, the rows e_i - (phi_i/phi_f) e_f, i != f ascending, are its
-    rref, the rows ``kernel_basis`` returns for the one-row matrix phi."""
-    n, f = len(phi), max(i for i, c in enumerate(phi) if c)
-    scale, free = -inv_mod(phi[f], p), tuple(i for i in range(n) if i != f)
-    rows = tuple(tuple(int(j == i) if j != f else scale * phi[i] % p for j in range(n))
-                 for i in free)
+def _hyperplane_chart(p: int, phi: Sequence[int]) -> tuple:
+    """(f, t) for the kernel of the nonzero functional ``phi``: f is its
+    last nonzero position and t_b = -phi_u/phi_f at the other positions
+    u = b + (b >= f), so the kernel's rref rows are e_u + t_b e_f."""
+    f = len(phi) - 1 - next(i for i, c in enumerate(reversed(phi)) if c)
+    scale = -inv_mod(phi[f], p)
+    return f, tuple([scale * c % p for i, c in enumerate(phi) if i != f])
+
+
+def _hyperplane(p: int, n: int, f: int, t: Sequence[int]) -> Subspace:
+    """The hyperplane chart (f, t) on n positions as a Subspace: the rows
+    e_u + t_b e_f, u != f ascending.  For the chart of a functional
+    (``_hyperplane_chart``) these are byte for byte the rows that
+    ``kernel_basis`` returns for its one-row matrix."""
+    free = tuple(i for i in range(n) if i != f)
+    rows = tuple(tuple(int(j == u) if j != f else tb for j in range(n))
+                 for u, tb in zip(free, t))
     return Subspace(p, n, Matrix._of(p, rows, n), free)
+
+
+def _perp_gram(space: SymplecticSpace, f: int) -> tuple:
+    """The form on the unit vectors e_u, u != f: the Gram matrix of every
+    perp whose chart is free but at f, before the row and column of f's
+    partner are corrected.  Built once per (space, f)."""
+    def build():
+        J = space.gram.entries
+        idx = [i for i in range(space.n) if i != f]
+        return tuple(tuple(J[i][j] for j in idx) for i in idx)
+    return _cached(space, ("perp_gram", f), build)
 
 
 @dataclass(frozen=True)
 class PerpChart:
-    """The perp ``sub`` of a nonzero g, split as ``rad`` = <g> plus ``a``;
-    the form on their rref bases (``gram``, ``gram_a``); and ``ann``, the
-    functionals on ``sub`` (dual to its rref basis) killing g."""
+    """The perp of a nonzero g, as the data that every one of its parts
+    is written down from.
 
-    sub: Subspace
-    rad: Subspace
-    a: Subspace
-    gram: Matrix
-    gram_a: Matrix
-    ann: Subspace
+    g^perp is the hyperplane chart (f, c): its rref rows are e_u + c_b e_f,
+    u = b + (b >= f).  ``gram`` holds the form on those rows.  The radical
+    is <g>, whose coordinates on the rows are g off f, led at row
+    ``lead``; the complement is the other rows.  The annihilator, the
+    functionals on g^perp (dual to its rows) that kill g, is the
+    hyperplane chart (f_ann, t) on 2m - 1 positions.  The Subspace and
+    Matrix views ``sub``, ``rad``, ``a``, ``gram_a`` and ``ann`` are
+    built only when read.
+    """
+
+    p: int
+    g: tuple
+    f: int
+    c: tuple
+    gram: tuple
+    lead: int
+    f_ann: int
+    t: tuple
+
+    @property
+    def sub(self) -> Subspace:
+        return _hyperplane(self.p, len(self.g), self.f, self.c)
+
+    @property
+    def rad(self) -> Subspace:
+        p, g, u = self.p, self.g, self.lead + (self.lead >= self.f)
+        inv = inv_mod(g[u], p)
+        return Subspace(p, len(g), Matrix._of(p, (tuple(x * inv % p for x in g),), len(g)),
+                        (u,))
+
+    @property
+    def a(self) -> Subspace:
+        sub = self.sub
+        kept = [b for b in range(sub.dim) if b != self.lead]
+        return Subspace(self.p, sub.ambient_dim,
+                        Matrix._of(self.p, tuple(sub.basis.entries[b] for b in kept),
+                                   sub.ambient_dim),
+                        tuple(sub.pivots[b] for b in kept))
+
+    @property
+    def gram_a(self) -> Matrix:
+        b, rows = self.lead, self.gram[:self.lead] + self.gram[self.lead + 1:]
+        return Matrix._of(self.p, tuple(row[:b] + row[b + 1:] for row in rows), len(rows))
+
+    @property
+    def ann(self) -> Subspace:
+        return _hyperplane(self.p, len(self.c), self.f_ann, self.t)
 
 
 def perp_chart(space: SymplecticSpace, g: Sequence[int]) -> PerpChart:
-    """The perp chart of the nonzero vector ``g``, with no product or kernel.
+    """The perp chart of the nonzero vector ``g``, with no product, kernel
+    or view.
 
-    g^perp is the hyperplane of phi = psi(g, -) = (-g_y, g_x); its rows are
-    unit vectors plus multiples of e_f, f phi's last nonzero position, so
-    its Gram matrix is the form on the pivots but in the row and column of
-    f's partner.  The radical is <g>, with coordinates g at the pivots, led
-    never at f, so the other rows span a complement.  The split, the
-    radical's pairings and the complement's rank are asserted: together
-    they prove that ``rad`` is the whole radical.
+    g^perp is the hyperplane of phi = psi(g, -) = (-g_y, g_x), charted at
+    f, phi's last nonzero position; its rows are unit vectors plus
+    multiples of e_f, so its Gram matrix is the form on the unit vectors,
+    templated per (space, f), but in the row and column of f's partner.
+    The radical is <g>, whose coordinates on the rows are g off f, led
+    never at f; the annihilator is the hyperplane of those coordinates.
+    On the chart's own data, three checks run: the radical's coordinates
+    lead where the complement has no row (the split), psi(g, -) is
+    phi_u + c_b phi_f = 0 on every row (the radical pairing), and the
+    complement's form has full rank (the chart's one elimination).
+    Together they prove that <g> is the whole radical.
     """
     p, m, n = space.p, space.m, space.n
     if len(g) != n:
         raise DimensionMismatchError(f"vector length {len(g)} vs 2m = {n}")
-    g = [c % p for c in g]
+    g = [x % p for x in g]
     if not any(g):
         raise ValueError("the perp chart needs a nonzero vector")
-    phi = [-c % p for c in g[m:]] + g[:m]
+    phi = [-x % p for x in g[m:]] + g[:m]
     if sum(a * b for a, b in zip(phi, g)) % p:
         raise ValueError("vector lies outside the subspace")
-    sub = _hyperplane(p, phi)
-    idx, f, J = sub.pivots, max(i for i, c in enumerate(phi) if c), space.gram.entries
-    rows = [[J[i][j] for j in idx] for i in idx]  # the form on the unit vectors
+    f, c = _hyperplane_chart(p, phi)
     q = f + m if f < m else f - m  # the one position pairing with e_f
-    aq, sigma = q - (q > f), J[q][f]
-    for b, row in enumerate(sub.basis.entries):  # row b is e_idx[b] + row[f] e_f
+    aq, sigma = q - (q > f), space.gram.entries[q][f]
+    rows = [list(row) for row in _perp_gram(space, f)]
+    for b, cb in enumerate(c):  # row b is e_u + cb e_f, and psi(e_q, e_f) = sigma
         if b != aq:
-            rows[aq][b], rows[b][aq] = sigma * row[f] % p, -sigma * row[f] % p
-    gram = Matrix._of(p, tuple(map(tuple, rows)), n - 1)
-    coords = [g[i] for i in idx]  # g on sub's rref basis
-    lead = next(a for a, c in enumerate(coords) if c)
-    inv, kept = inv_mod(coords[lead], p), [a for a in range(n - 1) if a != lead]
-    rad = Subspace(p, n, Matrix._of(p, (tuple(c * inv % p for c in g),), n), (idx[lead],))
-    a_space = Subspace(p, n, Matrix._of(p, tuple(sub.basis.entries[a] for a in kept), n),
-                       tuple(idx[a] for a in kept))
-    gram_a = Matrix._of(p, tuple(tuple(rows[a][b] for b in kept) for a in kept), n - 2)
-    chart = PerpChart(sub=sub, rad=rad, a=a_space, gram=gram, gram_a=gram_a,
-                      ann=_hyperplane(p, coords))
+            rows[aq][b], rows[b][aq] = sigma * cb % p, -sigma * cb % p
+    coords = g[:f] + g[f + 1:]  # g on the rows
+    lead = next(b for b, x in enumerate(coords) if x)
+    f_ann, t = _hyperplane_chart(p, coords)
+    chart = PerpChart(p=p, g=tuple(g), f=f, c=c, gram=tuple(map(tuple, rows)),
+                      lead=lead, f_ann=f_ann, t=t)
 
-    # both parts lie in sub, so they split it when their coefficient vectors
-    # at sub's pivots, sub.dim of them, lead at distinct positions
-    split_rows = chart.rad.basis.entries + chart.a.basis.entries
-    leads = {next((a for a, c in enumerate(idx) if row[c]), None) for row in split_rows}
-    if len(split_rows) != sub.dim or len(leads) != sub.dim or None in leads:
+    # the complement's rows lead at every row but ``lead``, so the parts
+    # split g^perp when the radical's coordinates lead there
+    if not coords[chart.lead] or any(coords[:chart.lead]):
         raise InvariantError("radical and complement do not split the subspace")
-    if any(sum(u[i] * v[m + i] - u[m + i] * v[i] for i in range(m)) % p
-           for u in chart.rad.basis.entries for v in sub.basis.entries):
+    if any((phi[b + (b >= f)] + cb * phi[f]) % p for b, cb in enumerate(chart.c)):
         raise InvariantError("radical vector pairs nontrivially inside the subspace")
-    if rref(chart.gram_a)[2] != chart.a.dim:
+    if rank(chart.gram_a) != n - 2:
         raise InvariantError("complement form is degenerate")
     return chart

@@ -171,6 +171,16 @@ PINNED_DIGESTS = {
         "56ba3bbdc88e65d466123ed2c71f25d540f2f85484c15d221ecaac4ad2fd2e5a",
     "certificate -p 7 -m 2 --class x1^x2^y1+3*x2^y1^y2":
         "d9ec90e8d6c10c3dbb5f7ca03631e8ee97171742077b2561ffffc943375e6637",
+    # fixed while each point's restriction and annihilator wedges were taken
+    # by minors; at odd p the restricted monomials contain f, so signs matter
+    "certificate -p 2 -m 3 --class x2^x3^y2^y3":
+        "ca88a5ae0f5b109ed8a53db8ea86a8d09b0781d4c96ef8c23f4ac40a17e92e89",
+    "certificate -p 2 -m 3 --class x2^x3^y2^y3 --format text":
+        "58d31d82c6d6b3ac8ac127d4c700e774efafe53b970f3199af8c482d2ef121f8",
+    "certificate -p 3 -m 3 --class x1^x2^x3^y1+2*x2^y2^y3^y1":
+        "479abcf2daa70acc368bf84618fad00210da044265c5ce1418f5607012bfb006",
+    "certificate -p 2 -m 4 --class x1^x2^y3^y4+x1^y1^x3^y3":
+        "62614b5af5d846559082cfd84a6b278dbc4fcc640819403ec5f22af7dd7851fd",
 }
 
 

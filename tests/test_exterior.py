@@ -20,6 +20,8 @@ from infker.exterior import (
     Multivector,
     VariableOrder,
     compound_matrix,
+    hyperplane_restriction,
+    hyperplane_wedge,
     mono_rank,
     monomials,
     parse,
@@ -240,6 +242,42 @@ def test_pullback_coords_matches_pullback_matrix(p, data):
 def test_pullback_coords_rejects_other_degrees():
     with pytest.raises(DimensionMismatchError):
         pullback_coords(Matrix.identity(3, 4), 2, {(0,): 1})
+
+
+@given(primes, st.data())
+@settings(max_examples=120)
+def test_hyperplane_closed_forms_match_minors(p, data):
+    """The wedges of the rows e_u + t_b e_f of a nonzero functional's
+    kernel, and the restriction of a class to that kernel, agree with the
+    minors of ``pure_wedge_coords`` and ``pullback_coords`` in every
+    degree, with f anywhere, first and last included.  f is the
+    functional's last nonzero position (the rref rows) or any nonzero
+    position of it (t_b nonzero past f too)."""
+    n = data.draw(st.integers(1, 8))
+    f = data.draw(st.sampled_from(sorted({0, n - 1, data.draw(st.integers(0, n - 1))})))
+    anywhere = data.draw(st.booleans())
+    phi = [data.draw(st.integers(0, p - 1)) if j < f or anywhere else 0 for j in range(n)]
+    phi[f] = data.draw(st.integers(1, p - 1))
+    t = [-c * pow(phi[f], p - 2, p) % p for j, c in enumerate(phi) if j != f]
+    rows = [[t[b] if j == f else int(j == b + (b >= f)) for j in range(n)]
+            for b in range(n - 1)]
+    f_t = Matrix(p, [[row[j] for row in rows] for j in range(n)], cols=n - 1)
+    for r in range(n + 1):
+        subsets = list(itertools.combinations(range(n - 1), r))
+        for subset in data.draw(st.lists(st.sampled_from(subsets), max_size=4)
+                                if subsets else st.just([])):
+            assert hyperplane_wedge(n, p, f, t, subset) == pure_wedge_coords(
+                [rows[b] for b in subset], n, p)
+        monos = monomials(n, r)
+        coords = data.draw(st.lists(st.integers(0, p - 1),
+                                    min_size=len(monos), max_size=len(monos)))
+        terms = {mono: c for mono, c in zip(monos, coords) if c}
+        assert hyperplane_restriction(n, p, f, t, r, terms) == pullback_coords(f_t, r, terms)
+
+
+def test_hyperplane_restriction_rejects_other_degrees():
+    with pytest.raises(DimensionMismatchError):
+        hyperplane_restriction(4, 3, 1, (1, 2, 0), 2, {(0,): 1})
 
 
 @given(primes, st.data())

@@ -13,7 +13,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from infker import exterior, inflation, symplectic
+from infker import exterior, inflation, isotropic, prime_linalg, symplectic
 from infker.errors import CatalogTooLargeError, HomogeneityError, InvariantError
 from infker.exterior import (
     Multivector,
@@ -25,7 +25,7 @@ from infker.exterior import (
 )
 from infker.inflation import (
     CertificateRecord,
-    _form_wedge_block,
+    _form_wedge_columns,
     _generator,
     _gram_form,
     certificate,
@@ -58,6 +58,7 @@ from infker.symplectic import (
     x_plus_matrix,
 )
 from test_exterior import pullback_matrix
+from test_prime_linalg import count_calls
 from test_isotropic import greedy_radical_split, kernel_annihilator, kernel_perp
 
 
@@ -313,6 +314,30 @@ def test_theorem1_builds_no_dense_row(monkeypatch, p, m, gaps, first):
     assert str(counterexample(space)) == first
 
 
+@pytest.mark.parametrize("p,m,cls,points,solves", [
+    (3, 3, "x2^x3^y2^y3", 364, 324),
+    (2, 4, "x2^x3^x4^y2^y3^y4", 255, 192),
+])
+def test_certificate_works_from_chart_data(monkeypatch, p, m, cls, points, solves):
+    """Each projective point takes no minor and builds no hyperplane
+    Subspace: the chart's rank check is its one elimination, and a point
+    whose restriction is nonzero adds one solve."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("certificate took minors or built a hyperplane")
+    monkeypatch.setattr(inflation, "pure_wedge_coords", refuse)
+    monkeypatch.setattr(inflation, "pullback_coords", refuse)
+    monkeypatch.setattr(isotropic, "_hyperplane", refuse)
+    space, target = SymplecticSpace(p, m), parse(cls, p, m)
+    ranks = count_calls(monkeypatch, isotropic, "rank")
+    solved = count_calls(monkeypatch, inflation, "solve")
+    eliminations = count_calls(monkeypatch, prime_linalg, "_rref_rows")
+    rep = certificate(space, target)
+    normalized = [rec for rec in rep.records if next(c for c in rec.g if c) == 1]
+    assert rep.overall and len(normalized) == points
+    assert sum(not rec.vacuous for rec in normalized) == solves
+    assert (len(ranks), len(solved), len(eliminations)) == (points, solves, points + solves)
+
+
 def test_dense_bases_refused_before_any_is_built(monkeypatch):
     """Past C(12, 6) wedge coordinates in a degree, the printed bases are
     refused before a block is eliminated or a dense row is written."""
@@ -490,9 +515,8 @@ def test_perp_chart_gram_is_the_restricted_form(data):
         return
     chart = perp_chart(space, g)
     gram, b = chart.gram, chart.sub.basis
-    assert gram == b @ space.gram @ b.transpose()
-    assert gram.entries == tuple(tuple(space.pairing(u, v) for v in b.entries)
-                                 for u in b.entries)
+    assert gram == (b @ space.gram @ b.transpose()).entries
+    assert gram == tuple(tuple(space.pairing(u, v) for v in b.entries) for u in b.entries)
     # the form that certificate reads off the Gram is the pullback of gamma,
     # which the replay computes by minors
     assert _gram_form(gram) == pullback_coords(b.transpose(), 2, gamma(space).terms)
@@ -523,7 +547,7 @@ def test_form_wedge_block_matches_generator_columns(p, m):
         omega_gram = _gram_form(chart.gram)
         for degree in range(2, k + 1):
             monos = monomials(k, degree - 2)
-            block = _form_wedge_block(p, k, degree, omega_gram)
+            block = _form_wedge_columns(p, k, degree, omega_gram, range(len(monos)))
             assert block == [
                 _generator(p, k, degree, omega_rest, ann,
                            {"kind": "form_wedge", "monomial": list(mu)})

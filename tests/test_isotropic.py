@@ -163,8 +163,13 @@ def assert_chart_matches_oracles(space, g):
     ann = kernel_annihilator(sub, g)
     for got, want in ((chart.sub, sub), (chart.rad, rad), (chart.a, a), (chart.ann, ann)):
         assert got == want and got.pivots == want.pivots
-    for got, want in ((chart.gram, gram), (chart.gram_a, gram_a)):
-        assert got == want and (got.rows, got.cols) == (want.rows, want.cols)
+    assert chart.gram == gram.entries and len(chart.gram) == gram.rows == gram.cols
+    assert chart.gram_a == gram_a and (chart.gram_a.rows, chart.gram_a.cols) == (
+        gram_a.rows, gram_a.cols)
+    # the chart's data is the perp's column at f and the annihilator's at f_ann
+    assert chart.c == tuple(row[chart.f] for row in sub.basis.entries)
+    assert chart.t == tuple(row[chart.f_ann] for row in ann.basis.entries)
+    assert rad.pivots == (sub.pivots[chart.lead],)
     greedy_rad, greedy_a = greedy_radical_split(space, sub)
     assert chart.rad == greedy_rad and chart.a.dim == greedy_a.dim
     assert (chart.sub.dim, chart.rad.dim, chart.a.dim, chart.ann.dim) == (
@@ -199,17 +204,18 @@ def test_perp_chart_refuses_zero_and_wrong_length():
         perp_chart(space, [1, 0, 0])
 
 
-def test_perp_chart_rejects_a_complement_row_as_radical(monkeypatch):
-    """A chart whose radical is one of the complement's rows fails the
-    split check."""
+def corrupt_chart(monkeypatch, change):
+    """Have ``perp_chart`` check a chart whose data ``change`` rewrites
+    (a function of the chart's fields) before its checks run."""
     real = isotropic.PerpChart
+    monkeypatch.setattr(isotropic, "PerpChart",
+                        lambda **fields: real(**{**fields, **change(fields)}))
 
-    def swapped(**fields):
-        a = fields["a"]
-        rad = Subspace(a.p, a.ambient_dim, Matrix._of(a.p, a.basis.entries[:1], a.ambient_dim),
-                       a.pivots[:1])
-        return real(**{**fields, "rad": rad})
-    monkeypatch.setattr(isotropic, "PerpChart", swapped)
+
+def test_perp_chart_rejects_a_complement_row_as_radical(monkeypatch):
+    """A chart whose radical is led at one of the complement's rows fails
+    the split check."""
+    corrupt_chart(monkeypatch, lambda fields: {"lead": 0 if fields["lead"] else 1})
     for p, m, g in ((2, 2, [1, 0, 0, 0]), (3, 2, [0, 1, 2, 0]), (5, 3, [1, 2, 3, 4, 0, 1])):
         with pytest.raises(InvariantError, match="do not split"):
             perp_chart(SymplecticSpace(p, m), g)
@@ -217,15 +223,28 @@ def test_perp_chart_rejects_a_complement_row_as_radical(monkeypatch):
 
 def test_perp_chart_rejects_a_degenerate_complement(monkeypatch):
     """A complement form that has lost its top row fails the rank check."""
-    real = isotropic.PerpChart
+    def degenerate(fields):
+        gram, top = fields["gram"], 0 if fields["lead"] else 1
+        return {"gram": tuple((0,) * len(row) if b == top else row
+                              for b, row in enumerate(gram))}
+    corrupt_chart(monkeypatch, degenerate)
+    for p, m, g in ((3, 2, [0, 0, 1, 0]), (2, 3, [1, 1, 0, 0, 1, 0])):
+        with pytest.raises(InvariantError, match="degenerate"):
+            perp_chart(SymplecticSpace(p, m), g)
 
-    def degenerate(**fields):
-        gram_a = fields["gram_a"]
-        rows = ((0,) * gram_a.cols,) + gram_a.entries[1:]
-        return real(**{**fields, "gram_a": Matrix._of(gram_a.p, rows, gram_a.cols)})
-    monkeypatch.setattr(isotropic, "PerpChart", degenerate)
-    with pytest.raises(InvariantError, match="degenerate"):
-        perp_chart(SymplecticSpace(3, 2), [0, 0, 1, 0])
+
+@pytest.mark.parametrize("b", [0, -1])
+def test_perp_chart_rejects_a_wrong_perp_row(monkeypatch, b):
+    """A perp row off by e_f no longer pairs to zero with g: one wrong
+    entry of c fails the radical-pairing check."""
+    def shifted(fields):
+        c = list(fields["c"])
+        c[b] = (c[b] + 1) % fields["p"]
+        return {"c": tuple(c)}
+    corrupt_chart(monkeypatch, shifted)
+    for p, m, g in ((2, 2, [1, 0, 0, 0]), (3, 2, [0, 1, 2, 0]), (7, 3, [1, 2, 3, 4, 0, 1])):
+        with pytest.raises(InvariantError, match="pairs nontrivially"):
+            perp_chart(SymplecticSpace(p, m), g)
 
 
 def test_perp_dimensions():
