@@ -28,6 +28,7 @@ from .errors import (
 from .exterior import Multivector, monomials, parse, pullback_coords
 from .extraspecial import center, commutator, group_type, make_group
 from .inflation import (
+    _refuse_wider,
     certificate,
     counterexample,
     ideal_component,
@@ -91,10 +92,14 @@ def _mv_strings(space: SymplecticSpace, r: int, sub: Subspace) -> list:
 
 
 def _degree_report(args, command: str, basis_of):
-    """A basis report in one degree; ``basis_of(space, r)`` lists it."""
-    space = SymplecticSpace(args.prime, args.rank)
-    _check_degree(args.degree, space.m)
-    basis = basis_of(space, args.degree)
+    """A basis report in one degree; ``basis_of(space, r)`` lists it.  Past
+    VANISHING_LIMIT coordinates it is refused before the space is built;
+    the vanishing space up to degree m by degree m's, as it refuses."""
+    m, r = args.rank, args.degree
+    _check_degree(r, m)
+    _refuse_wider(2 * m, m if command == "vanishing-space" and r <= m else r)
+    space = SymplecticSpace(args.prime, m)
+    basis = basis_of(space, r)
     return {"command": command, "p": space.p, "m": space.m, "degree": args.degree,
             "dim": len(basis), "basis": basis}, 0
 
@@ -142,6 +147,7 @@ def _cmd_vanishing_space(args):
 
 
 def _cmd_theorem1(args):
+    _refuse_wider(2 * args.rank, args.rank)  # before the 2m x 2m form is built
     space = SymplecticSpace(args.prime, args.rank)
     sandwiches = theorem1_verify(space)
     payload = {
@@ -156,6 +162,7 @@ def _cmd_theorem1(args):
 
 
 def _cmd_counterexample(args):
+    _refuse_wider(2 * args.rank, args.rank)  # before the 2m x 2m form is built
     space = SymplecticSpace(args.prime, args.rank)
     cx = counterexample(space)
     payload = {

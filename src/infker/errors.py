@@ -41,9 +41,10 @@ class CatalogTooLargeError(InfkerError):
     ``noun`` names what was counted, e.g. "subspaces" or "vectors".
     """
 
-    def __init__(self, count: int, limit: int, noun: str):
+    def __init__(self, count: int, limit: int, noun: str, at_least: bool = False):
+        shown = f"at least 2^{count.bit_length() - 1}" if at_least else count
         super().__init__(
-            f"catalog holds {count} {noun}, more than the supported {limit}"
+            f"catalog holds {shown} {noun}, more than the supported {limit}"
         )
         self.count = count
         self.limit = limit

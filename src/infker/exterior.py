@@ -319,6 +319,16 @@ class Multivector:
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
 
+    @classmethod
+    def _of(cls, p: int, m: int, terms: dict) -> "Multivector":
+        """Wrap valid monomials whose coefficients are already in [0, p);
+        the zero ones are dropped."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "p", p)
+        object.__setattr__(obj, "m", m)
+        object.__setattr__(obj, "terms", {mono: c for mono, c in terms.items() if c})
+        return obj
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
@@ -418,7 +428,7 @@ class Multivector:
                     continue
                 sign, mono = merged
                 terms[mono] = (terms.get(mono, 0) + sign * ca * cb) % self.p
-        return Multivector(self.p, self.m, terms)
+        return Multivector._of(self.p, self.m, terms)
 
     def __eq__(self, other) -> bool:
         return (

@@ -17,16 +17,21 @@ every pointwise membership condition even when it lies outside the
 ideal.
 
 Both operators preserve the torus weight of a monomial, so both spaces
-are computed and kept as one local subspace per weight block
-(``_divided_power_parts``, ``_vanishing_parts``); ``sandwich`` works on
-those parts directly, and only ``ideal_component`` and ``vanishing_space``,
-whose bases are printed or compared, assemble them into colex rows.
+are kept as one local subspace per weight block (``_divided_power_parts``,
+``_vanishing_parts``).  A block is written in pair coordinates, the
+subsets K of its free set, where wedging with gamma^(j) is a signed
+inclusion matrix; its rref is the one elimination of that matrix per
+(s, k), shared by every block with those sizes and moved to each by the
+signs epsilon(K).  ``sandwich`` works on the parts directly, and only
+``ideal_component`` and ``vanishing_space``, whose bases are printed or
+compared, assemble them into colex rows.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
 from .errors import CatalogTooLargeError, InvariantError
@@ -46,9 +51,7 @@ from .symplectic import (
     SymplecticSpace,
     _cached,
     assemble,
-    block_columns,
     dim_wedge,
-    divided_power_columns,
     gamma,
     generator_transvections,
     torus_weight,
@@ -63,26 +66,63 @@ CERTIFICATE_LIMIT = 10 ** 6
 #: and most C(2m, m) for the vanishing space up to degree m: C(12, 6).
 VANISHING_LIMIT = 924
 
-
 def _refuse_wider(n: int, r: int):
-    """Refuse more than VANISHING_LIMIT degree-r wedge coordinates."""
-    if dim_wedge(n, r) > VANISHING_LIMIT:
-        raise CatalogTooLargeError(dim_wedge(n, r), VANISHING_LIMIT,
-                                   f"degree-{r} wedge coordinates")
+    """Refuse more than VANISHING_LIMIT degree-r wedge coordinates.  C(n, r)
+    grows one factor at a time; past 14,000 bits (4,200 digits, still
+    printable) a power of two below it is stated, so huge n refuse at once."""
+    noun, count = f"degree-{r} wedge coordinates", int(0 <= r <= n)
+    for i in range(min(r, n - r)):
+        count = count * (n - i) // (i + 1)
+        if count.bit_length() > 14000:
+            raise CatalogTooLargeError(count, VANISHING_LIMIT, noun, at_least=True)
+    if count > VANISHING_LIMIT:
+        raise CatalogTooLargeError(count, VANISHING_LIMIT, noun)
+
+
+@lru_cache(maxsize=None)
+def _inclusion_rref(p: int, s: int, k: int, js: tuple) -> Subspace:
+    """The rref of the unsigned inclusion matrices W_{k-j,k}(s), j in
+    ``js``, stacked: row K' has a 1 at each k-subset of range(s) holding
+    it, both in colex order.  Eliminated once per key in the process."""
+    cols = [sum(1 << a for a in mono) for mono in monomials(s, k)]
+    return Subspace.from_rows(p, len(cols), [
+        [int(not row & ~col) for col in cols]
+        for j in js for row in (sum(1 << a for a in mono) for mono in monomials(s, k - j))])
+
+
+def _pair_signs(w: tuple, k: int) -> tuple:
+    """epsilon(K) for the k-subsets K of the free set {a : w_a = 0}, in
+    colex order of K: the sign that sorts x_I ^ y_J ^ prod_{a in K} x_a ^ y_a
+    into its monomial, (-1)^(C(k, 2) + |J| k + sum_{a in K} #{i in I u J : i > a})."""
+    later = [sum(map(abs, w[a + 1:])) for a, v in enumerate(w) if not v]
+    base = k * (k - 1) // 2 + w.count(-1) * k
+    return tuple([-1 if (base + sum([later[a] for a in mono])) & 1 else 1
+                  for mono in monomials(len(later), k)])
 
 
 def _divided_power_parts(space: SymplecticSpace, r: int, js: tuple) -> dict:
     """The span of the images of gamma^(j) ^ from degree r - 2j over the j
-    in ``js``, as one canonical local subspace per torus weight: one
-    elimination per block, cached per (r, js)."""
+    in ``js``, one canonical local subspace per torus weight.  On the block
+    of x_I ^ y_J ^ prod_{a in K} x_a ^ y_a, K a k-subset of the s-element
+    free set, gamma^(j) ^ is D' W_{k-j,k}(s) D with D = diag(epsilon(K)), so
+    the block transports its (s, k)'s ``_inclusion_rref``; at p = 2 it is
+    that rref itself."""
     def build():
-        m, blocks, cols = space.m, weight_blocks(space.m, r)[0], {}
-        for j in js:
-            columns = divided_power_columns(m, j, r - 2 * j)
-            for w, block in block_columns(m, columns, r - 2 * j, r).items():
-                if w in blocks:  # else no degree-r monomial has weight w
-                    cols.setdefault(w, []).extend(block)
-        return {w: Subspace.from_rows(space.p, len(blocks[w]), c) for w, c in cols.items()}
+        p, m, parts = space.p, space.m, {}
+        for w in weight_blocks(m, r)[0]:
+            s = w.count(0)
+            k = (r - m + s) // 2
+            used = tuple([j for j in js if j <= k])
+            if not used:
+                continue
+            part = _inclusion_rref(p, s, k, used)
+            if p != 2:  # scale column c by eps[c], then each row by eps at its pivot
+                eps, d = _pair_signs(w, k), part.ambient_dim
+                rows = tuple(tuple([v if e == eps[c] else -v % p for v, e in zip(row, eps)])
+                             for row, c in zip(part.basis.entries, part.pivots))
+                part = Subspace(p, d, Matrix._of(p, rows, d), part.pivots)
+            parts[w] = part
+        return parts
     return _cached(space, ("divided_power_parts", r, js), build)
 
 
@@ -109,6 +149,25 @@ def quotient_basis(space: SymplecticSpace, r: int) -> tuple:
     )
 
 
+def _frame_wedges(space: SymplecticSpace) -> list:
+    """Per generator transvection t, the wedges of t(x1)..t(xr) and of
+    t(y1)..t(yr) for r = 0..m: prefix products of sparse degree-1
+    Multivectors."""
+    def build():
+        p, m, chains = space.p, space.m, []
+        one = Multivector.one(p, m)
+        for t in generator_transvections(space):
+            images = [Multivector._of(p, m, {(i,): c for i, c in enumerate(col)})
+                      for col in zip(*t.entries)]  # the columns t(e_q)
+            chain = [(one, one)]
+            for q in range(m):
+                chain.append(tuple(wedge.wedge(images[a])
+                                   for wedge, a in zip(chain[-1], (q, m + q))))
+            chains.append(chain)
+        return chains
+    return _cached(space, ("frame_wedges",), build)
+
+
 def _vanishing_parts(space: SymplecticSpace, r: int) -> dict:
     """The vanishing space in degree r <= m, one local subspace per torus
     weight: the divided-power ideal (images of gamma^(j) ^ from degree
@@ -124,14 +183,12 @@ def _vanishing_parts(space: SymplecticSpace, r: int) -> dict:
         dim = sum(part.dim for part in parts.values())
         if dim != dim_wedge(n, r - 2):
             raise InvariantError(f"degree {r}: divided-power ideal has dimension {dim}")
-        monos, slot = monomials(n, r), weight_blocks(m, r)[1]
-        for t in generator_transvections(space):  # those along x1, y1 fix the seeds
-            images = t.transpose().entries
-            for frame in (images[:r], images[m:m + r]):
+        slot = weight_blocks(m, r)[1]
+        for chain in _frame_wedges(space):  # those along x1, y1 fix the seeds
+            for wedge in chain[r]:
                 support = {}  # weight -> (local slot, coefficient) of the wedge's terms
-                for k, c in enumerate(pure_wedge_coords(frame, n, p)):
-                    if c:
-                        support.setdefault(torus_weight(m, monos[k]), []).append((slot[k], c))
+                for mono, c in wedge.terms.items():
+                    support.setdefault(torus_weight(m, mono), []).append((slot[mono_rank(mono)], c))
                 for w, terms in support.items():
                     if w in parts and any(sum(c * row[i] for i, c in terms) % p
                                           for row in parts[w].basis.entries):

@@ -196,7 +196,10 @@ def _cached(space: SymplecticSpace, key, build):
 def torus_weight(m: int, mono: tuple) -> tuple:
     """The torus weight e_I - e_J in {-1, 0, 1}^m of x_I ^ y_J, whatever
     pairs x_k ^ y_k it also holds."""
-    return tuple((i in mono) - (m + i in mono) for i in range(m))
+    w = [0] * m
+    for a in mono:
+        w[a % m] += 1 if a < m else -1
+    return tuple(w)
 
 
 @lru_cache(maxsize=None)

@@ -9,6 +9,7 @@ against the shipped schema.
 import hashlib
 import importlib.resources
 import json
+import resource
 import subprocess
 import sys
 import time
@@ -243,6 +244,39 @@ def test_sl2_check_past_dense_products(capsys, schema):
     code, blob, _ = run_json(capsys, schema, "sl2-check", "-p", "3", "-m", "6")
     assert code == 0
     assert blob["ok"] is True
+
+
+def run_capped(*argv):
+    """The CLI in a subprocess capped at 1.5 GB of address space and 30 s,
+    so a refusal that comes after an allocation fails the test instead of
+    exhausting the machine."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+    return subprocess.run([sys.executable, "-m", "infker", *argv], capture_output=True,
+                          text=True, timeout=30, preexec_fn=cap)
+
+
+@pytest.mark.parametrize("argv,noun", [
+    (("theorem1", "-p", "2", "-m", "100000"), "at least 2^14004 degree-100000 wedge coordinates"),
+    (("counterexample", "-p", "2", "-m", "100000"), "at least 2^14004 degree-100000"),
+    (("theorem1", "-p", "2", "-m", "7"), "3432 degree-7 wedge coordinates"),
+    (("quotient-basis", "-p", "2", "-m", "12", "-r", "12"), "2704156 degree-12 wedge coordinates"),
+    (("quotient-basis", "-p", "2", "-m", "9", "-r", "9"), "48620 degree-9 wedge coordinates"),
+    (("ideal-basis", "-p", "2", "-m", "100000", "-r", "3"), "1333313333400000 degree-3"),
+], ids=lambda arg: " ".join(arg) if isinstance(arg, tuple) else None)
+def test_oversized_input_refused_before_allocating(argv, noun):
+    proc = run_capped(*argv)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert noun in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_quotient_basis_answers_up_to_the_limit(capsys, schema):
+    # C(12, 6) = 924 coordinates, the most any basis report serves
+    code, blob, _ = run_json(capsys, schema, "quotient-basis", "-p", "2", "-m", "6", "-r", "6")
+    assert code == 0
+    assert blob["dim"] == 924 - 430  # minus the ideal's dimension
 
 
 def test_sl2_check_refusal_beyond_m_8():

@@ -356,17 +356,19 @@ def test_dense_bases_refused_before_any_is_built(monkeypatch):
 
 @pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (5, 3), (3, 4)])
 def test_pairing_check_sees_paired_blocks(monkeypatch, p, m):
-    """Flipping the sign of x1^y1 in the zero-weight block's gamma columns
-    keeps every dimension; only pairing with the transvection images of
-    y1 ^ ... ^ yr, which reach the blocks holding pairs, catches it."""
+    """Flipping the sign epsilon(K) at K = {x1^y1} in the zero-weight block
+    of degree 2 keeps every dimension; only pairing with the transvection
+    images of y1 ^ ... ^ yr, which reach the blocks holding pairs, catches
+    it."""
     zero, at = (0,) * m, weight_blocks(m, 2)[1][mono_rank((0, m))]
+    signs = inflation._pair_signs
 
-    def flipped(m_, columns, r, s):
-        out = symplectic.block_columns(m_, columns, r, s)
-        if s == 2 and zero in out:
-            out[zero] = [[-v if i == at else v for i, v in enumerate(col)] for col in out[zero]]
+    def flipped(w, k):
+        out = signs(w, k)
+        if w == zero and k == 1:
+            out = tuple(-e if i == at else e for i, e in enumerate(out))
         return out
-    monkeypatch.setattr(inflation, "block_columns", flipped)
+    monkeypatch.setattr(inflation, "_pair_signs", flipped)
     with pytest.raises(InvariantError, match="pairs with an isotropic wedge"):
         vanishing_space(SymplecticSpace(p, m), 2)
 
