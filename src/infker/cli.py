@@ -28,7 +28,7 @@ from .errors import (
 from .exterior import Multivector, monomials, parse, pullback_coords
 from .extraspecial import center, commutator, group_type, make_group
 from .inflation import (
-    _refuse_wider,
+    VANISHING_LIMIT,
     certificate,
     counterexample,
     ideal_component,
@@ -40,7 +40,9 @@ from .isotropic import count_isotropic, enumerate_isotropic
 from .prime_linalg import Subspace, check_prime
 from .symplectic import (
     SIGMA,
+    TRIPLE_LIMIT,
     SymplecticSpace,
+    _refuse_wider,
     decompose,
     ladder,
     premet_suprunenko,
@@ -97,7 +99,8 @@ def _degree_report(args, command: str, basis_of):
     the vanishing space up to degree m by degree m's, as it refuses."""
     m, r = args.rank, args.degree
     _check_degree(r, m)
-    _refuse_wider(2 * m, m if command == "vanishing-space" and r <= m else r)
+    _refuse_wider(2 * m, m if command == "vanishing-space" and r <= m else r,
+                  VANISHING_LIMIT)
     space = SymplecticSpace(args.prime, m)
     basis = basis_of(space, r)
     return {"command": command, "p": space.p, "m": space.m, "degree": args.degree,
@@ -109,6 +112,7 @@ def _degree_report(args, command: str, basis_of):
 
 
 def _cmd_sl2_check(args):
+    _refuse_wider(2 * args.rank, args.rank, TRIPLE_LIMIT)  # before the 2m x 2m form is built
     rep = sl2_check(SymplecticSpace(args.prime, args.rank))
     payload = {"command": "sl2-check", **rep.to_json()}
     return payload, 0 if rep.ok else 1
@@ -147,7 +151,7 @@ def _cmd_vanishing_space(args):
 
 
 def _cmd_theorem1(args):
-    _refuse_wider(2 * args.rank, args.rank)  # before the 2m x 2m form is built
+    _refuse_wider(2 * args.rank, args.rank, VANISHING_LIMIT)  # before the 2m x 2m form is built
     space = SymplecticSpace(args.prime, args.rank)
     sandwiches = theorem1_verify(space)
     payload = {
@@ -162,7 +166,7 @@ def _cmd_theorem1(args):
 
 
 def _cmd_counterexample(args):
-    _refuse_wider(2 * args.rank, args.rank)  # before the 2m x 2m form is built
+    _refuse_wider(2 * args.rank, args.rank, VANISHING_LIMIT)  # before the 2m x 2m form is built
     space = SymplecticSpace(args.prime, args.rank)
     cx = counterexample(space)
     payload = {

@@ -50,6 +50,9 @@ from .prime_linalg import Matrix, Subspace, inv_mod, solve
 from .symplectic import (
     SymplecticSpace,
     _cached,
+    _inclusion_columns,
+    _pair_signs,
+    _refuse_wider,
     assemble,
     dim_wedge,
     gamma,
@@ -66,38 +69,15 @@ CERTIFICATE_LIMIT = 10 ** 6
 #: and most C(2m, m) for the vanishing space up to degree m: C(12, 6).
 VANISHING_LIMIT = 924
 
-def _refuse_wider(n: int, r: int):
-    """Refuse more than VANISHING_LIMIT degree-r wedge coordinates.  C(n, r)
-    grows one factor at a time; past 14,000 bits (4,200 digits, still
-    printable) a power of two below it is stated, so huge n refuse at once."""
-    noun, count = f"degree-{r} wedge coordinates", int(0 <= r <= n)
-    for i in range(min(r, n - r)):
-        count = count * (n - i) // (i + 1)
-        if count.bit_length() > 14000:
-            raise CatalogTooLargeError(count, VANISHING_LIMIT, noun, at_least=True)
-    if count > VANISHING_LIMIT:
-        raise CatalogTooLargeError(count, VANISHING_LIMIT, noun)
-
 
 @lru_cache(maxsize=None)
 def _inclusion_rref(p: int, s: int, k: int, js: tuple) -> Subspace:
     """The rref of the unsigned inclusion matrices W_{k-j,k}(s), j in
     ``js``, stacked: row K' has a 1 at each k-subset of range(s) holding
     it, both in colex order.  Eliminated once per key in the process."""
-    cols = [sum(1 << a for a in mono) for mono in monomials(s, k)]
-    return Subspace.from_rows(p, len(cols), [
-        [int(not row & ~col) for col in cols]
-        for j in js for row in (sum(1 << a for a in mono) for mono in monomials(s, k - j))])
-
-
-def _pair_signs(w: tuple, k: int) -> tuple:
-    """epsilon(K) for the k-subsets K of the free set {a : w_a = 0}, in
-    colex order of K: the sign that sorts x_I ^ y_J ^ prod_{a in K} x_a ^ y_a
-    into its monomial, (-1)^(C(k, 2) + |J| k + sum_{a in K} #{i in I u J : i > a})."""
-    later = [sum(map(abs, w[a + 1:])) for a, v in enumerate(w) if not v]
-    base = k * (k - 1) // 2 + w.count(-1) * k
-    return tuple([-1 if (base + sum([later[a] for a in mono])) & 1 else 1
-                  for mono in monomials(len(later), k)])
+    d = dim_wedge(s, k)
+    return Subspace.from_rows(p, d, [[int(i in holders) for i in range(d)]
+                                     for j in js for holders in _inclusion_columns(s, k - j, k)])
 
 
 def _divided_power_parts(space: SymplecticSpace, r: int, js: tuple) -> dict:
@@ -129,7 +109,7 @@ def _divided_power_parts(space: SymplecticSpace, r: int, js: tuple) -> dict:
 def ideal_component(space: SymplecticSpace, r: int) -> Subspace:
     """Degree-r part of the ideal generated by the invariant 2-tensor:
     the image of the lowering operator out of degree r - 2."""
-    _refuse_wider(space.n, r)
+    _refuse_wider(space.n, r, VANISHING_LIMIT)
     return _cached(space, ("ideal", r), lambda: assemble(
         space.p, space.m, r, _divided_power_parts(space, r, (1,))))
 
@@ -178,7 +158,7 @@ def _vanishing_parts(space: SymplecticSpace, r: int) -> dict:
     blocks that hold pairs x_k ^ y_k."""
     def build():
         p, m, n = space.p, space.m, space.n
-        _refuse_wider(n, m)
+        _refuse_wider(n, m, VANISHING_LIMIT)
         parts = _divided_power_parts(space, r, tuple(range(1, r // 2 + 1)))
         dim = sum(part.dim for part in parts.values())
         if dim != dim_wedge(n, r - 2):
@@ -209,7 +189,7 @@ def vanishing_space(space: SymplecticSpace, r: int) -> Subspace:
     """
     def build():
         if r > space.m:
-            _refuse_wider(space.n, r)
+            _refuse_wider(space.n, r, VANISHING_LIMIT)
             return Subspace.full(space.p, dim_wedge(space.n, r))
         return assemble(space.p, space.m, r, _vanishing_parts(space, r))
     return _cached(space, ("vanishing", r), build)

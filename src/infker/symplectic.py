@@ -21,6 +21,7 @@ from scratch and the test suite pins it.
 from __future__ import annotations
 
 import bisect
+import itertools
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,14 +37,7 @@ from .errors import (
     InvariantError,
     PrimitivityError,
 )
-from .exterior import (
-    Multivector,
-    VariableOrder,
-    compound_matrix,
-    mono_rank,
-    monomials,
-    wedge_monomials,
-)
+from .exterior import Multivector, VariableOrder, compound_matrix, monomials
 from .prime_linalg import (
     Matrix,
     SparseMatrix,
@@ -77,6 +71,19 @@ TRIPLE_LIMIT = 12870
 def dim_wedge(n: int, r: int) -> int:
     """Dimension of the degree-r graded piece on n coordinates."""
     return comb(n, r) if 0 <= r <= n else 0
+
+
+def _refuse_wider(n: int, r: int, limit: int):
+    """Refuse more than ``limit`` degree-r wedge coordinates.  C(n, r) grows
+    one factor at a time; past 14,000 bits (4,200 digits, still printable)
+    a power of two below it is stated, so huge n refuse at once."""
+    noun, count = f"degree-{r} wedge coordinates", int(0 <= r <= n)
+    for i in range(min(r, n - r)):
+        count = count * (n - i) // (i + 1)
+        if count.bit_length() > 14000:
+            raise CatalogTooLargeError(count, limit, noun, at_least=True)
+    if count > limit:
+        raise CatalogTooLargeError(count, limit, noun)
 
 
 class SymplecticSpace:
@@ -183,7 +190,7 @@ def h_op(space: SymplecticSpace, a: Multivector) -> Multivector:
 
 
 # ---------------------------------------------------------------------------
-# operator matrices on colex coordinates
+# operator maps: torus-weight blocks in pair coordinates, assembled into colex
 
 
 def _cached(space: SymplecticSpace, key, build):
@@ -233,37 +240,66 @@ def assemble(p: int, m: int, r: int, parts: dict) -> Subspace:
                     tuple([pivot for pivot, _ in rows]))
 
 
-def block_columns(m: int, columns, r: int, s: int) -> dict:
-    """Columns of a weight-preserving map from degree r to s, given as (rank,
-    value) pairs, grouped by torus weight and dense in the degree-s block."""
-    blocks, slot = weight_blocks(m, s)
-    out = {}
-    for w, ranks in weight_blocks(m, r)[0].items():
-        for k in ranks:
-            vec = [0] * len(blocks.get(w, ()))
-            for i, v in columns[k]:
-                vec[slot[i]] = v
-            out.setdefault(w, []).append(vec)
-    return out
+def _pair_signs(w: tuple, k: int) -> tuple:
+    """epsilon(K) for the k-subsets K of the free set {a : w_a = 0}, in
+    colex order of K: the sign that sorts x_I ^ y_J ^ prod_{a in K} x_a ^ y_a
+    into its monomial, (-1)^(C(k, 2) + |J| k + sum_{a in K} #{i in I u J : i > a})."""
+    later = [sum(map(abs, w[a + 1:])) for a, v in enumerate(w) if not v]
+    base = k * (k - 1) // 2 + w.count(-1) * k
+    return tuple([-1 if (base + sum([later[a] for a in mono])) & 1 else 1
+                  for mono in monomials(len(later), k)])
+
+
+def _block_signs(p: int, w: tuple, k: int) -> tuple:
+    """``_pair_signs(w, k)`` as seen mod p: at p = 2 every sign is 1."""
+    return _pair_signs(w, k) if p != 2 else (1,) * dim_wedge(w.count(0), k)
 
 
 @lru_cache(maxsize=None)
-def divided_power_columns(m: int, j: int, r: int) -> tuple:
-    """The left wedge by gamma^(j) from degree r to r + 2j, as (rank, sign)
-    pairs per degree-r monomial: the sum over j-subsets A of the products
-    of the x_a ^ y_a, a in A, each sorting to A u (m + A) in j(j-1)/2
-    swaps.  Over p > j it is gamma^j / j!."""
-    terms = [a + tuple(m + t for t in a) for a in monomials(m, j)]
-    sign = (-1) ** (j * (j - 1) // 2)
-    return tuple(tuple((mono_rank(merged[1]), sign * merged[0])
-                       for term in terms if (merged := wedge_monomials(term, mono)))
-                 for mono in monomials(2 * m, r))
+def _inclusion_columns(s: int, k: int, t: int) -> tuple:
+    """The inclusion map from the k-subsets of range(s) to its t-subsets, by
+    columns: per k-subset in colex order, the ascending colex indices of the
+    t-subsets that hold it (t > k) or that it holds (t < k).  For t > k
+    these are the columns of W_{k,t}(s), for t < k those of W_{t,k}(s)^T."""
+    rows = [sum(1 << a for a in mono) for mono in monomials(s, t)]
+    return tuple(tuple([i for i, row in enumerate(rows) if row & col == (col if t > k else row)])
+                 for col in (sum(1 << a for a in mono) for mono in monomials(s, k)))
+
+
+def _block_map(p: int, s: int, k: int, t: int, scale: int, eps: tuple, eps_t: tuple) -> SparseMatrix:
+    """A torus-weight block's map from its k-pair to its t-pair monomials in
+    pair coordinates (the subsets K of its s-element free set): scale times
+    D_t W D_k, with W from ``_inclusion_columns`` and D = diag(epsilon) from
+    ``eps`` and ``eps_t``.  The left wedge by gamma^(j) is t = k + j with
+    scale 1, since products of pairs commute; the raising operator is
+    t = k - 1 with scale sigma, since it takes x_a ^ y_a to sigma."""
+    return SparseMatrix._of(p, dim_wedge(s, t), tuple(
+        tuple([(i, scale * e * eps_t[i] % p) for i in col])
+        for col, e in zip(_inclusion_columns(s, k, t), eps)))
+
+
+def _graded_map(space: SymplecticSpace, r: int, t: int, scale: int) -> SparseMatrix:
+    """The weight-preserving map from degree r to degree t that is
+    ``_block_map`` on every torus-weight block, in colex coordinates: a
+    block's colex order is the colex order of its K."""
+    p, m = space.p, space.m
+    target, columns = weight_blocks(m, t)[0], [()] * dim_wedge(space.n, r)
+    for w, ranks in weight_blocks(m, r)[0].items():
+        if w in target:
+            s, to = w.count(0), target[w]
+            k, kt = (r - m + s) // 2, (t - m + s) // 2
+            block = _block_map(p, s, k, kt, scale, _block_signs(p, w, k), _block_signs(p, w, kt))
+            for rank, col in zip(ranks, block.columns):
+                columns[rank] = tuple([(to[i], v) for i, v in col])
+    return SparseMatrix._of(p, dim_wedge(space.n, t), tuple(columns))
 
 
 def divided_power_map(space: SymplecticSpace, j: int, r: int) -> SparseMatrix:
-    """Sparse map of the left wedge by gamma^(j), from degree r to r + 2j."""
-    return _cached(space, ("divided_power", j, r), lambda: SparseMatrix(
-        space.p, dim_wedge(space.n, r + 2 * j), divided_power_columns(space.m, j, r)))
+    """Sparse map of the left wedge by gamma^(j), from degree r to r + 2j:
+    the sum over j-subsets A of the products of the x_a ^ y_a, a in A.
+    Over p > j it is gamma^j / j!."""
+    return _cached(space, ("divided_power", j, r),
+                   lambda: _graded_map(space, r, r + 2 * j, 1))
 
 
 def x_minus_map(space: SymplecticSpace, r: int) -> SparseMatrix:
@@ -273,18 +309,7 @@ def x_minus_map(space: SymplecticSpace, r: int) -> SparseMatrix:
 
 def x_plus_map(space: SymplecticSpace, r: int, sigma: int = SIGMA) -> SparseMatrix:
     """Sparse map of the raising operator from degree r to degree r - 2."""
-    def build():
-        m, n = space.m, space.n
-        columns = [[(mono_rank(reduced), sign)
-                    for sign, reduced in _x_plus_mono(m, mono, sigma)]
-                   for mono in monomials(n, r)]
-        return SparseMatrix(space.p, dim_wedge(n, r - 2), columns)
-    return _cached(space, ("x_plus", r, sigma), build)
-
-
-def h_map(space: SymplecticSpace, r: int) -> SparseMatrix:
-    """Sparse map of the weight operator on degree r: (m - r) times identity."""
-    return SparseMatrix.diagonal(space.p, dim_wedge(space.n, r), space.m - r)
+    return _cached(space, ("x_plus", r, sigma), lambda: _graded_map(space, r, r - 2, sigma))
 
 
 def x_minus_matrix(space: SymplecticSpace, r: int) -> Matrix:
@@ -344,39 +369,52 @@ class Sl2Report:
         }
 
 
+@lru_cache(maxsize=None)
+def _block_relations(p: int, s: int, k: int, signs: tuple, sigma: int, shift: int) -> tuple:
+    """The four relations of ``DegreeCheck`` on one torus-weight block, as
+    exact equations between its sparse maps in pair coordinates: the block
+    has k pairs on an s-element free set, ``signs`` holds its epsilon for
+    k - 1, k and k + 1 pairs, and the weight acts by m - r = -shift.
+    Cached on this full input, since equal inputs build equal maps."""
+    below, here, above = signs
+    d = dim_wedge(s, k)
+    lower = _block_map(p, s, k, k + 1, 1, here, above)
+    raising = _block_map(p, s, k, k - 1, sigma, here, below)
+    weight = SparseMatrix.diagonal(p, d, -shift)
+    bracket = (_block_map(p, s, k + 1, k, sigma, above, here) @ lower
+               - _block_map(p, s, k - 1, k, 1, below, here) @ raising)
+    return (
+        bracket == SparseMatrix.diagonal(p, d, shift),
+        (SparseMatrix.diagonal(p, raising.rows, 2 - shift) @ raising
+         - raising @ weight) == raising.scale(2),
+        (SparseMatrix.diagonal(p, lower.rows, -2 - shift) @ lower
+         - lower @ weight) == lower.scale(-2),
+        weight == SparseMatrix.diagonal(p, d, 1).scale(-shift),
+    )
+
+
 def sl2_check(space: SymplecticSpace, sigma: int = SIGMA) -> Sl2Report:
     """Verify the full set of bracket relations degree by degree.
 
-    All three identities are checked as exact equations between sparse
-    matrices on every graded piece; nothing is assumed from the
-    construction.  Spaces whose middle degree has more than TRIPLE_LIMIT
-    coordinates are refused with CatalogTooLargeError before any map is
-    built.
+    Every operator preserves the torus weight, so each relation holds on a
+    degree exactly when it holds on each of its torus-weight blocks.  Each
+    block's relations are checked as exact equations between its own sparse
+    maps (``_block_relations``); nothing is assumed from the construction.
+    Spaces whose middle degree has more than TRIPLE_LIMIT coordinates are
+    refused with CatalogTooLargeError before any map is built.
     """
     p, m, n = space.p, space.m, space.n
-    middle = dim_wedge(n, m)
-    if middle > TRIPLE_LIMIT:
-        raise CatalogTooLargeError(middle, TRIPLE_LIMIT,
-                                   f"degree-{m} wedge coordinates")
-    checks = []
-    for r in range(n + 1):
-        d = dim_wedge(n, r)
-        xm_r = x_minus_map(space, r)
-        xp_r = x_plus_map(space, r, sigma)
-        h_r = h_map(space, r)
-        bracket = (x_plus_map(space, r + 2, sigma) @ xm_r
-                   - x_minus_map(space, r - 2) @ xp_r)
-        raise_shift = h_map(space, r - 2) @ xp_r - xp_r @ h_r
-        lower_shift = h_map(space, r + 2) @ xm_r - xm_r @ h_r
-        checks.append(DegreeCheck(
-            r=r,
-            bracket_ok=bracket == SparseMatrix.diagonal(p, d, r - m),
-            raise_shift_ok=raise_shift == xp_r.scale(2),
-            lower_shift_ok=lower_shift == xm_r.scale(-2),
-            weight_ok=h_r == SparseMatrix.diagonal(p, d, 1).scale(m - r),
-        ))
-    return Sl2Report(p=p, m=m, sigma=sigma, ok=all(c.ok for c in checks),
-                     degrees=tuple(checks))
+    _refuse_wider(n, m, TRIPLE_LIMIT)
+    flags = [(True,) * 4 for _ in range(n + 1)]
+    for w in itertools.product((0, 1, -1), repeat=m):
+        s = w.count(0)
+        eps = [()] + [_block_signs(p, w, k) for k in range(s + 1)] + [()]
+        for k in range(s + 1):
+            r = m - s + 2 * k
+            ok = _block_relations(p, s, k, tuple(eps[k:k + 3]), sigma % p, (r - m) % p)
+            flags[r] = tuple([a and b for a, b in zip(flags[r], ok)])
+    checks = tuple(DegreeCheck(r, *ok) for r, ok in enumerate(flags))
+    return Sl2Report(p=p, m=m, sigma=sigma, ok=all(c.ok for c in checks), degrees=checks)
 
 
 def calibrate_sigma(space: SymplecticSpace) -> tuple:
@@ -458,12 +496,16 @@ def ladder(space: SymplecticSpace, seed: Multivector) -> LadderSequence:
 
 def primitive_basis(space: SymplecticSpace, r: int) -> Subspace:
     """Kernel of the raising operator on degree r, canonical basis: one
-    kernel per torus-weight block."""
+    kernel per torus-weight block, of its raising map in pair coordinates."""
     def build():
-        blocks = block_columns(space.m, x_plus_map(space, r).columns, r, r - 2)
-        return assemble(space.p, space.m, r, {
-            w: kernel_basis(Matrix._of(space.p, tuple(zip(*cols)), len(cols)))
-            for w, cols in blocks.items()})
+        p, m, parts = space.p, space.m, {}
+        for w in weight_blocks(m, r)[0]:
+            s = w.count(0)
+            k = (r - m + s) // 2
+            raising = _block_map(p, s, k, k - 1, SIGMA,
+                                 _block_signs(p, w, k), _block_signs(p, w, k - 1))
+            parts[w] = kernel_basis(raising.to_dense())
+        return assemble(p, m, r, parts)
     return _cached(space, ("primitive", r), build)
 
 

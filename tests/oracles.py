@@ -1,17 +1,63 @@
-"""Test-local oracles for the theorem1 engine.
+"""Test-local oracles for the graded operators and the theorem1 engine.
 
+* ``divided_power_oracle`` and ``x_plus_oracle`` are the colex maps of the
+  left wedge by gamma^(j) and of the raising operator, built from their
+  definitions one monomial at a time: ``wedge_monomials`` merges
+  (``divided_power_columns``), and the termwise contraction
+  ``symplectic._x_plus_mono``.
 * ``divided_power_parts`` is the per-block builder that pair coordinates
-  replaced: the gamma^(j) columns of every monomial merged by
-  ``wedge_monomials`` (``divided_power_columns``), cut into torus-weight
-  blocks (``block_columns``) and eliminated block by block.
+  replaced: those gamma^(j) columns cut into torus-weight blocks
+  (``block_columns``) and eliminated block by block.
 * ``gap_profile`` is the closed form of the (ideal, vanishing, gap)
   dimensions from Wilson's F_p-ranks of the inclusion matrices W_{k-1,k}.
 """
 
+from functools import lru_cache
 from math import comb
 
-from infker.prime_linalg import Subspace
-from infker.symplectic import block_columns, divided_power_columns, weight_blocks
+from infker.exterior import mono_rank, monomials, wedge_monomials
+from infker.prime_linalg import SparseMatrix, Subspace
+from infker.symplectic import _x_plus_mono, dim_wedge, weight_blocks
+
+
+@lru_cache(maxsize=None)
+def divided_power_columns(m: int, j: int, r: int) -> tuple:
+    """The left wedge by gamma^(j) from degree r to r + 2j, as (rank, sign)
+    pairs per degree-r monomial: the sum over j-subsets A of the products
+    of the x_a ^ y_a, a in A, each sorting to A u (m + A) in j(j-1)/2
+    swaps."""
+    terms = [a + tuple(m + t for t in a) for a in monomials(m, j)]
+    sign = (-1) ** (j * (j - 1) // 2)
+    return tuple(tuple((mono_rank(merged[1]), sign * merged[0])
+                       for term in terms if (merged := wedge_monomials(term, mono)))
+                 for mono in monomials(2 * m, r))
+
+
+def divided_power_oracle(p: int, m: int, j: int, r: int) -> SparseMatrix:
+    """The left wedge by gamma^(j) from degree r to r + 2j."""
+    return SparseMatrix(p, dim_wedge(2 * m, r + 2 * j), divided_power_columns(m, j, r))
+
+
+def x_plus_oracle(p: int, m: int, r: int, sigma: int) -> SparseMatrix:
+    """The raising operator from degree r to r - 2: the termwise signed
+    pair removals of each degree-r monomial."""
+    return SparseMatrix(p, dim_wedge(2 * m, r - 2), (
+        [(mono_rank(reduced), sign) for sign, reduced in _x_plus_mono(m, mono, sigma)]
+        for mono in monomials(2 * m, r)))
+
+
+def block_columns(m: int, columns, r: int, s: int) -> dict:
+    """Columns of a weight-preserving map from degree r to s, given as (rank,
+    value) pairs, grouped by torus weight and dense in the degree-s block."""
+    blocks, slot = weight_blocks(m, s)
+    out = {}
+    for w, ranks in weight_blocks(m, r)[0].items():
+        for k in ranks:
+            vec = [0] * len(blocks.get(w, ()))
+            for i, v in columns[k]:
+                vec[slot[i]] = v
+            out.setdefault(w, []).append(vec)
+    return out
 
 
 def divided_power_parts(p: int, m: int, r: int, js: tuple) -> dict:

@@ -263,9 +263,12 @@ def run_capped(*argv):
     (("quotient-basis", "-p", "2", "-m", "12", "-r", "12"), "2704156 degree-12 wedge coordinates"),
     (("quotient-basis", "-p", "2", "-m", "9", "-r", "9"), "48620 degree-9 wedge coordinates"),
     (("ideal-basis", "-p", "2", "-m", "100000", "-r", "3"), "1333313333400000 degree-3"),
+    (("sl2-check", "-p", "2", "-m", "100000"), "at least 2^14004 degree-100000 wedge coordinates"),
 ], ids=lambda arg: " ".join(arg) if isinstance(arg, tuple) else None)
 def test_oversized_input_refused_before_allocating(argv, noun):
+    start = time.perf_counter()
     proc = run_capped(*argv)
+    assert time.perf_counter() - start < 2
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert noun in proc.stderr

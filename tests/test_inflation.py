@@ -47,6 +47,7 @@ from infker.prime_linalg import (
     solve,
 )
 from infker.symplectic import (
+    SIGMA,
     SymplecticSpace,
     dim_wedge,
     divided_power_map,
@@ -54,9 +55,8 @@ from infker.symplectic import (
     isotropic_span_basis,
     primitive_basis,
     weight_blocks,
-    x_minus_matrix,
-    x_plus_matrix,
 )
+from oracles import divided_power_oracle, x_plus_oracle
 from test_exterior import pullback_matrix
 from test_prime_linalg import count_calls
 from test_isotropic import greedy_radical_split, kernel_annihilator, kernel_perp
@@ -201,8 +201,9 @@ def test_vanishing_space_matches_closure_oracle(p, m):
 
 
 def dense_ideal_component(space, r):
-    """The ideal as one image over full C(2m, r)-wide rows."""
-    return image_basis(x_minus_matrix(space, r - 2))
+    """The ideal as one image over full C(2m, r)-wide rows, of the lowering
+    matrix built from its definition."""
+    return image_basis(divided_power_oracle(space.p, space.m, 1, r - 2).to_dense())
 
 
 def dense_vanishing_space(space, r):
@@ -213,12 +214,13 @@ def dense_vanishing_space(space, r):
         return Subspace.full(p, d)
     return Subspace.from_rows(p, d, (
         [col.get(i, 0) for i in range(d)] for j in range(1, r // 2 + 1)
-        for col in map(dict, divided_power_map(space, j, r - 2 * j).columns)))
+        for col in map(dict, divided_power_oracle(p, m, j, r - 2 * j).columns)))
 
 
 def dense_primitive_basis(space, r):
-    """The kernel of the whole dense raising matrix."""
-    return kernel_basis(x_plus_matrix(space, r))
+    """The kernel of the whole dense raising matrix, built from the
+    termwise contraction."""
+    return kernel_basis(x_plus_oracle(space.p, space.m, r, SIGMA).to_dense())
 
 
 def dense_sandwich(space, r):

@@ -12,8 +12,8 @@ import pytest
 
 from infker import exterior, inflation, prime_linalg, symplectic
 from infker.exterior import monomials, sort_to_monomial
-from infker.inflation import _divided_power_parts, _pair_signs, theorem1_verify
-from infker.symplectic import SymplecticSpace, weight_blocks
+from infker.inflation import _divided_power_parts, theorem1_verify
+from infker.symplectic import SymplecticSpace, _pair_signs, weight_blocks
 from oracles import divided_power_parts, gap_profile
 from test_prime_linalg import count_calls
 
@@ -47,12 +47,12 @@ def test_blocks_are_pair_products_in_colex_order_of_k(m):
 
 @pytest.mark.parametrize("p,m,keys,residuals", [(2, 5, 17, 11), (3, 5, 17, 0)])
 def test_theorem1_eliminates_once_per_pair_key(monkeypatch, p, m, keys, residuals):
-    """No gamma columns, no block cutting and no minors: one elimination per
-    (s, k, js) key, and one per block whose vanishing rows leave a nonzero
-    residual modulo the ideal."""
+    """No operator maps and no minors: one elimination per (s, k, js) key,
+    and one per block whose vanishing rows leave a nonzero residual modulo
+    the ideal."""
     def refuse(*args, **kwargs):
-        raise AssertionError("theorem1 built columns or took minors")
-    for module, name in ((symplectic, "divided_power_columns"), (symplectic, "block_columns"),
+        raise AssertionError("theorem1 built operator maps or took minors")
+    for module, name in ((symplectic, "_block_map"), (symplectic, "_graded_map"),
                          (exterior, "pure_wedge_coords"), (inflation, "pure_wedge_coords")):
         monkeypatch.setattr(module, name, refuse)
     space = SymplecticSpace(p, m)

@@ -8,12 +8,12 @@ powers of the invariant two-tensor rather than trusted from the builder.
 import functools
 import itertools
 import random
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from infker import symplectic
+from infker import exterior, symplectic
 from infker.errors import DecompositionDefectError, PrimitivityError
 from infker.exterior import (
     Multivector,
@@ -43,7 +43,6 @@ from infker.symplectic import (
     dim_wedge,
     divided_power_map,
     gamma,
-    h_map,
     h_op,
     injectivity_surjectivity_probe,
     isotropic_span_basis,
@@ -60,6 +59,7 @@ from infker.symplectic import (
     x_plus_map,
     x_plus_matrix,
 )
+from oracles import divided_power_oracle, x_plus_oracle
 
 odd_primes = st.sampled_from((3, 5, 7))
 
@@ -131,8 +131,8 @@ def test_sigma_calibration():
 
 
 def dense_sl2_report(space, sigma):
-    """The bracket relations as dense matrix products: the oracle for
-    ``sl2_check``."""
+    """The bracket relations as dense matrix products of the operators
+    built from their definitions: the oracle for ``sl2_check``."""
     p, m, n = space.p, space.m, space.n
 
     def weight(r):
@@ -141,11 +141,11 @@ def dense_sl2_report(space, sigma):
     checks = []
     for r in range(n + 1):
         d = dim_wedge(n, r)
-        xm_r = x_minus_matrix(space, r)
-        xp_r = x_plus_matrix(space, r, sigma)
+        xm_r = divided_power_oracle(p, m, 1, r).to_dense()
+        xp_r = x_plus_oracle(p, m, r, sigma).to_dense()
         h_r = weight(r)
-        bracket = (x_plus_matrix(space, r + 2, sigma) @ xm_r
-                   - x_minus_matrix(space, r - 2) @ xp_r)
+        bracket = (x_plus_oracle(p, m, r + 2, sigma).to_dense() @ xm_r
+                   - divided_power_oracle(p, m, 1, r - 2).to_dense() @ xp_r)
         raise_shift = (weight(r - 2) @ xp_r - xp_r @ h_r) == xp_r.scale(2)
         lower_shift = (weight(r + 2) @ xm_r - xm_r @ h_r) == xm_r.scale(-2)
         checks.append(DegreeCheck(
@@ -157,6 +157,16 @@ def dense_sl2_report(space, sigma):
         ))
     return Sl2Report(p=p, m=m, sigma=sigma, ok=all(c.ok for c in checks),
                      degrees=tuple(checks)).to_json()
+
+
+@pytest.fixture
+def fresh_relations():
+    """An empty cache of block relation checks, emptied again afterwards,
+    so that a test counts every check and a patched block map neither reads
+    nor leaves cached verdicts."""
+    symplectic._block_relations.cache_clear()
+    yield
+    symplectic._block_relations.cache_clear()
 
 
 @pytest.mark.parametrize("sigma", [1, -1])
@@ -174,33 +184,101 @@ def test_sl2_check_makes_no_dense_product(monkeypatch):
     assert sl2_check(SymplecticSpace(3, 3)).ok
 
 
-@pytest.mark.parametrize("name", ["x_minus_map", "x_plus_map"])
-def test_tampered_operator_fails_bracket(monkeypatch, name):
-    space, r0 = SymplecticSpace(3, 2), 2
-    honest = getattr(symplectic, name)
-    true = honest(space, r0)
-    columns = [list(col) for col in true.columns]
-    j = next(j for j, col in enumerate(columns) if col)
-    i, v = columns[j][0]
-    columns[j][0] = (i, v + 1)
-    tampered = SparseMatrix(space.p, true.rows, columns)
+def test_sl2_check_scans_no_colex_monomial(monkeypatch, fresh_relations):
+    """The blocks are walked by torus weight and their maps built on subsets
+    of the free set: no monomial merge, no colex rank, no block table."""
+    def refuse(*args):
+        raise AssertionError("sl2_check scanned colex monomials")
+    for module, name in ((exterior, "wedge_monomials"), (exterior, "mono_rank"),
+                         (symplectic, "weight_blocks")):
+        monkeypatch.setattr(module, name, refuse)
+    assert sl2_check(SymplecticSpace(3, 5)).ok
 
-    def fake(sp, r, *args):
-        return tampered if r == r0 else honest(sp, r, *args)
-    monkeypatch.setattr(symplectic, name, fake)
+
+@pytest.mark.parametrize("p,m,blocks,keys", [
+    (2, 4, 189, 15), (7, 4, 189, 46), (3, 5, 648, 95), (2, 8, 24057, 45)])
+def test_sl2_check_checks_each_distinct_block_once(fresh_relations, p, m, blocks, keys):
+    """A block with t unpaired positions comes in C(m, t) 2^t weights and
+    m - t + 1 degrees; the relations are checked once per distinct input
+    (s, k, signs, sigma, (r - m) mod p).  At p = 2 every sign is 1, so the
+    keys are the (s, k) with k <= s <= m."""
+    assert sum(comb(m, t) * 2 ** t * (m - t + 1) for t in range(m + 1)) == blocks
+    assert sl2_check(SymplecticSpace(p, m)).ok
+    info = symplectic._block_relations.cache_info()
+    assert (info.hits + info.misses, info.misses) == (blocks, keys)
+    if p == 2:
+        assert keys == (m + 1) * (m + 2) // 2
+
+
+@pytest.mark.parametrize("name", ["x_minus_map", "x_plus_map"])
+def test_tampered_operator_fails_bracket(monkeypatch, fresh_relations, name):
+    """One coefficient changed in one block map of the named operator: the
+    one out of the zero-weight block of degree 2 at m = 2, which has two
+    free positions and one pair."""
+    space, r0 = SymplecticSpace(3, 2), 2
+    target = {"x_minus_map": 2, "x_plus_map": 0}[name]
+    honest = symplectic._block_map
+
+    def fake(p, s, k, t, *args):
+        true = honest(p, s, k, t, *args)
+        if (s, k, t) != (2, 1, target):
+            return true
+        columns = [list(col) for col in true.columns]
+        i, v = columns[0][0]
+        columns[0][0] = (i, v + 1)
+        return SparseMatrix(p, true.rows, columns)
+    monkeypatch.setattr(symplectic, "_block_map", fake)
     report = sl2_check(space)
     assert not report.ok
     assert not report.degrees[r0].bracket_ok
 
 
+def block_map_mismatches(space):
+    """Where the maps assembled from the signed block maps differ from the
+    colex columns built from the definitions: every gamma^(j) ^ and the
+    raising operator for both signs, in every degree."""
+    p, m, n = space.p, space.m, space.n
+    wrong = []
+    for r in range(n + 1):
+        for j in range(1, m + 1):
+            if divided_power_map(space, j, r) != divided_power_oracle(p, m, j, r):
+                wrong.append(("divided_power", j, r))
+        for sigma in (1, -1):
+            if x_plus_map(space, r, sigma) != x_plus_oracle(p, m, r, sigma):
+                wrong.append(("x_plus", sigma, r))
+    return wrong
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("m", range(1, 6))
+def test_block_maps_assemble_to_the_definitions(p, m):
+    assert block_map_mismatches(SymplecticSpace(p, m)) == []
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 3), (7, 4)])
+def test_flipped_pair_sign_fails_the_definitions_only(monkeypatch, fresh_relations, p, m):
+    """Flipping epsilon(K) at the first K of the zero-weight block with one
+    pair breaks the comparison with the definitions.  ``sl2_check`` cannot
+    see such an error, as long as every map reads the same wrong epsilon:
+    the flip conjugates each block map by a diagonal D with D^2 = I, and
+    that cancels in every bracket."""
+    zero, signs = (0,) * m, symplectic._pair_signs
+
+    def flipped(w, k):
+        out = signs(w, k)
+        return (-out[0],) + out[1:] if (w, k) == (zero, 1) else out
+    monkeypatch.setattr(symplectic, "_pair_signs", flipped)
+    space = SymplecticSpace(p, m)
+    assert ("divided_power", 1, 0) in block_map_mismatches(space)
+    assert sl2_check(space).ok
+
+
 def test_weight_operator_is_scalar_per_degree():
     space = SymplecticSpace(5, 2)
     for r in range(5):
-        mat = h_map(space, r).to_dense()
-        scalar = (space.m - r) % space.p
-        for i in range(mat.rows):
-            for j in range(mat.cols):
-                assert mat.entries[i][j] == (scalar if i == j else 0)
+        for mono in monomials(4, r):
+            unit = Multivector(5, 2, {mono: 1})
+            assert h_op(space, unit) == unit.scale(space.m - r)
     assert h_op(space, gamma(space)).is_zero()
     assert h_op(space, parse("x1", 5, 2)) == parse("x1", 5, 2)
 
