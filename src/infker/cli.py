@@ -19,6 +19,7 @@ import json
 import sys
 
 from .errors import (
+    PRINTABLE_BITS,
     CatalogTooLargeError,
     DecompositionDefectError,
     InvariantError,
@@ -26,7 +27,7 @@ from .errors import (
     ParseError,
 )
 from .exterior import Multivector, monomials, parse, pullback_coords
-from .extraspecial import center, commutator, group_type, make_group
+from .extraspecial import SCAN_LIMIT, center, commutator, group_type, make_group
 from .inflation import (
     VANISHING_LIMIT,
     certificate,
@@ -80,6 +81,14 @@ def _nonnegative(text: str) -> int:
 def _check_degree(r: int, m: int):
     if not 0 <= r <= 2 * m:
         raise ValueError(f"degree {r} out of range 0..{2 * m}")
+
+
+def _printable(count: int, noun: str) -> int:
+    """An exact count, answered up to PRINTABLE_BITS and refused past it,
+    where it no longer prints."""
+    if count.bit_length() > PRINTABLE_BITS:
+        raise CatalogTooLargeError(count, 1 << PRINTABLE_BITS, noun)
+    return count
 
 
 def _class_from(args, space: SymplecticSpace) -> Multivector:
@@ -195,6 +204,7 @@ def _cmd_isotropic(args):
             f"isotropic dimension {args.dim} exceeds m = {space.m}")
     count = count_isotropic(space.p, space.m, args.dim)
     if args.count_only:
+        count = _printable(count, "subspaces")
         payload = {
             "command": "isotropic",
             "p": space.p,
@@ -223,7 +233,7 @@ def _cmd_group(args):
     space = SymplecticSpace(args.prime, args.rank)
     base = {"command": "group", "p": group.p, "m": group.m, "op": args.op}
     if args.op == "order":
-        return {**base, "order": group.order()}, 0
+        return {**base, "order": _printable(group.order(), "group elements")}, 0
     if args.op == "center":
         elems = center(group)
         return {
@@ -232,6 +242,8 @@ def _cmd_group(args):
             "elements": [str(el) for el in elems],
         }, 0
     if args.op == "commutator-form":
+        if group.n ** 2 > SCAN_LIMIT:
+            raise CatalogTooLargeError(group.n ** 2, SCAN_LIMIT, "element pairs")
         gens = group.generators()
         matrix = [
             [commutator(a, b).z for b in gens]

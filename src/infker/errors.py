@@ -35,16 +35,25 @@ class ParseError(InfkerError, ValueError):
         self.position = position
 
 
+#: Most bits of an integer that is printed in full: 14,000 bits are 4,215
+#: decimal digits, under the 4,300 that ``str`` converts by default.
+PRINTABLE_BITS = 14000
+
+
 class CatalogTooLargeError(InfkerError):
     """An enumeration would exceed its size budget.
 
-    ``noun`` names what was counted, e.g. "subspaces" or "vectors".
+    ``noun`` names what was counted, e.g. "subspaces" or "vectors".  A
+    count past PRINTABLE_BITS is stated as the power of two below it, "at
+    least 2^b", and a limit past it (a power of two) as 2^b.
     """
 
-    def __init__(self, count: int, limit: int, noun: str, at_least: bool = False):
-        shown = f"at least 2^{count.bit_length() - 1}" if at_least else count
+    def __init__(self, count: int, limit: int, noun: str):
+        shown = (count if count.bit_length() <= PRINTABLE_BITS
+                 else f"at least 2^{count.bit_length() - 1}")
+        most = limit if limit.bit_length() <= PRINTABLE_BITS else f"2^{limit.bit_length() - 1}"
         super().__init__(
-            f"catalog holds {shown} {noun}, more than the supported {limit}"
+            f"catalog holds {shown} {noun}, more than the supported {most}"
         )
         self.count = count
         self.limit = limit

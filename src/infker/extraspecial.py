@@ -125,12 +125,13 @@ class ExtraspecialGroup:
         return tuple(out)
 
     def elements(self) -> Iterator[GroupElement]:
+        """Every element, z outermost; refused past SCAN_LIMIT when called,
+        not when first iterated."""
         if self.order() > SCAN_LIMIT:
             raise CatalogTooLargeError(self.order(), SCAN_LIMIT,
                                        "group elements")
-        for z in range(self.p):
-            for v in itertools.product(range(self.p), repeat=self.n):
-                yield GroupElement(self, z, v)
+        return (GroupElement(self, z, v) for z in range(self.p)
+                for v in itertools.product(range(self.p), repeat=self.n))
 
     def space(self) -> SymplecticSpace:
         return SymplecticSpace(self.p, self.m)
@@ -157,9 +158,9 @@ def center(group: ExtraspecialGroup) -> tuple:
     so the scan is a complete centrality test.  The result is asserted
     to be exactly the p central pairs (z, 0).
     """
-    gens = group.generators()
+    elements, gens = group.elements(), group.generators()
     out = []
-    for h in group.elements():
+    for h in elements:
         if all((h * g).z == (g * h).z and (h * g).v == (g * h).v for g in gens):
             out.append(h)
     if len(out) != group.p or any(any(h.v) for h in out):

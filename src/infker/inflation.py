@@ -19,12 +19,14 @@ ideal.
 Both operators preserve the torus weight of a monomial, so both spaces
 are kept as one local subspace per weight block (``_divided_power_parts``,
 ``_vanishing_parts``).  A block is written in pair coordinates, the
-subsets K of its free set, where wedging with gamma^(j) is a signed
-inclusion matrix; its rref is the one elimination of that matrix per
-(s, k), shared by every block with those sizes and moved to each by the
-signs epsilon(K).  ``sandwich`` works on the parts directly, and only
-``ideal_component`` and ``vanishing_space``, whose bases are printed or
-compared, assemble them into colex rows.
+subsets K of its free set, where wedging with gamma^(j) is the inclusion
+matrix conjugated by D = diag(epsilon(K)).  D is invertible and D^2 = I,
+so the parts stay unsigned: one elimination of the inclusion matrices per
+(s, k), shared by every block with those sizes, whose pivots are the
+signed space's.  The signs are applied only where rows are printed or
+paired: the assembled bases of ``ideal_component`` and
+``vanishing_space``, the gap representatives, and the frame-wedge terms
+of the pairing check.
 """
 
 from __future__ import annotations
@@ -82,36 +84,51 @@ def _inclusion_rref(p: int, s: int, k: int, js: tuple) -> Subspace:
 
 def _divided_power_parts(space: SymplecticSpace, r: int, js: tuple) -> dict:
     """The span of the images of gamma^(j) ^ from degree r - 2j over the j
-    in ``js``, one canonical local subspace per torus weight.  On the block
+    in ``js``, one local subspace per torus weight, unsigned.  On the block
     of x_I ^ y_J ^ prod_{a in K} x_a ^ y_a, K a k-subset of the s-element
     free set, gamma^(j) ^ is D' W_{k-j,k}(s) D with D = diag(epsilon(K)), so
-    the block transports its (s, k)'s ``_inclusion_rref``; at p = 2 it is
-    that rref itself."""
+    the block's canonical subspace is its (s, k)'s shared
+    ``_inclusion_rref`` moved by ``_signed``; the part is that rref
+    itself."""
     def build():
         p, m, parts = space.p, space.m, {}
         for w in weight_blocks(m, r)[0]:
             s = w.count(0)
             k = (r - m + s) // 2
             used = tuple([j for j in js if j <= k])
-            if not used:
-                continue
-            part = _inclusion_rref(p, s, k, used)
-            if p != 2:  # scale column c by eps[c], then each row by eps at its pivot
-                eps, d = _pair_signs(w, k), part.ambient_dim
-                rows = tuple(tuple([v if e == eps[c] else -v % p for v, e in zip(row, eps)])
-                             for row, c in zip(part.basis.entries, part.pivots))
-                part = Subspace(p, d, Matrix._of(p, rows, d), part.pivots)
-            parts[w] = part
+            if used:
+                parts[w] = _inclusion_rref(p, s, k, used)
         return parts
     return _cached(space, ("divided_power_parts", r, js), build)
+
+
+def _signed(p: int, w: tuple, k: int, part: Subspace) -> Subspace:
+    """An unsigned canonical subspace of the block of weight w with k
+    pairs, moved by D = diag(epsilon(K)): column c scaled by eps[c], then
+    each row by eps at its pivot, which keeps the rref and its pivots.
+    At p = 2 every sign is 1 and the part is returned as it is."""
+    if p == 2:
+        return part
+    eps, d = _pair_signs(w, k), part.ambient_dim
+    rows = tuple(tuple([v if e == eps[c] else -v % p for v, e in zip(row, eps)])
+                 for row, c in zip(part.basis.entries, part.pivots))
+    return Subspace(p, d, Matrix._of(p, rows, d), part.pivots)
+
+
+def _assemble_signed(space: SymplecticSpace, r: int, parts: dict) -> Subspace:
+    """The degree-r subspace whose block of weight w is ``parts[w]`` moved
+    by its signs, in colex coordinates."""
+    p, m = space.p, space.m
+    return assemble(p, m, r, {w: _signed(p, w, (r - m + w.count(0)) // 2, part)
+                              for w, part in parts.items()})
 
 
 def ideal_component(space: SymplecticSpace, r: int) -> Subspace:
     """Degree-r part of the ideal generated by the invariant 2-tensor:
     the image of the lowering operator out of degree r - 2."""
     _refuse_wider(space.n, r, VANISHING_LIMIT)
-    return _cached(space, ("ideal", r), lambda: assemble(
-        space.p, space.m, r, _divided_power_parts(space, r, (1,))))
+    return _cached(space, ("ideal", r), lambda: _assemble_signed(
+        space, r, _divided_power_parts(space, r, (1,))))
 
 
 def quotient_basis(space: SymplecticSpace, r: int) -> tuple:
@@ -149,13 +166,16 @@ def _frame_wedges(space: SymplecticSpace) -> list:
 
 
 def _vanishing_parts(space: SymplecticSpace, r: int) -> dict:
-    """The vanishing space in degree r <= m, one local subspace per torus
-    weight: the divided-power ideal (images of gamma^(j) ^ from degree
-    r - 2j, j >= 1), which vanishes on every Lagrangian.  Its dimension
-    C(2m, r - 2), the annihilator's, is asserted, and every row is checked
-    to pair to zero with the images of x1 ^ ... ^ xr and y1 ^ ... ^ yr
-    under the generator transvections; the y-frame images reach the
-    blocks that hold pairs x_k ^ y_k."""
+    """The vanishing space in degree r <= m, one unsigned local subspace per
+    torus weight: the divided-power ideal (images of gamma^(j) ^ from
+    degree r - 2j, j >= 1), which vanishes on every Lagrangian.  Its
+    dimension C(2m, r - 2), the annihilator's, is asserted, and every row
+    is checked to pair to zero with the images of x1 ^ ... ^ xr and
+    y1 ^ ... ^ yr under the generator transvections; the y-frame images
+    reach the blocks that hold pairs x_k ^ y_k.  A signed row is an
+    unsigned row u times D, up to a sign, so it pairs to zero with the
+    wedge's terms c_i exactly when sum_i c_i eps_i u_i does: the signs are
+    read only for the blocks those terms touch."""
     def build():
         p, m, n = space.p, space.m, space.n
         _refuse_wider(n, m, VANISHING_LIMIT)
@@ -163,15 +183,21 @@ def _vanishing_parts(space: SymplecticSpace, r: int) -> dict:
         dim = sum(part.dim for part in parts.values())
         if dim != dim_wedge(n, r - 2):
             raise InvariantError(f"degree {r}: divided-power ideal has dimension {dim}")
-        slot = weight_blocks(m, r)[1]
+        slot, signs = weight_blocks(m, r)[1], {}
         for chain in _frame_wedges(space):  # those along x1, y1 fix the seeds
             for wedge in chain[r]:
                 support = {}  # weight -> (local slot, coefficient) of the wedge's terms
                 for mono, c in wedge.terms.items():
                     support.setdefault(torus_weight(m, mono), []).append((slot[mono_rank(mono)], c))
                 for w, terms in support.items():
-                    if w in parts and any(sum(c * row[i] for i, c in terms) % p
-                                          for row in parts[w].basis.entries):
+                    if w not in parts:
+                        continue
+                    if p != 2:
+                        if w not in signs:
+                            signs[w] = _pair_signs(w, (r - m + w.count(0)) // 2)
+                        terms = [(i, c * signs[w][i]) for i, c in terms]
+                    if any(sum(c * row[i] for i, c in terms) % p
+                           for row in parts[w].basis.entries):
                         raise InvariantError(
                             f"degree {r}: a vanishing class pairs with an isotropic wedge")
         return parts
@@ -191,7 +217,7 @@ def vanishing_space(space: SymplecticSpace, r: int) -> Subspace:
         if r > space.m:
             _refuse_wider(space.n, r, VANISHING_LIMIT)
             return Subspace.full(space.p, dim_wedge(space.n, r))
-        return assemble(space.p, space.m, r, _vanishing_parts(space, r))
+        return _assemble_signed(space, r, _vanishing_parts(space, r))
     return _cached(space, ("vanishing", r), build)
 
 
@@ -222,13 +248,17 @@ class KernelSandwich:
 def sandwich(space: SymplecticSpace, r: int) -> KernelSandwich:
     """Compute both spaces at degree r and certify the containment.
 
-    Both spaces stay one local subspace per torus weight.  The
-    containment, the reduction modulo the ideal and the gap
-    representatives are taken block by block; each representative goes
-    from its local row straight to a Multivector, and they are listed by
-    the colex rank of their pivots, the order of the dense rref.  Above
-    degree m every block vanishes whole, so its representatives are the
-    unit vectors off the ideal's pivots.
+    Both spaces stay one unsigned local subspace per torus weight, shared
+    by the blocks with the same free-set size s (and so the same k).  D is
+    invertible, so the signed ideal lies in the signed vanishing space
+    exactly when the unsigned one does, and reducing modulo the ideal
+    commutes with D: the containment and the reduction are taken once per
+    s, and only the gap representatives are moved to each block by its
+    signs.  Each representative goes from its local row straight to a
+    Multivector, and they are listed by the colex rank of their pivots,
+    the order of the dense rref.  Above degree m every block vanishes
+    whole, so its representatives are the unit vectors off the ideal's
+    pivots.
 
     Raises InvariantError if the ideal ever escapes the vanishing space;
     that containment is unconditional.
@@ -245,15 +275,23 @@ def sandwich(space: SymplecticSpace, r: int) -> KernelSandwich:
     else:
         vanish = _vanishing_parts(space, r)
         vanishing_dim = sum(part.dim for part in vanish.values())
-        for w, ideal_w in ideal.items():
-            if w not in vanish or any(vanish[w].member(row) is None
-                                      for row in ideal_w.basis.entries):
-                raise InvariantError(f"degree {r}: ideal class escapes the vanishing space")
+        if any(w not in vanish for w in ideal):
+            raise InvariantError(f"degree {r}: ideal class escapes the vanishing space")
+        gaps = {}  # s -> the vanishing rows reduced modulo the ideal, rref, or None
         for w, vanish_w in vanish.items():
-            ideal_w, ranks = ideal.get(w), blocks[w]
-            res = [ideal_w.residual(row) if ideal_w else row for row in vanish_w.basis.entries]
-            if any(map(any, res)):
-                red = Subspace.from_rows(p, len(ranks), res)
+            s = w.count(0)
+            if s not in gaps:
+                ideal_w = ideal.get(w)
+                if ideal_w and any(vanish_w.member(row) is None
+                                   for row in ideal_w.basis.entries):
+                    raise InvariantError(f"degree {r}: ideal class escapes the vanishing space")
+                res = [ideal_w.residual(row) if ideal_w else row
+                       for row in vanish_w.basis.entries]
+                gaps[s] = (Subspace.from_rows(p, vanish_w.ambient_dim, res)
+                           if any(map(any, res)) else None)
+            if gaps[s] is not None:
+                ranks = blocks[w]
+                red = _signed(p, w, (r - m + s) // 2, gaps[s])
                 reps += [(ranks[c], {monos[ranks[i]]: v for i, v in enumerate(row) if v})
                          for row, c in zip(red.basis.entries, red.pivots)]
     gap = vanishing_dim - ideal_dim

@@ -21,7 +21,6 @@ from scratch and the test suite pins it.
 from __future__ import annotations
 
 import bisect
-import itertools
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,6 +28,7 @@ from math import comb
 from typing import Sequence
 
 from .errors import (
+    PRINTABLE_BITS,
     CatalogTooLargeError,
     DecompositionDefectError,
     DimensionMismatchError,
@@ -75,45 +75,54 @@ def dim_wedge(n: int, r: int) -> int:
 
 def _refuse_wider(n: int, r: int, limit: int):
     """Refuse more than ``limit`` degree-r wedge coordinates.  C(n, r) grows
-    one factor at a time; past 14,000 bits (4,200 digits, still printable)
-    a power of two below it is stated, so huge n refuse at once."""
+    one factor at a time and stops past PRINTABLE_BITS, where the refusal
+    states a power of two below it, so huge n refuse at once."""
     noun, count = f"degree-{r} wedge coordinates", int(0 <= r <= n)
     for i in range(min(r, n - r)):
         count = count * (n - i) // (i + 1)
-        if count.bit_length() > 14000:
-            raise CatalogTooLargeError(count, limit, noun, at_least=True)
+        if count.bit_length() > PRINTABLE_BITS:
+            break
     if count > limit:
         raise CatalogTooLargeError(count, limit, noun)
 
 
 class SymplecticSpace:
-    """F_p^{2m} with the standard alternating form and its cached operators."""
+    """F_p^{2m} with the standard alternating form and its cached operators.
+    The 2m x 2m Gram matrix is built on first read, so a space too large
+    for it can still be constructed and refused by what it is asked."""
 
-    __slots__ = ("p", "m", "gram", "order", "_cache")
+    __slots__ = ("p", "m", "order", "_cache")
 
     def __init__(self, p: int, m: int):
         check_prime(p)
         if m < 1:
             raise ValueError(f"need m >= 1, got {m}")
-        n = 2 * m
-        rows = [[0] * n for _ in range(n)]
-        for i in range(m):
-            rows[i][m + i] = 1
-            rows[m + i][i] = (-1) % p
-        gram = Matrix(p, rows, cols=n)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "order", VariableOrder(m))
         object.__setattr__(self, "_cache", {})
-        # construction-time sanity: alternating with zero diagonal, and
-        # nondegenerate (the matrix is its own certificate, but check anyway)
-        if any(gram.entries[i][i] for i in range(n)):
-            raise InvariantError("form has a nonzero self-pairing")
-        if not (gram + gram.transpose()).is_zero():
-            raise InvariantError("form is not alternating")
-        if rref(gram)[2] != n:
-            raise InvariantError("form is degenerate")
+
+    @property
+    def gram(self) -> Matrix:
+        """The Gram matrix of the form, checked when it is built: alternating
+        with zero diagonal, and nondegenerate (the matrix is its own
+        certificate, but check anyway)."""
+        gram = self._cache.get("gram")
+        if gram is None:
+            p, m, n = self.p, self.m, self.n
+            rows = [[0] * n for _ in range(n)]
+            for i in range(m):
+                rows[i][m + i] = 1
+                rows[m + i][i] = (-1) % p
+            gram = Matrix(p, rows, cols=n)
+            if any(gram.entries[i][i] for i in range(n)):
+                raise InvariantError("form has a nonzero self-pairing")
+            if not (gram + gram.transpose()).is_zero():
+                raise InvariantError("form is not alternating")
+            if rref(gram)[2] != n:
+                raise InvariantError("form is degenerate")
+            self._cache["gram"] = gram
+        return gram
 
     def __setattr__(self, name, value):
         raise AttributeError("SymplecticSpace is immutable")
@@ -370,14 +379,17 @@ class Sl2Report:
 
 
 @lru_cache(maxsize=None)
-def _block_relations(p: int, s: int, k: int, signs: tuple, sigma: int, shift: int) -> tuple:
-    """The four relations of ``DegreeCheck`` on one torus-weight block, as
-    exact equations between its sparse maps in pair coordinates: the block
-    has k pairs on an s-element free set, ``signs`` holds its epsilon for
-    k - 1, k and k + 1 pairs, and the weight acts by m - r = -shift.
-    Cached on this full input, since equal inputs build equal maps."""
-    below, here, above = signs
-    d = dim_wedge(s, k)
+def _block_relations(p: int, s: int, k: int, sigma: int, shift: int) -> tuple:
+    """The four relations of ``DegreeCheck`` on the torus-weight blocks
+    with k pairs on an s-element free set, where the weight acts by
+    m - r = -shift, as exact equations between sparse maps in pair
+    coordinates.  The maps are the unsigned inclusions (unit signs): a
+    block's true maps are these conjugated by D = diag(epsilon(K)) on
+    each side, and since D^2 = I the conjugation cancels in every
+    product, so each relation holds on the signed maps exactly when it
+    holds here."""
+    below, here, above = [(1,) * dim_wedge(s, t) for t in (k - 1, k, k + 1)]
+    d = len(here)
     lower = _block_map(p, s, k, k + 1, 1, here, above)
     raising = _block_map(p, s, k, k - 1, sigma, here, below)
     weight = SparseMatrix.diagonal(p, d, -shift)
@@ -397,21 +409,22 @@ def sl2_check(space: SymplecticSpace, sigma: int = SIGMA) -> Sl2Report:
     """Verify the full set of bracket relations degree by degree.
 
     Every operator preserves the torus weight, so each relation holds on a
-    degree exactly when it holds on each of its torus-weight blocks.  Each
-    block's relations are checked as exact equations between its own sparse
-    maps (``_block_relations``); nothing is assumed from the construction.
-    Spaces whose middle degree has more than TRIPLE_LIMIT coordinates are
-    refused with CatalogTooLargeError before any map is built.
+    degree exactly when it holds on each of its torus-weight blocks.  A
+    block of degree r = m - s + 2k is fixed up to the signs epsilon(K) by
+    its (s, k), and the signs cancel in every relation
+    (``_block_relations``), so the relations are checked once per (s, k)
+    with 0 <= k <= s <= m, as exact equations between sparse maps; nothing
+    is assumed from the construction.  Spaces whose middle degree has
+    more than TRIPLE_LIMIT coordinates are refused with
+    CatalogTooLargeError before any map is built.
     """
     p, m, n = space.p, space.m, space.n
     _refuse_wider(n, m, TRIPLE_LIMIT)
     flags = [(True,) * 4 for _ in range(n + 1)]
-    for w in itertools.product((0, 1, -1), repeat=m):
-        s = w.count(0)
-        eps = [()] + [_block_signs(p, w, k) for k in range(s + 1)] + [()]
+    for s in range(m + 1):
         for k in range(s + 1):
             r = m - s + 2 * k
-            ok = _block_relations(p, s, k, tuple(eps[k:k + 3]), sigma % p, (r - m) % p)
+            ok = _block_relations(p, s, k, sigma % p, (r - m) % p)
             flags[r] = tuple([a and b for a, b in zip(flags[r], ok)])
     checks = tuple(DegreeCheck(r, *ok) for r, ok in enumerate(flags))
     return Sl2Report(p=p, m=m, sigma=sigma, ok=all(c.ok for c in checks), degrees=checks)

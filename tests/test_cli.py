@@ -275,6 +275,45 @@ def test_oversized_input_refused_before_allocating(argv, noun):
     assert "Traceback" not in proc.stderr
 
 
+OVERSIZED = [
+    (("certificate", "-p", "2", "-m", "100000", "--class", "x1^y1"),
+     "at least 2^199999 vectors, more than the supported 1000000"),
+    (("isotropic", "-p", "2", "-m", "100000", "--dim", "1"), "at least 2^199999 subspaces"),
+    (("isotropic", "-p", "2", "-m", "100000", "--dim", "1", "--count-only"),
+     "at least 2^199999 subspaces, more than the supported 2^14000"),
+    (("group", "-p", "2", "-m", "100000", "--op", "type"), "at least 2^200001 group elements"),
+    (("group", "-p", "2", "-m", "100000", "--op", "center"), "at least 2^200001 group elements"),
+    (("group", "-p", "2", "-m", "100000", "--op", "order"),
+     "at least 2^200001 group elements, more than the supported 2^14000"),
+    (("group", "-p", "2", "-m", "100000", "--op", "commutator-form"),
+     "40000000000 element pairs, more than the supported 1000000"),
+    (("quotient-basis", "-p", "2", "-m", "100000", "-r", "0"), ("basis", ["1"])),
+    # an order of 14,000 bits still prints; one more pair is refused
+    (("group", "-p", "2", "-m", "6999", "--op", "order"), ("order", 2 ** 13999)),
+    (("group", "-p", "2", "-m", "7000", "--op", "order"), "at least 2^14001 group elements"),
+]
+
+
+@pytest.mark.parametrize("argv,expect", OVERSIZED, ids=[" ".join(argv) for argv, _ in OVERSIZED])
+def test_oversized_space_answers_or_refuses_without_its_form(argv, expect):
+    """The 2m x 2m Gram matrix is built only when read, refusal counts past
+    14,000 bits are stated as a power of two, and exact answers past that
+    are refused: each command ends in an answer (``expect`` is a key of
+    the report and its value) or in exit 3 (``expect`` is in the message),
+    within the 1.5 GB cap and in seconds."""
+    start = time.perf_counter()
+    proc = run_capped(*argv)
+    assert time.perf_counter() - start < 5
+    assert "Traceback" not in proc.stderr
+    if isinstance(expect, str):
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert expect in proc.stderr
+    else:
+        key, value = expect
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)[key] == value
+
+
 def test_quotient_basis_answers_up_to_the_limit(capsys, schema):
     # C(12, 6) = 924 coordinates, the most any basis report serves
     code, blob, _ = run_json(capsys, schema, "quotient-basis", "-p", "2", "-m", "6", "-r", "6")

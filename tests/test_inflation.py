@@ -330,6 +330,7 @@ def test_certificate_works_from_chart_data(monkeypatch, p, m, cls, points, solve
     monkeypatch.setattr(inflation, "pullback_coords", refuse)
     monkeypatch.setattr(isotropic, "_hyperplane", refuse)
     space, target = SymplecticSpace(p, m), parse(cls, p, m)
+    assert space.gram.rows == 2 * m  # the form's one-time checks, before counting
     ranks = count_calls(monkeypatch, isotropic, "rank")
     solved = count_calls(monkeypatch, inflation, "solve")
     eliminations = count_calls(monkeypatch, prime_linalg, "_rref_rows")

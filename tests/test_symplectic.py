@@ -196,18 +196,65 @@ def test_sl2_check_scans_no_colex_monomial(monkeypatch, fresh_relations):
 
 
 @pytest.mark.parametrize("p,m,blocks,keys", [
-    (2, 4, 189, 15), (7, 4, 189, 46), (3, 5, 648, 95), (2, 8, 24057, 45)])
+    (2, 4, 189, 15), (7, 4, 189, 15), (3, 5, 648, 21), (2, 8, 24057, 45), (3, 8, 24057, 45)])
 def test_sl2_check_checks_each_distinct_block_once(fresh_relations, p, m, blocks, keys):
     """A block with t unpaired positions comes in C(m, t) 2^t weights and
-    m - t + 1 degrees; the relations are checked once per distinct input
-    (s, k, signs, sigma, (r - m) mod p).  At p = 2 every sign is 1, so the
-    keys are the (s, k) with k <= s <= m."""
+    m - t + 1 degrees.  The blocks of one (s, k) share their unsigned maps
+    and their signs cancel in every relation, so the relations are checked
+    once per (s, k) with k <= s <= m, whatever p: one call each, no
+    repeat."""
     assert sum(comb(m, t) * 2 ** t * (m - t + 1) for t in range(m + 1)) == blocks
     assert sl2_check(SymplecticSpace(p, m)).ok
     info = symplectic._block_relations.cache_info()
-    assert (info.hits + info.misses, info.misses) == (blocks, keys)
-    if p == 2:
-        assert keys == (m + 1) * (m + 2) // 2
+    assert (info.hits + info.misses, info.misses) == (keys, keys)
+    assert keys == (m + 1) * (m + 2) // 2
+
+
+@functools.lru_cache(maxsize=None)
+def signed_block_relations(p, s, k, signs, sigma, shift):
+    """The four relations on one block from its signed maps: ``signs``
+    holds its epsilon for k - 1, k and k + 1 pairs."""
+    below, here, above = signs
+    d = dim_wedge(s, k)
+    block_map = symplectic._block_map
+    lower = block_map(p, s, k, k + 1, 1, here, above)
+    raising = block_map(p, s, k, k - 1, sigma, here, below)
+    weight = SparseMatrix.diagonal(p, d, -shift)
+    bracket = (block_map(p, s, k + 1, k, sigma, above, here) @ lower
+               - block_map(p, s, k - 1, k, 1, below, here) @ raising)
+    return (
+        bracket == SparseMatrix.diagonal(p, d, shift),
+        (SparseMatrix.diagonal(p, raising.rows, 2 - shift) @ raising
+         - raising @ weight) == raising.scale(2),
+        (SparseMatrix.diagonal(p, lower.rows, -2 - shift) @ lower
+         - lower @ weight) == lower.scale(-2),
+        weight == SparseMatrix.diagonal(p, d, 1).scale(-shift),
+    )
+
+
+def signed_sl2_report(space, sigma):
+    """The relations checked weight by weight, on each block's signed maps:
+    the oracle for checking them once per (s, k) on the unsigned ones."""
+    p, m, n = space.p, space.m, space.n
+    flags = [(True,) * 4 for _ in range(n + 1)]
+    for w in itertools.product((0, 1, -1), repeat=m):
+        s = w.count(0)
+        eps = [()] + [symplectic._block_signs(p, w, k) for k in range(s + 1)] + [()]
+        for k in range(s + 1):
+            r = m - s + 2 * k
+            ok = signed_block_relations(p, s, k, tuple(eps[k:k + 3]), sigma % p, (r - m) % p)
+            flags[r] = tuple([a and b for a, b in zip(flags[r], ok)])
+    checks = tuple(DegreeCheck(r, *ok) for r, ok in enumerate(flags))
+    return Sl2Report(p=p, m=m, sigma=sigma, ok=all(c.ok for c in checks),
+                     degrees=checks).to_json()
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("m", range(1, 6))
+def test_sl2_check_matches_the_signed_per_weight_oracle(p, m, sigma):
+    space = SymplecticSpace(p, m)
+    assert sl2_check(space, sigma).to_json() == signed_sl2_report(space, sigma)
 
 
 @pytest.mark.parametrize("name", ["x_minus_map", "x_plus_map"])
@@ -259,9 +306,9 @@ def test_block_maps_assemble_to_the_definitions(p, m):
 def test_flipped_pair_sign_fails_the_definitions_only(monkeypatch, fresh_relations, p, m):
     """Flipping epsilon(K) at the first K of the zero-weight block with one
     pair breaks the comparison with the definitions.  ``sl2_check`` cannot
-    see such an error, as long as every map reads the same wrong epsilon:
-    the flip conjugates each block map by a diagonal D with D^2 = I, and
-    that cancels in every bracket."""
+    see such an error: the flip conjugates each block map by a diagonal D
+    with D^2 = I, which cancels in every bracket, so it checks the
+    unsigned maps and reads no epsilon at all."""
     zero, signs = (0,) * m, symplectic._pair_signs
 
     def flipped(w, k):
