@@ -438,10 +438,16 @@ _ASCII = json.encoder.encode_basestring_ascii
 
 
 def _json_indented(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, joined from parts:
-    with ``indent`` set, ``json`` falls back to its pure-Python encoder."""
+    """``json.dumps(value, indent=2, sort_keys=True)``, joined from parts, a
+    list of plain ints in one pass: with ``indent``, ``json`` is pure Python."""
     if type(value) is int:
         return int.__repr__(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
     if isinstance(value, str):
         return _ASCII(value)
     if isinstance(value, dict):
@@ -455,14 +461,10 @@ def _json_indented(value, indent: str = "\n") -> str:
         if not value:
             return "[]"
         inner = indent + "  "
+        if type(value[0]) is int and all(type(v) is int for v in value):  # not bools
+            return "[" + inner + ("," + inner).join(map(int.__repr__, value)) + indent + "]"
         return "[" + inner + ("," + inner).join([
             _json_indented(v, inner) for v in value]) + indent + "]"
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
     return json.dumps(value)  # floats (NaN and infinities too), int subclasses
 
 

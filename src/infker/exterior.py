@@ -40,6 +40,8 @@ def monomials(nvars: int, r: int) -> tuple:
     """All degree-r monomials on ``nvars`` positions, in colex order."""
     if r < 0 or r > nvars:
         return ()
+    if r == 0:  # ``combinations`` would copy the whole pool first
+        return ((),)
     return tuple(sorted(itertools.combinations(range(nvars), r),
                         key=lambda mono: mono[::-1]))
 
@@ -158,8 +160,8 @@ def _hyperplane_terms(nvars: int, f: int, r: int) -> tuple:
     reads.  The wedge of rows B, with U = u(B), is e_U plus, for
     each b in B, (-1)^s t_b e_{U - u + f}, s the number of positions of U
     strictly between u and f; every other term takes e_f twice.  Returns
-    (by_rows, by_mono): by_rows maps B to (rank of U, ((rank of U - u + f,
-    sign, b), ...)); by_mono maps each degree-r monomial I on ``nvars``
+    (by_rows, by_mono): by_rows maps B, in lex order, to (rank of U, ((rank
+    of U - u + f, sign, b), ...)); by_mono maps each degree-r monomial I on ``nvars``
     positions to the transpose, (rank of B with U = I or None, ((rank of
     B, sign, b), ...)), ranks colex.
     """
@@ -178,28 +180,14 @@ def _hyperplane_terms(nvars: int, f: int, r: int) -> tuple:
     return by_rows, by_mono
 
 
-def hyperplane_wedge(nvars: int, p: int, f: int, t: Sequence[int], rows: Mono) -> tuple:
-    """Colex coordinates of the wedge of the rows ``rows`` (a monomial
-    on the nvars - 1 row numbers) of the hyperplane chart (f, t), whose
-    row b is e_u + t_b e_f, u = b + (b >= f): e_U plus the signed t_b at
-    U - u + f, as ``_hyperplane_terms`` lists them.  What
-    ``pure_wedge_coords`` gives for those rows, with no minor."""
-    unit, terms = _hyperplane_terms(nvars, f, len(rows))[0][rows]
-    out = [0] * comb(nvars, len(rows))
-    out[unit] = 1
-    for rank, sign, b in terms:
-        out[rank] = sign * t[b] % p
-    return tuple(out)
-
-
 def hyperplane_restriction(nvars: int, p: int, f: int, t: Sequence[int], r: int,
                            terms: dict) -> tuple:
     """Colex coordinates, on the nvars - 1 rows of the hyperplane chart
     (f, t), of the restriction of one degree-r class given as
     ``{monomial: coeff}`` on ``nvars`` positions.  Coordinate B is the
-    class at the wedge of rows B, so this is the transpose of
-    ``hyperplane_wedge``: what ``pullback_coords`` gives along the
-    transposed rows, with no minor."""
+    class at the wedge of rows B, which is e_U plus the signed t_b at
+    U - u + f, so this reads ``_hyperplane_terms`` by monomial: what
+    ``pullback_coords`` gives along the transposed rows, with no minor."""
     table = _hyperplane_terms(nvars, f, r)[1]
     out = [0] * comb(nvars - 1, r)
     for mono, coeff in terms.items():

@@ -39,16 +39,16 @@ from typing import Optional
 from .errors import CatalogTooLargeError, InvariantError
 from .exterior import (
     Multivector,
+    _hyperplane_terms,
     _wedge_table,
     hyperplane_restriction,
-    hyperplane_wedge,
     mono_rank,
     monomials,
     pullback_coords,
     pure_wedge_coords,
 )
 from .isotropic import perp_chart
-from .prime_linalg import Matrix, Subspace, inv_mod, solve
+from .prime_linalg import Matrix, Subspace, inv_mod, solve_rows
 from .symplectic import (
     SymplecticSpace,
     _cached,
@@ -92,7 +92,7 @@ def _divided_power_parts(space: SymplecticSpace, r: int, js: tuple) -> dict:
     itself."""
     def build():
         p, m, parts = space.p, space.m, {}
-        for w in weight_blocks(m, r)[0]:
+        for w in weight_blocks(m, r)[0] if 2 * min(js, default=r + 1) <= r else ():  # O(m) each
             s = w.count(0)
             k = (r - m + s) // 2
             used = tuple([j for j in js if j <= k])
@@ -137,9 +137,9 @@ def quotient_basis(space: SymplecticSpace, r: int) -> tuple:
     These are the colex monomials at the non-pivot columns of the ideal's
     reduced basis, listed in colex order.
     """
-    blocks = weight_blocks(space.m, r)[0]
-    pivots = {blocks[w][c] for w, part in _divided_power_parts(space, r, (1,)).items()
-              for c in part.pivots}
+    parts = _divided_power_parts(space, r, (1,))
+    blocks = weight_blocks(space.m, r)[0] if parts else {}
+    pivots = {blocks[w][c] for w, part in parts.items() for c in part.pivots}
     return tuple(
         mono for k, mono in enumerate(monomials(space.n, r))
         if k not in pivots
@@ -417,6 +417,19 @@ def _form_wedge_columns(p: int, k: int, degree: int, omega_rest, mus) -> list:
     return cols
 
 
+@lru_cache(maxsize=None)
+def _system_plan(k: int, degree: int) -> tuple:
+    """The form-wedge entries of the certificate's system on a k-dimensional
+    perp: per degree-``degree`` monomial R, the (column mu, pair R - mu,
+    sign) with mu inside R, by colex rank; ``_wedge_table`` transposed."""
+    rows = [[] for _ in range(dim_wedge(k, degree))]
+    for pair, row in enumerate(_wedge_table(k, 2, degree - 2)):
+        for mu, hit in enumerate(row):
+            if hit is not None:
+                rows[hit[1]].append((mu, pair, hit[0]))
+    return tuple(map(tuple, rows))
+
+
 def _generator(p: int, k: int, degree: int, omega_rest, ann: Subspace,
                ident) -> Optional[tuple]:
     """Coordinates of the generator that an identity record names on the
@@ -448,11 +461,12 @@ def certificate(space: SymplecticSpace, target: Multivector) -> CertificateRepor
     projective point, at the g whose first nonzero entry is 1: c * g has
     the same perp, restriction, annihilator and witness, so its record is
     g's with only g replaced.  Each point works from its perp chart's
-    data alone: the restriction and the annihilator wedges are the
-    closed forms ``hyperplane_restriction`` and ``hyperplane_wedge`` of
-    the perp's and the annihilator's hyperplane charts, and the form
-    wedges come from the chart's Gram rows; identity records are built
-    only for a witness's nonzero coefficients.  Spaces with more than
+    data alone: the restriction is the closed form
+    ``hyperplane_restriction``, and the system is written row by row (at
+    p = 2 one packed int a row) from ``_system_plan`` at the chart's Gram
+    form, the annihilator's ``_hyperplane_terms`` at its t, and the
+    restriction, in the generators' column order; identity records are
+    built only for a witness's nonzero coefficients.  Spaces with more than
     CERTIFICATE_LIMIT nonzero vectors are refused with
     CatalogTooLargeError before the first perp is built.
     """
@@ -470,10 +484,11 @@ def certificate(space: SymplecticSpace, target: Multivector) -> CertificateRepor
     # g^perp has dimension k, its radical <g> dimension 1, and the
     # complement and the annihilator dimension k - 1; the generators are
     # the form wedged with each monomial, then the annihilator's wedges
+    # in lex order of their rows, the order ``_hyperplane_terms`` lists
     k = n - 1
     monos = monomials(k, degree - 2)
-    form_mus = range(len(monos))
     subsets = list(itertools.combinations(range(k - 1), degree))
+    plan, ncols = _system_plan(k, degree), len(monos) + len(subsets)
 
     def identity(j: int) -> dict:
         if j < len(monos):
@@ -494,10 +509,25 @@ def certificate(space: SymplecticSpace, target: Multivector) -> CertificateRepor
         rest = hyperplane_restriction(n, p, chart.f, chart.c, degree, target.terms)
         coeffs = witness = None
         if any(rest):
-            gens = (_form_wedge_columns(p, k, degree, _gram_form(chart.gram), form_mus)
-                    + [hyperplane_wedge(k, p, chart.f_ann, chart.t, subset)
-                       for subset in subsets])
-            coeffs = solve(Matrix._of(p, tuple(zip(*gens)), len(gens)), rest)
+            omega, t = _gram_form(chart.gram), chart.t
+            ann = enumerate(_hyperplane_terms(k, chart.f_ann, degree)[0].values(), len(monos))
+            if p == 2:
+                rows = [sum([1 << mu for mu, pair, _ in entries if omega[pair]]) | v << ncols
+                        for entries, v in zip(plan, rest)]
+                for j, (unit, terms) in ann:
+                    rows[unit] |= 1 << j
+                    for rank, _, b in terms:
+                        rows[rank] |= t[b] << j
+            else:
+                rows = [[0] * ncols + [v] for v in rest]
+                for row, entries in zip(rows, plan):
+                    for mu, pair, sign in entries:
+                        row[mu] = sign * omega[pair] % p
+                for j, (unit, terms) in ann:
+                    rows[unit][j] = 1
+                    for rank, sign, b in terms:
+                        rows[rank][j] = sign * t[b] % p
+            coeffs = solve_rows(p, rows, ncols)
             if coeffs is not None:
                 witness = {"terms": [{"coeff": c, **identity(j)}
                                      for j, c in enumerate(coeffs) if c]}

@@ -258,8 +258,9 @@ def perp_chart(space: SymplecticSpace, g: Sequence[int]) -> PerpChart:
     On the chart's own data, three checks run: the radical's coordinates
     lead where the complement has no row (the split), psi(g, -) is
     phi_u + c_b phi_f = 0 on every row (the radical pairing), and the
-    complement's form has full rank (the chart's one elimination).
-    Together they prove that <g> is the whole radical.
+    complement's form has full rank (the chart's one elimination, rank
+    only: no reduced matrix is read back).  Together they prove that <g>
+    is the whole radical.
     """
     p, m, n = space.p, space.m, space.n
     if len(g) != n:

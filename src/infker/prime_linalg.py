@@ -11,8 +11,9 @@ Row reduction is deterministic: pivots are chosen leftmost column first,
 then topmost available row.  Canonical objects downstream (subspace bases,
 quotient monomials, report payloads) inherit their reproducibility from
 this rule.  For p = 2 rows are packed into Python ints and eliminated with
-XOR; that path produces bit-identical output to the generic one and the
-test suite cross-checks the two on random inputs.
+XOR; the rref is unique, so that path produces bit-identical output to the
+generic one, and the test suite cross-checks the two on random inputs.
+``solve_rows`` solves augmented rows in the form the elimination takes.
 """
 
 from __future__ import annotations
@@ -383,70 +384,64 @@ class SparseMatrix:
         return tuple(v % p for v in out)
 
 
-def _rref_generic(rows: Sequence[Sequence[int]], ncols: int, p: int):
-    mat = [[v % p for v in row] for row in rows]  # the one reduction mod p
-    nrows = len(mat)
-    pivots = []
-    rank = 0
+def _eliminate(rows: list, ncols: int, p: int) -> tuple:
+    """Reduce ``rows``, each of ``ncols`` columns, in place to rref and
+    return the pivots.  At p = 2 each row is an int whose bit c is column
+    c, and the rows join a fully reduced basis one at a time by XOR; the
+    rref is unique, so it is the one the generic path gives.  Otherwise
+    each row is a sequence of integers in [0, p)."""
+    nrows, pivots = len(rows), []
+    if p == 2:
+        basis = {}  # lowest bit -> row, zero at every other row's lowest bit
+        for w in rows:
+            for low, prow in basis.items():
+                if w & low:
+                    w ^= prow
+            if w:
+                low = w & -w
+                for key, prow in basis.items():
+                    if prow & low:
+                        basis[key] = prow ^ w
+                basis[low] = w
+        rows[:] = [basis[low] for low in sorted(basis)] + [0] * (nrows - len(basis))
+        return tuple([low.bit_length() - 1 for low in sorted(basis)])
     for col in range(ncols):
-        pivot = next((i for i in range(rank, nrows) if mat[i][col]), None)
-        if pivot is None:
+        rank = len(pivots)
+        for pivot in range(rank, nrows):
+            if rows[pivot][col]:
+                break
+        else:
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        lead = mat[rank][col]
-        if lead != 1:
-            inv = inv_mod(lead, p)
-            mat[rank] = [(inv * v) % p for v in mat[rank]]
-        prow = mat[rank]
+        prow, rows[pivot] = rows[pivot], rows[rank]
+        if prow[col] != 1:
+            inv = pow(prow[col], -1, p)
+            prow = [inv * v % p for v in prow]
+        rows[rank] = prow
         for i in range(nrows):
-            if i != rank and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [(v - f * w) % p for v, w in zip(mat[i], prow)]
+            f = rows[i][col]
+            if f and i != rank:
+                rows[i] = [(v - f * w) % p for v, w in zip(rows[i], prow)]
         pivots.append(col)
-        rank += 1
-        if rank == nrows:
+        if rank + 1 == nrows:
             break
-    return mat, tuple(pivots), rank
+    return tuple(pivots)
 
 
-def _rref_packed2(rows: Sequence[Sequence[int]], ncols: int):
-    # rows packed little-endian: bit c of the int is column c
-    packed = []
-    for row in rows:
-        acc = 0
-        for c, v in enumerate(row):
-            if v & 1:
-                acc |= 1 << c
-        packed.append(acc)
-    nrows = len(packed)
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        mask = 1 << col
-        pivot = next((i for i in range(rank, nrows) if packed[i] & mask), None)
-        if pivot is None:
-            continue
-        packed[rank], packed[pivot] = packed[pivot], packed[rank]
-        prow = packed[rank]
-        for i in range(nrows):
-            if i != rank and packed[i] & mask:
-                packed[i] ^= prow
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    mat = [[(w >> c) & 1 for c in range(ncols)] for w in packed]
-    return mat, tuple(pivots), rank
+def _prepared(rows: Sequence[Sequence[int]], p: int) -> list:
+    """Rows of any integers as ``_eliminate`` takes them, reduced mod p."""
+    if p == 2:
+        return [sum(1 << c for c, v in enumerate(row) if v & 1) for row in rows]
+    return [[v % p for v in row] for row in rows]
 
 
 def _rref_rows(rows: Sequence[Sequence[int]], ncols: int, p: int):
     """Reduced rows as a tuple of tuples in [0, p), pivots and rank; rows
     of any integers, reduced mod p once on the way in."""
+    red = _prepared(rows, p)
+    pivots = _eliminate(red, ncols, p)
     if p == 2:
-        red, pivots, rank = _rref_packed2(rows, ncols)
-    else:
-        red, pivots, rank = _rref_generic(rows, ncols, p)
-    return tuple(map(tuple, red)), pivots, rank
+        red = [[(w >> c) & 1 for c in range(ncols)] for w in red]
+    return tuple(map(tuple, red)), pivots, len(pivots)
 
 
 def rref(mat: Matrix):
@@ -459,24 +454,33 @@ def rref(mat: Matrix):
 
 
 def rank(mat: Matrix) -> int:
-    return rref(mat)[2]
+    """The rank: ``rref``'s elimination, with no reduced matrix built."""
+    return len(_eliminate(_prepared(mat.entries, mat.p), mat.cols, mat.p))
+
+
+def solve_rows(p: int, rows: list, ncols: int) -> Optional[tuple]:
+    """One solution of the augmented rows, each ``ncols`` coefficients and
+    a right-hand side (at p = 2 an int, bit ``ncols`` the right-hand side;
+    else ncols + 1 integers in [0, p)), or None when inconsistent.  The
+    list is reduced in place; free variables are set to zero."""
+    pivots = _eliminate(rows, ncols + 1, p)
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [0] * ncols
+    for row, col in zip(rows, pivots):
+        x[col] = (row >> ncols) & 1 if p == 2 else row[ncols]
+    return tuple(x)
 
 
 def solve(mat: Matrix, rhs: Sequence[int]) -> Optional[tuple]:
     """One solution of ``mat @ x = rhs``, or None when inconsistent.
 
-    Free variables are set to zero, so the answer is deterministic.
+    The augmented rows go to ``solve_rows``, which sets free variables to 0.
     """
     if len(rhs) != mat.rows:
         raise DimensionMismatchError(f"rhs length {len(rhs)} vs {mat.rows} rows")
-    red, pivots, _ = _rref_rows([row + (b,) for row, b in zip(mat.entries, rhs)],
-                                mat.cols + 1, mat.p)
-    if mat.cols in pivots:
-        return None
-    x = [0] * mat.cols
-    for i, col in enumerate(pivots):
-        x[col] = red[i][mat.cols]
-    return tuple(x)
+    rows = _prepared([row + (b,) for row, b in zip(mat.entries, rhs)], mat.p)
+    return solve_rows(mat.p, rows, mat.cols)
 
 
 class Subspace:

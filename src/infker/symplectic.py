@@ -64,7 +64,7 @@ SIGMA = -1
 CLOSURE_LIMIT = 252
 
 #: Largest middle-degree dimension C(2m, m) that ``sl2_check`` serves:
-#: C(16, 8), so m <= 8.
+#: C(16, 8), so m <= 8; ``decompose`` and ``ladder`` refuse past it too.
 TRIPLE_LIMIT = 12870
 
 
@@ -236,7 +236,7 @@ def assemble(p: int, m: int, r: int, parts: dict) -> Subspace:
     """The canonical subspace of degree r with the canonical local subspace
     ``parts[w]`` in the block of each torus weight w.  Blocks have disjoint
     supports, so the rows of all blocks, sorted by pivot, are the rref."""
-    blocks, d, rows = weight_blocks(m, r)[0], dim_wedge(2 * m, r), []
+    blocks, d, rows = weight_blocks(m, r)[0] if parts else {}, dim_wedge(2 * m, r), []
     for w, part in parts.items():
         ranks = blocks[w]
         for row, pivot in zip(part.basis.entries, part.pivots):
@@ -463,7 +463,8 @@ class LadderSequence:
 
 def ladder(space: SymplecticSpace, seed: Multivector) -> LadderSequence:
     """Build the ladder from a primitive homogeneous seed and verify the
-    three recurrences it must satisfy."""
+    three recurrences it must satisfy; refused past TRIPLE_LIMIT
+    coordinates in the widest degree it may reach."""
     _check_value(space, seed)
     if seed.is_zero():
         raise HomogeneityError("ladder seed must be nonzero")
@@ -471,6 +472,8 @@ def ladder(space: SymplecticSpace, seed: Multivector) -> LadderSequence:
     p, m = space.p, space.m
     if r > m:
         raise ValueError(f"seed degree {r} exceeds m = {m}")
+    # entries and their checks reach degree r + 2p at most; C(2m, .) peaks at m
+    _refuse_wider(space.n, min(m, r + 2 * p), TRIPLE_LIMIT)
     if not x_plus(space, seed).is_zero():
         raise PrimitivityError("seed is not annihilated by the raising operator")
     lam = (m - r) % p
@@ -560,7 +563,8 @@ def decompose(space: SymplecticSpace, alpha: Multivector):
     Returns (e, beta) with alpha = e + gamma ^ beta, e primitive.  When
     the primitive subspace and the lowered image fail to meet trivially or
     to span (possible once p <= m), the defect dimensions are reported via
-    :class:`DecompositionDefectError` instead.
+    :class:`DecompositionDefectError` instead.  Refused past TRIPLE_LIMIT
+    coordinates in the class's degree.
     """
     _check_value(space, alpha)
     if alpha.is_zero():
@@ -570,6 +574,7 @@ def decompose(space: SymplecticSpace, alpha: Multivector):
     p, m, n = space.p, space.m, space.n
     if r > m:
         raise ValueError(f"degree {r} exceeds m = {m}")
+    _refuse_wider(n, r, TRIPLE_LIMIT)
     d = dim_wedge(n, r)
     prim = primitive_basis(space, r)
     lower = x_minus_matrix(space, r - 2)

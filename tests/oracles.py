@@ -10,13 +10,34 @@
   (``block_columns``) and eliminated block by block.
 * ``gap_profile`` is the closed form of the (ideal, vanishing, gap)
   dimensions from Wilson's F_p-ranks of the inclusion matrices W_{k-1,k}.
+* ``rref_oracle`` and ``solve_oracle`` are the list-based elimination and
+  the solve on a reduced augmented matrix that the packed and row-wise
+  paths replaced.
+* ``certificate_by_columns`` is the certificate loop that wrote each
+  point's system column by column (``_form_wedge_columns`` and the
+  annihilator wedges of ``hyperplane_wedge``) and solved its transpose.
 """
 
+import itertools
+from dataclasses import replace
 from functools import lru_cache
 from math import comb
 
-from infker.exterior import mono_rank, monomials, wedge_monomials
-from infker.prime_linalg import SparseMatrix, Subspace
+from infker.exterior import (
+    _hyperplane_terms,
+    hyperplane_restriction,
+    mono_rank,
+    monomials,
+    wedge_monomials,
+)
+from infker.inflation import (
+    CertificateRecord,
+    CertificateReport,
+    _form_wedge_columns,
+    _gram_form,
+)
+from infker.isotropic import perp_chart
+from infker.prime_linalg import Matrix, SparseMatrix, Subspace, inv_mod
 from infker.symplectic import _x_plus_mono, dim_wedge, weight_blocks
 
 
@@ -96,3 +117,89 @@ def gap_profile(p: int, m: int) -> list:
         vanishing = comb(2 * m, r - 2) if 2 <= r <= m else (comb(2 * m, r) if r > m else 0)
         out.append((ideal, vanishing, vanishing - ideal))
     return out
+
+
+def rref_oracle(rows, ncols: int, p: int):
+    """Reduced rows as lists, pivots and rank: leftmost column first, then
+    topmost row, one list comprehension per row update."""
+    mat = [[v % p for v in row] for row in rows]
+    nrows, pivots, rank = len(mat), [], 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, nrows) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = inv_mod(mat[rank][col], p)
+        mat[rank] = [(inv * v) % p for v in mat[rank]]
+        for i in range(nrows):
+            if i != rank and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [(v - f * w) % p for v, w in zip(mat[i], mat[rank])]
+        pivots.append(col)
+        rank += 1
+    return mat, tuple(pivots), rank
+
+
+def solve_oracle(mat, rhs):
+    """One solution of ``mat @ x = rhs`` read off the reduced augmented
+    matrix, free variables zero, or None when inconsistent."""
+    red, pivots, _ = rref_oracle([row + (b,) for row, b in zip(mat.entries, rhs)],
+                                 mat.cols + 1, mat.p)
+    if mat.cols in pivots:
+        return None
+    x = [0] * mat.cols
+    for row, col in zip(red, pivots):
+        x[col] = row[mat.cols]
+    return tuple(x)
+
+
+def hyperplane_wedge(nvars: int, p: int, f: int, t, rows) -> tuple:
+    """Colex coordinates of the wedge of the rows ``rows`` (a monomial on
+    the nvars - 1 row numbers) of the hyperplane chart (f, t): e_U plus the
+    signed t_b at U - u + f, as ``_hyperplane_terms`` lists them."""
+    unit, terms = _hyperplane_terms(nvars, f, len(rows))[0][rows]
+    out = [0] * comb(nvars, len(rows))
+    out[unit] = 1
+    for rank, sign, b in terms:
+        out[rank] = sign * t[b] % p
+    return tuple(out)
+
+
+def certificate_by_columns(space, target) -> CertificateReport:
+    """``certificate`` with each point's generators built as columns, the
+    form wedges by ``_form_wedge_columns`` and the annihilator wedges by
+    ``hyperplane_wedge``, transposed into a Matrix and solved by
+    ``solve_oracle``."""
+    degree, p, n = target.degree(), space.p, space.n
+    k = n - 1
+    monos = monomials(k, degree - 2)
+    subsets = list(itertools.combinations(range(k - 1), degree))
+    idents = ([{"kind": "form_wedge", "monomial": list(mu)} for mu in monos]
+              + [{"kind": "annihilator_wedge", "rows": list(b)} for b in subsets])
+    records, by_point = [], {}
+    for g in itertools.product(range(p), repeat=n):
+        lead = next((c for c in g if c), 0)
+        if lead > 1:
+            inv = inv_mod(lead, p)
+            records.append(replace(by_point[tuple(c * inv % p for c in g)], g=g))
+            continue
+        if not lead:
+            continue
+        chart = perp_chart(space, g)
+        rest = hyperplane_restriction(n, p, chart.f, chart.c, degree, target.terms)
+        coeffs = witness = None
+        if any(rest):
+            gens = (_form_wedge_columns(p, k, degree, _gram_form(chart.gram),
+                                        range(len(monos)))
+                    + [hyperplane_wedge(k, p, chart.f_ann, chart.t, b) for b in subsets])
+            coeffs = solve_oracle(Matrix(p, zip(*gens), cols=len(gens)), rest)
+            if coeffs is not None:
+                witness = {"terms": [{"coeff": c, **ident}
+                                     for c, ident in zip(coeffs, idents) if c]}
+        by_point[g] = CertificateRecord(
+            g=g, dim_perp=k, dim_radical=1, dim_complement=k - 1,
+            dim_annihilator=k - 1, vacuous=not any(rest),
+            member=coeffs is not None, witness=witness)
+        records.append(by_point[g])
+    return CertificateReport(p=p, m=space.m, degree=degree, target=target,
+                             records=records)

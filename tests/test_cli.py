@@ -190,6 +190,7 @@ json_scalars = (st.none() | st.booleans() | st.integers()
 json_values = st.recursive(
     json_scalars,
     lambda inner: st.lists(inner, max_size=4)
+    | st.lists(st.integers(), min_size=1, max_size=6)  # the writer's int-list path
     | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=20)
 
@@ -205,6 +206,8 @@ def test_json_renderer_matches_json_dumps(value):
     {"é\n\"\\": [float("nan"), float("-inf"), -0.0, 1e300, "\u2603\U0001f600\x00"]},
     ({"b": (), "a": {}},),
     True, None, -2 ** 70, 0.1, {3: 0.5, 1: True, 2.5: None},
+    # the int-list path: bools in the list, big ints, nested int lists
+    [True, 1, 0, False], [2 ** 70, -1, 0], [[1, 2], [3]],
 ])
 def test_json_renderer_frozen_cases(value):
     assert _json_indented(value) == json.dumps(value, indent=2, sort_keys=True)
@@ -291,6 +294,13 @@ OVERSIZED = [
     # an order of 14,000 bits still prints; one more pair is refused
     (("group", "-p", "2", "-m", "6999", "--op", "order"), ("order", 2 ** 13999)),
     (("group", "-p", "2", "-m", "7000", "--op", "order"), "at least 2^14001 group elements"),
+    # degree 0 lists no monomial pool and no torus weight, which costs O(m)
+    (("ideal-basis", "-p", "2", "-m", "1000000000", "-r", "0"), ("basis", [])),
+    (("quotient-basis", "-p", "2", "-m", "1000000000", "-r", "0"), ("basis", ["1"])),
+    (("decompose", "-p", "2", "-m", "100000", "--class", "x1^y1"),
+     "19999900000 degree-2 wedge coordinates, more than the supported 12870"),
+    (("ladder", "-p", "2", "-m", "100000", "--class", "x1"),
+     "2666533335666650000040000 degree-5 wedge coordinates"),
 ]
 
 

@@ -21,7 +21,6 @@ from infker.exterior import (
     VariableOrder,
     compound_matrix,
     hyperplane_restriction,
-    hyperplane_wedge,
     mono_rank,
     monomials,
     parse,
@@ -32,6 +31,7 @@ from infker.exterior import (
     wedge_monomials,
 )
 from infker.prime_linalg import Matrix
+from oracles import hyperplane_wedge
 
 primes = st.sampled_from((2, 3, 5, 7))
 

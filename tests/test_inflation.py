@@ -28,6 +28,7 @@ from infker.inflation import (
     _form_wedge_columns,
     _generator,
     _gram_form,
+    _system_plan,
     certificate,
     counterexample,
     ideal_component,
@@ -56,7 +57,7 @@ from infker.symplectic import (
     primitive_basis,
     weight_blocks,
 )
-from oracles import divided_power_oracle, x_plus_oracle
+from oracles import certificate_by_columns, divided_power_oracle, x_plus_oracle
 from test_exterior import pullback_matrix
 from test_prime_linalg import count_calls
 from test_isotropic import greedy_radical_split, kernel_annihilator, kernel_perp
@@ -332,8 +333,8 @@ def test_certificate_works_from_chart_data(monkeypatch, p, m, cls, points, solve
     space, target = SymplecticSpace(p, m), parse(cls, p, m)
     assert space.gram.rows == 2 * m  # the form's one-time checks, before counting
     ranks = count_calls(monkeypatch, isotropic, "rank")
-    solved = count_calls(monkeypatch, inflation, "solve")
-    eliminations = count_calls(monkeypatch, prime_linalg, "_rref_rows")
+    solved = count_calls(monkeypatch, inflation, "solve_rows")
+    eliminations = count_calls(monkeypatch, prime_linalg, "_eliminate")
     rep = certificate(space, target)
     normalized = [rec for rec in rep.records if next(c for c in rec.g if c) == 1]
     assert rep.overall and len(normalized) == points
@@ -538,10 +539,20 @@ def form_wedge_oracle(p, k, degree, omega_rest, mu):
     return tuple(v % p for v in out)
 
 
+def plan_block(p, k, degree, omega):
+    """The form-wedge columns that certificate's rows hold: ``_system_plan``
+    read at the form and transposed."""
+    cols = [[0] * dim_wedge(k, degree) for _ in monomials(k, degree - 2)]
+    for r, entries in enumerate(_system_plan(k, degree)):
+        for mu, pair, sign in entries:
+            cols[mu][r] = sign * omega[pair] % p
+    return [tuple(col) for col in cols]
+
+
 @pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (2, 4)])
 def test_form_wedge_block_matches_generator_columns(p, m):
-    # certificate's block, from the Gram, against replay's columns, from
-    # the pullback of gamma, one identity record at a time
+    # certificate's block, from the row plan at the Gram, against replay's
+    # columns, from the pullback of gamma, one identity record at a time
     space = shared_space(p, m)
     for g in itertools.product(range(p), repeat=2 * m):
         if next((c for c in g if c), 0) != 1:
@@ -552,13 +563,50 @@ def test_form_wedge_block_matches_generator_columns(p, m):
         omega_gram = _gram_form(chart.gram)
         for degree in range(2, k + 1):
             monos = monomials(k, degree - 2)
-            block = _form_wedge_columns(p, k, degree, omega_gram, range(len(monos)))
+            block = plan_block(p, k, degree, omega_gram)
+            assert block == _form_wedge_columns(p, k, degree, omega_gram, range(len(monos)))
             assert block == [
                 _generator(p, k, degree, omega_rest, ann,
                            {"kind": "form_wedge", "monomial": list(mu)})
                 for mu in monos]
             assert block == [form_wedge_oracle(p, k, degree, omega_rest, mu)
                              for mu in monos]
+
+
+@st.composite
+def certificate_cases(draw):
+    """A space up to (7, 2), (3, 3) and (2, 4) and a nonzero class of degree
+    2 .. 2m - 2, where the perp's annihilator still has top wedges to
+    offer."""
+    p, m = draw(st.sampled_from([(2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3), (2, 4)]))
+    r = draw(st.integers(2, 2 * m - 2))
+    monos = monomials(2 * m, r)
+    picked = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+    coeffs = draw(st.lists(st.integers(1, p - 1), min_size=len(picked),
+                           max_size=len(picked)))
+    return shared_space(p, m), Multivector(p, m, dict(zip(picked, coeffs)))
+
+
+@given(certificate_cases())
+@settings(max_examples=30, deadline=None)
+def test_certificate_matches_column_oracle(case):
+    """The rows written from the plan and solved packed give the records,
+    witnesses and all, that the columns solved through a Matrix gave."""
+    space, target = case
+    assert certificate(space, target).to_json() == \
+        certificate_by_columns(space, target).to_json()
+
+
+def test_certificate_matches_column_oracle_at_5_3():
+    """A larger odd prime at m = 3, 15,624 vectors, with annihilator wedges
+    in some witnesses and points where membership fails; (7, 3) is left to
+    the CI step, where the oracle's 117,648 vectors take seconds."""
+    space, target = shared_space(5, 3), parse("x1^x2 + 2*x3^y1", 5, 3)
+    rep = certificate(space, target)
+    assert rep.to_json() == certificate_by_columns(space, target).to_json()
+    assert not rep.overall
+    assert any(term["kind"] == "annihilator_wedge" for rec in rep.records if rec.witness
+               for term in rec.witness["terms"])
 
 
 def test_certificate_rejects_zero_and_inhomogeneous_targets():

@@ -397,7 +397,7 @@ def test_perp_chart_eliminates_once(monkeypatch):
         raise AssertionError("the chart multiplied matrices")
     space = SymplecticSpace(3, 2)
     assert space.gram.rows == 4  # the form's one-time checks, before counting
-    calls = count_calls(monkeypatch, pl, "_rref_rows")
+    calls = count_calls(monkeypatch, pl, "_eliminate")
     monkeypatch.setattr(Matrix, "__matmul__", refuse)
     monkeypatch.setattr(Matrix, "matvec", refuse)
     chart = perp_chart(space, [0, 0, 1, 0])

@@ -14,8 +14,7 @@ from infker.prime_linalg import (
     Matrix,
     SparseMatrix,
     Subspace,
-    _rref_generic,
-    _rref_packed2,
+    _rref_rows,
     check_prime,
     count_subspaces,
     image_basis,
@@ -26,8 +25,10 @@ from infker.prime_linalg import (
     rank,
     rref,
     solve,
+    solve_rows,
     sum_and_intersection,
 )
+from oracles import rref_oracle, solve_oracle
 
 SMALL_PRIMES = (2, 3, 5, 7)
 
@@ -127,7 +128,8 @@ def test_transpose_empty_roundtrip():
 def test_packed_rref_matches_generic(mat):
     """The bitset path over F_2 must be indistinguishable from the
     generic path, including pivot choices."""
-    assert _rref_generic(mat.entries, mat.cols, 2) == _rref_packed2(mat.entries, mat.cols)
+    red, pivots, rk = rref_oracle(mat.entries, mat.cols, 2)
+    assert (tuple(map(tuple, red)), pivots, rk) == _rref_rows(mat.entries, mat.cols, 2)
 
 
 @given(matrices)
@@ -256,6 +258,50 @@ def test_solve_matches_matrix_oracle(mat, data):
     rhs = data.draw(st.lists(st.integers(-3 * mat.p, 3 * mat.p),
                              min_size=mat.rows, max_size=mat.rows))
     assert solve(mat, rhs) == solve_by_matrix(mat, rhs)
+
+
+@given(matrices)
+@settings(max_examples=300)
+def test_rank_matches_rref_oracle(mat):
+    """rank eliminates without reading a reduced matrix back; its count is
+    the list-based rref's."""
+    assert rank(mat) == rref_oracle(mat.entries, mat.cols, mat.p)[2] == rref(mat)[2]
+
+
+@st.composite
+def augmented_systems(draw):
+    """A Matrix up to 6 x 7 and a right-hand side: random, with a zero row
+    and zero right-hand side there, or with a zero row and a nonzero one
+    there, which no x solves."""
+    p = draw(primes)
+    r, c = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    entry = st.integers(0, p - 1)
+    rows = [[draw(entry) for _ in range(c)] for _ in range(r)]
+    rhs = [draw(entry) for _ in range(r)]
+    kind = draw(st.sampled_from(("random", "zero_row", "inconsistent")))
+    if kind != "random" and r:
+        i = draw(st.integers(0, r - 1))
+        rows[i] = [0] * c
+        rhs[i] = 0 if kind == "zero_row" else draw(st.integers(1, p - 1))
+    return Matrix(p, rows, cols=c), rhs
+
+
+@given(augmented_systems())
+@settings(max_examples=300)
+def test_solve_rows_matches_solve(case):
+    """solve_rows on augmented rows, packed by hand at p = 2, against solve
+    and against the solution read off the list-based rref."""
+    mat, rhs = case
+    p, n = mat.p, mat.cols
+    if p == 2:
+        rows = [sum(v << c for c, v in enumerate(row + (b,)))
+                for row, b in zip(mat.entries, rhs)]
+    else:
+        rows = [list(row) + [b] for row, b in zip(mat.entries, rhs)]
+    want = solve_oracle(mat, rhs)
+    assert solve_rows(p, rows, n) == solve(mat, rhs) == want
+    if any(b and not any(row) for row, b in zip(mat.entries, rhs)):
+        assert want is None
 
 
 def column_dot_product(a, b):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from infker import exterior, symplectic
-from infker.errors import DecompositionDefectError, PrimitivityError
+from infker.errors import CatalogTooLargeError, DecompositionDefectError, PrimitivityError
 from infker.exterior import (
     Multivector,
     compound_matrix,
@@ -462,6 +462,23 @@ def test_decompose_defect_when_p_divides_m():
     space = SymplecticSpace(3, 3)
     with pytest.raises(DecompositionDefectError):
         decompose(space, parse("x1^y1", 3, 3))
+
+
+def test_ladder_and_decompose_refuse_past_the_triple_limit(monkeypatch):
+    """Past C(16, 8) coordinates in the widest degree they reach, both are
+    refused before a basis is built or a wedge is taken: the ladder of 1
+    at p = 3 reaches degree 6, C(18, 6) = 18,564 at m = 9."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the refusal")
+    assert [str(e) for e in ladder(SymplecticSpace(3, 8), parse("1", 3, 8)).entries][0] == "1"
+    monkeypatch.setattr(symplectic, "x_plus", refuse)
+    monkeypatch.setattr(symplectic, "primitive_basis", refuse)
+    with pytest.raises(CatalogTooLargeError) as exc:
+        ladder(SymplecticSpace(3, 9), parse("1", 3, 9))
+    assert exc.value.count == comb(18, 6)
+    with pytest.raises(CatalogTooLargeError) as exc:
+        decompose(SymplecticSpace(5, 9), parse("x1^x2^x3^x4^x5^x6", 5, 9))
+    assert exc.value.count == comb(18, 6)
 
 
 def test_probe_known_corank():
