@@ -29,7 +29,6 @@ from .errors import (
 from .exterior import Multivector, monomials, parse, pullback_coords
 from .extraspecial import SCAN_LIMIT, center, commutator, group_type, make_group
 from .inflation import (
-    VANISHING_LIMIT,
     certificate,
     counterexample,
     ideal_component,
@@ -41,9 +40,7 @@ from .isotropic import count_isotropic, enumerate_isotropic
 from .prime_linalg import Subspace, check_prime
 from .symplectic import (
     SIGMA,
-    TRIPLE_LIMIT,
     SymplecticSpace,
-    _refuse_wider,
     decompose,
     ladder,
     premet_suprunenko,
@@ -103,13 +100,10 @@ def _mv_strings(space: SymplecticSpace, r: int, sub: Subspace) -> list:
 
 
 def _degree_report(args, command: str, basis_of):
-    """A basis report in one degree; ``basis_of(space, r)`` lists it.  Past
-    VANISHING_LIMIT coordinates it is refused before the space is built;
-    the vanishing space up to degree m by degree m's, as it refuses."""
+    """A basis report in one degree; ``basis_of(space, r)`` lists it, or
+    refuses it past VANISHING_LIMIT coordinates before building any."""
     m, r = args.rank, args.degree
     _check_degree(r, m)
-    _refuse_wider(2 * m, m if command == "vanishing-space" and r <= m else r,
-                  VANISHING_LIMIT)
     space = SymplecticSpace(args.prime, m)
     basis = basis_of(space, r)
     return {"command": command, "p": space.p, "m": space.m, "degree": args.degree,
@@ -121,7 +115,6 @@ def _degree_report(args, command: str, basis_of):
 
 
 def _cmd_sl2_check(args):
-    _refuse_wider(2 * args.rank, args.rank, TRIPLE_LIMIT)  # before the 2m x 2m form is built
     rep = sl2_check(SymplecticSpace(args.prime, args.rank))
     payload = {"command": "sl2-check", **rep.to_json()}
     return payload, 0 if rep.ok else 1
@@ -160,7 +153,6 @@ def _cmd_vanishing_space(args):
 
 
 def _cmd_theorem1(args):
-    _refuse_wider(2 * args.rank, args.rank, VANISHING_LIMIT)  # before the 2m x 2m form is built
     space = SymplecticSpace(args.prime, args.rank)
     sandwiches = theorem1_verify(space)
     payload = {
@@ -175,7 +167,6 @@ def _cmd_theorem1(args):
 
 
 def _cmd_counterexample(args):
-    _refuse_wider(2 * args.rank, args.rank, VANISHING_LIMIT)  # before the 2m x 2m form is built
     space = SymplecticSpace(args.prime, args.rank)
     cx = counterexample(space)
     payload = {

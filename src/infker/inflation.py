@@ -48,13 +48,14 @@ from .exterior import (
     pure_wedge_coords,
 )
 from .isotropic import perp_chart
-from .prime_linalg import Matrix, Subspace, inv_mod, solve_rows
+from .prime_linalg import Subspace, inv_mod, solve_rows
 from .symplectic import (
     SymplecticSpace,
     _cached,
-    _inclusion_columns,
+    _inclusion_rref,
     _pair_signs,
     _refuse_wider,
+    _signed,
     assemble,
     dim_wedge,
     gamma,
@@ -70,16 +71,6 @@ CERTIFICATE_LIMIT = 10 ** 6
 #: Most C(2m, r) that ``ideal_component`` and ``vanishing_space`` serve,
 #: and most C(2m, m) for the vanishing space up to degree m: C(12, 6).
 VANISHING_LIMIT = 924
-
-
-@lru_cache(maxsize=None)
-def _inclusion_rref(p: int, s: int, k: int, js: tuple) -> Subspace:
-    """The rref of the unsigned inclusion matrices W_{k-j,k}(s), j in
-    ``js``, stacked: row K' has a 1 at each k-subset of range(s) holding
-    it, both in colex order.  Eliminated once per key in the process."""
-    d = dim_wedge(s, k)
-    return Subspace.from_rows(p, d, [[int(i in holders) for i in range(d)]
-                                     for j in js for holders in _inclusion_columns(s, k - j, k)])
 
 
 def _divided_power_parts(space: SymplecticSpace, r: int, js: tuple) -> dict:
@@ -102,19 +93,6 @@ def _divided_power_parts(space: SymplecticSpace, r: int, js: tuple) -> dict:
     return _cached(space, ("divided_power_parts", r, js), build)
 
 
-def _signed(p: int, w: tuple, k: int, part: Subspace) -> Subspace:
-    """An unsigned canonical subspace of the block of weight w with k
-    pairs, moved by D = diag(epsilon(K)): column c scaled by eps[c], then
-    each row by eps at its pivot, which keeps the rref and its pivots.
-    At p = 2 every sign is 1 and the part is returned as it is."""
-    if p == 2:
-        return part
-    eps, d = _pair_signs(w, k), part.ambient_dim
-    rows = tuple(tuple([v if e == eps[c] else -v % p for v, e in zip(row, eps)])
-                 for row, c in zip(part.basis.entries, part.pivots))
-    return Subspace(p, d, Matrix._of(p, rows, d), part.pivots)
-
-
 def _assemble_signed(space: SymplecticSpace, r: int, parts: dict) -> Subspace:
     """The degree-r subspace whose block of weight w is ``parts[w]`` moved
     by its signs, in colex coordinates."""
@@ -135,8 +113,10 @@ def quotient_basis(space: SymplecticSpace, r: int) -> tuple:
     """Monomials whose classes form a basis of degree r modulo the ideal.
 
     These are the colex monomials at the non-pivot columns of the ideal's
-    reduced basis, listed in colex order.
+    reduced basis, listed in colex order.  Refused past VANISHING_LIMIT
+    coordinates, as ``ideal_component`` is.
     """
+    _refuse_wider(space.n, r, VANISHING_LIMIT)
     parts = _divided_power_parts(space, r, (1,))
     blocks = weight_blocks(space.m, r)[0] if parts else {}
     pivots = {blocks[w][c] for w, part in parts.items() for c in part.pivots}
@@ -309,8 +289,11 @@ def theorem1_verify(space: SymplecticSpace) -> tuple:
     """The sandwich in every degree 0..2m.
 
     For p > m the two spaces are asserted equal degreewise, so any gap
-    raises InvariantError.  For p <= m gaps are legitimate output.
+    raises InvariantError.  For p <= m gaps are legitimate output.  Refused
+    past VANISHING_LIMIT middle-degree coordinates before any block is
+    listed.
     """
+    _refuse_wider(space.n, space.m, VANISHING_LIMIT)
     out = []
     for r in range(space.n + 1):
         s = sandwich(space, r)
@@ -324,7 +307,9 @@ def theorem1_verify(space: SymplecticSpace) -> tuple:
 
 def counterexample(space: SymplecticSpace) -> Optional[Multivector]:
     """The first gap class at the lowest defective degree, reduced to
-    standard-monomial form; None when every degree collapses."""
+    standard-monomial form; None when every degree collapses.  Refused
+    as ``theorem1_verify`` is."""
+    _refuse_wider(space.n, space.m, VANISHING_LIMIT)
     for r in range(space.n + 1):
         s = sandwich(space, r)
         if s.gap:

@@ -202,8 +202,8 @@ class PerpChart:
     ``lead``; the complement is the other rows.  The annihilator, the
     functionals on g^perp (dual to its rows) that kill g, is the
     hyperplane chart (f_ann, t) on 2m - 1 positions.  The Subspace and
-    Matrix views ``sub``, ``rad``, ``a``, ``gram_a`` and ``ann`` are
-    built only when read.
+    Matrix views ``sub``, ``gram_a`` and ``ann`` are built only when
+    read.
     """
 
     p: int
@@ -218,22 +218,6 @@ class PerpChart:
     @property
     def sub(self) -> Subspace:
         return _hyperplane(self.p, len(self.g), self.f, self.c)
-
-    @property
-    def rad(self) -> Subspace:
-        p, g, u = self.p, self.g, self.lead + (self.lead >= self.f)
-        inv = inv_mod(g[u], p)
-        return Subspace(p, len(g), Matrix._of(p, (tuple(x * inv % p for x in g),), len(g)),
-                        (u,))
-
-    @property
-    def a(self) -> Subspace:
-        sub = self.sub
-        kept = [b for b in range(sub.dim) if b != self.lead]
-        return Subspace(self.p, sub.ambient_dim,
-                        Matrix._of(self.p, tuple(sub.basis.entries[b] for b in kept),
-                                   sub.ambient_dim),
-                        tuple(sub.pivots[b] for b in kept))
 
     @property
     def gram_a(self) -> Matrix:

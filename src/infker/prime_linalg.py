@@ -611,11 +611,6 @@ def kernel_basis(mat: Matrix) -> Subspace:
     return Subspace(p, n, Matrix._of(p, tuple(gens), n), tuple(free))
 
 
-def image_basis(mat: Matrix) -> Subspace:
-    """Column space of ``mat`` as a canonical subspace of F_p^rows."""
-    return Subspace.from_rows(mat.p, mat.rows, mat.transpose().entries)
-
-
 def count_subspaces(p: int, n: int, r: int) -> int:
     """Gaussian binomial: the number of r-dimensional subspaces of F_p^n."""
     if r < 0 or r > n:

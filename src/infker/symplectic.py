@@ -16,6 +16,12 @@ contraction dropping degree by 2), and the weight operator acting as
 calibrated so that the three matrices satisfy the standard bracket
 relations over every prime; ``calibrate_sigma`` recomputes that choice
 from scratch and the test suite pins it.
+
+The triple has two encodings.  The termwise action on Multivectors
+(``x_minus``, ``x_plus``) serves user classes.  Everything else runs on
+the torus-weight block maps in pair coordinates (``_block_map``,
+``_inclusion_rref``), one (s, k) at a time: the bracket checks, the
+primitive pieces, ``decompose`` and the rank probe.
 """
 
 from __future__ import annotations
@@ -37,13 +43,12 @@ from .errors import (
     InvariantError,
     PrimitivityError,
 )
-from .exterior import Multivector, VariableOrder, compound_matrix, monomials
+from .exterior import Multivector, VariableOrder, compound_matrix, mono_rank, monomials
 from .prime_linalg import (
     Matrix,
     SparseMatrix,
     Subspace,
     check_prime,
-    image_basis,
     inv_mod,
     kernel_basis,
     rref,
@@ -199,7 +204,7 @@ def h_op(space: SymplecticSpace, a: Multivector) -> Multivector:
 
 
 # ---------------------------------------------------------------------------
-# operator maps: torus-weight blocks in pair coordinates, assembled into colex
+# operator maps: torus-weight blocks in pair coordinates
 
 
 def _cached(space: SymplecticSpace, key, build):
@@ -287,50 +292,81 @@ def _block_map(p: int, s: int, k: int, t: int, scale: int, eps: tuple, eps_t: tu
         for col, e in zip(_inclusion_columns(s, k, t), eps)))
 
 
-def _graded_map(space: SymplecticSpace, r: int, t: int, scale: int) -> SparseMatrix:
-    """The weight-preserving map from degree r to degree t that is
-    ``_block_map`` on every torus-weight block, in colex coordinates: a
-    block's colex order is the colex order of its K."""
-    p, m = space.p, space.m
-    target, columns = weight_blocks(m, t)[0], [()] * dim_wedge(space.n, r)
-    for w, ranks in weight_blocks(m, r)[0].items():
-        if w in target:
-            s, to = w.count(0), target[w]
-            k, kt = (r - m + s) // 2, (t - m + s) // 2
-            block = _block_map(p, s, k, kt, scale, _block_signs(p, w, k), _block_signs(p, w, kt))
-            for rank, col in zip(ranks, block.columns):
-                columns[rank] = tuple([(to[i], v) for i, v in col])
-    return SparseMatrix._of(p, dim_wedge(space.n, t), tuple(columns))
+@lru_cache(maxsize=None)
+def _inclusion_rref(p: int, s: int, k: int, js: tuple) -> Subspace:
+    """The rref of the unsigned inclusion matrices W_{k-j,k}(s), j in
+    ``js``, stacked: row K' has a 1 at each k-subset of range(s) holding
+    it, both in colex order.  Eliminated once per key in the process."""
+    d = dim_wedge(s, k)
+    return Subspace.from_rows(p, d, [[int(i in holders) for i in range(d)]
+                                     for j in js for holders in _inclusion_columns(s, k - j, k)])
 
 
-def divided_power_map(space: SymplecticSpace, j: int, r: int) -> SparseMatrix:
-    """Sparse map of the left wedge by gamma^(j), from degree r to r + 2j:
-    the sum over j-subsets A of the products of the x_a ^ y_a, a in A.
-    Over p > j it is gamma^j / j!."""
-    return _cached(space, ("divided_power", j, r),
-                   lambda: _graded_map(space, r, r + 2 * j, 1))
+def _signed(p: int, w: tuple, k: int, part: Subspace) -> Subspace:
+    """An unsigned canonical subspace of the block of weight w with k
+    pairs, moved by D = diag(epsilon(K)): column c scaled by eps[c], then
+    each row by eps at its pivot, which keeps the rref and its pivots.
+    At p = 2 every sign is 1 and the part is returned as it is."""
+    if p == 2:
+        return part
+    eps, d = _pair_signs(w, k), part.ambient_dim
+    rows = tuple(tuple([v if e == eps[c] else -v % p for v, e in zip(row, eps)])
+                 for row, c in zip(part.basis.entries, part.pivots))
+    return Subspace(p, d, Matrix._of(p, rows, d), part.pivots)
 
 
-def x_minus_map(space: SymplecticSpace, r: int) -> SparseMatrix:
-    """Sparse map of the lowering operator from degree r to degree r + 2."""
-    return divided_power_map(space, 1, r)
+def _block_keys(m: int, r: int):
+    """(s, k, count) for the torus-weight blocks of degree r: a block with
+    s free positions holds k = (r - m + s) / 2 pairs, and C(m, s) 2^(m - s)
+    weights have s free positions."""
+    for s in range(m + 1):
+        if (r - m + s) % 2 == 0 and 0 <= r - m + s <= 2 * s:
+            yield s, (r - m + s) // 2, comb(m, s) << (m - s)
 
 
-def x_plus_map(space: SymplecticSpace, r: int, sigma: int = SIGMA) -> SparseMatrix:
-    """Sparse map of the raising operator from degree r to degree r - 2."""
-    return _cached(space, ("x_plus", r, sigma), lambda: _graded_map(space, r, r - 2, sigma))
+@lru_cache(maxsize=None)
+def _block_split(p: int, s: int, k: int) -> tuple:
+    """How a block with k pairs on an s-element free set splits into its
+    primitive part and the image of the lowering map from k - 1 pairs:
+    (the unsigned kernel of the raising block map, the dimension of its
+    overlap with the image ``_inclusion_rref(p, s, k, (1,))``, the
+    codimension of their sum).  D is invertible, so the dimensions are the
+    signed block's, and ``_signed`` moves the kernel to each block."""
+    d = dim_wedge(s, k)
+    prim = kernel_basis(_block_map(p, s, k, k - 1, SIGMA, (1,) * d,
+                                   (1,) * dim_wedge(s, k - 1)).to_dense())
+    total, overlap = sum_and_intersection(prim, _inclusion_rref(p, s, k, (1,)))
+    return prim, overlap.dim, d - total.dim
+
+
+def _block_monomials(m: int, w: tuple, k: int) -> tuple:
+    """The monomials x_I ^ y_J ^ prod_{a in K} x_a ^ y_a of the block of
+    weight w, over the k-subsets K of its free set in colex order."""
+    unpaired = [a for a, v in enumerate(w) if v == 1] + [m + a for a, v in enumerate(w) if v == -1]
+    free = [a for a, v in enumerate(w) if not v]
+    return tuple(tuple(sorted(unpaired + [q for a in mono for q in (free[a], m + free[a])]))
+                 for mono in monomials(len(free), k))
+
+
+def _colex_matrix(space: SymplecticSpace, r: int, t: int, op) -> Matrix:
+    """The dense colex matrix from degree r to degree t of a termwise
+    operator, one column per unit monomial."""
+    p, m, cols = space.p, space.m, dim_wedge(space.n, r)
+    entries = [[0] * cols for _ in range(dim_wedge(space.n, t))]
+    for j, mono in enumerate(monomials(space.n, r)):
+        for image, c in op(Multivector(p, m, {mono: 1})).terms.items():
+            entries[mono_rank(image)][j] = c
+    return Matrix(p, entries, cols=cols)
 
 
 def x_minus_matrix(space: SymplecticSpace, r: int) -> Matrix:
     """Matrix of the lowering operator from degree r to degree r + 2."""
-    return _cached(space, ("x_minus_matrix", r),
-                   lambda: x_minus_map(space, r).to_dense())
+    return _colex_matrix(space, r, r + 2, lambda a: x_minus(space, a))
 
 
 def x_plus_matrix(space: SymplecticSpace, r: int, sigma: int = SIGMA) -> Matrix:
     """Matrix of the raising operator from degree r to degree r - 2."""
-    return _cached(space, ("x_plus_matrix", r, sigma),
-                   lambda: x_plus_map(space, r, sigma).to_dense())
+    return _colex_matrix(space, r, r - 2, lambda a: x_plus(space, a, sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -512,15 +548,13 @@ def ladder(space: SymplecticSpace, seed: Multivector) -> LadderSequence:
 
 def primitive_basis(space: SymplecticSpace, r: int) -> Subspace:
     """Kernel of the raising operator on degree r, canonical basis: one
-    kernel per torus-weight block, of its raising map in pair coordinates."""
+    kernel per (s, k) of the raising block map in pair coordinates
+    (``_block_split``), moved to each torus-weight block by its signs."""
     def build():
         p, m, parts = space.p, space.m, {}
         for w in weight_blocks(m, r)[0]:
-            s = w.count(0)
-            k = (r - m + s) // 2
-            raising = _block_map(p, s, k, k - 1, SIGMA,
-                                 _block_signs(p, w, k), _block_signs(p, w, k - 1))
-            parts[w] = kernel_basis(raising.to_dense())
+            k = (r - m + w.count(0)) // 2
+            parts[w] = _signed(p, w, k, _block_split(p, w.count(0), k)[0])
         return assemble(p, m, r, parts)
     return _cached(space, ("primitive", r), build)
 
@@ -533,7 +567,7 @@ def isotropic_span_basis(space: SymplecticSpace, r: int) -> Subspace:
     lies inside the span, and the span is a quotient of the Weyl module of
     dimension C(2m, r) - C(2m, r - 2); asserting that dimension at the end
     therefore proves the closure is the whole span.  Every basis vector is
-    also checked to be primitive.
+    also checked to be primitive by the termwise raising operator.
     """
     p, m, n = space.p, space.m, space.n
     if r < 0:
@@ -545,8 +579,8 @@ def isotropic_span_basis(space: SymplecticSpace, r: int) -> Subspace:
     def build():
         seed = Multivector(p, m, {tuple(range(r)): 1})
         span = submodule_closure(space, r, [seed])
-        xp = x_plus_map(space, r)
-        if any(any(xp.matvec(row)) for row in span.basis.entries):
+        if any(not x_plus(space, Multivector.from_coords(p, m, r, row)).is_zero()
+               for row in span.basis.entries):
             raise InvariantError("isotropic wedge escaped the primitive subspace")
         expected = dim_wedge(n, r) - dim_wedge(n, r - 2)
         if span.dim != expected:
@@ -562,9 +596,14 @@ def decompose(space: SymplecticSpace, alpha: Multivector):
 
     Returns (e, beta) with alpha = e + gamma ^ beta, e primitive.  When
     the primitive subspace and the lowered image fail to meet trivially or
-    to span (possible once p <= m), the defect dimensions are reported via
-    :class:`DecompositionDefectError` instead.  Refused past TRIPLE_LIMIT
-    coordinates in the class's degree.
+    to span (possible once p <= m), the defect dimensions, summed over the
+    torus-weight blocks of the class's degree (``_block_split``), are
+    reported via :class:`DecompositionDefectError` before any solve.
+    Otherwise only the blocks the class touches are solved, each on its
+    signed primitive rows, then its signed lowering columns in pair order,
+    free variables 0: the system is block diagonal, so this is the whole
+    degree's solution.  Refused past TRIPLE_LIMIT coordinates in the
+    class's degree.
     """
     _check_value(space, alpha)
     if alpha.is_zero():
@@ -575,25 +614,27 @@ def decompose(space: SymplecticSpace, alpha: Multivector):
     if r > m:
         raise ValueError(f"degree {r} exceeds m = {m}")
     _refuse_wider(n, r, TRIPLE_LIMIT)
-    d = dim_wedge(n, r)
-    prim = primitive_basis(space, r)
-    lower = x_minus_matrix(space, r - 2)
-    total, overlap = sum_and_intersection(prim, image_basis(lower))
-    if overlap.dim or total.dim != d:
-        raise DecompositionDefectError(overlap.dim, d - total.dim)
-    cols = [list(col) for col in prim.basis.entries] + \
-           [list(lower.column(j)) for j in range(lower.cols)]
-    mat = Matrix(p, zip(*cols), cols=len(cols)) if cols else Matrix.zero(p, d, 0)
-    sol = solve(mat, alpha.coords(r))
-    if sol is None:
-        raise InvariantError("decomposition solve failed after span check")
-    e_coords = [0] * d
-    for c, row in zip(sol[:prim.dim], prim.basis.entries):
-        if c:
-            e_coords = [(a + c * b) % p for a, b in zip(e_coords, row)]
-    e = Multivector.from_coords(p, m, r, e_coords)
-    beta = Multivector.from_coords(p, m, r - 2, sol[prim.dim:]) if r >= 2 \
-        else Multivector.zero(p, m)
+    defect = [sum(count * _block_split(p, s, k)[i] for s, k, count in _block_keys(m, r))
+              for i in (1, 2)]
+    if any(defect):
+        raise DecompositionDefectError(*defect)
+    touched, e_terms, beta_terms = {}, {}, {}
+    for mono, c in alpha.terms.items():
+        touched.setdefault(torus_weight(m, mono), {})[mono] = c
+    for w, terms in touched.items():
+        s = w.count(0)
+        k = (r - m + s) // 2
+        prim = _signed(p, w, k, _block_split(p, s, k)[0]).basis.entries
+        lower = _block_map(p, s, k - 1, k, 1, _block_signs(p, w, k - 1),
+                           _block_signs(p, w, k)).to_dense()
+        cols, monos = list(prim) + list(zip(*lower.entries)), _block_monomials(m, w, k)
+        sol = solve(Matrix(p, zip(*cols), cols=len(cols)), [terms.get(mono, 0) for mono in monos])
+        if sol is None:
+            raise InvariantError("decomposition solve failed after span check")
+        for i, mono in enumerate(monos):
+            e_terms[mono] = sum(c * row[i] for c, row in zip(sol, prim))
+        beta_terms.update(zip(_block_monomials(m, w, k - 1), sol[len(prim):]))
+    e, beta = Multivector(p, m, e_terms), Multivector(p, m, beta_terms)
     if alpha != e + x_minus(space, beta):
         raise InvariantError("decomposition does not reassemble")
     return e, beta
@@ -609,15 +650,21 @@ class ProbeReport:
 
 
 def injectivity_surjectivity_probe(space: SymplecticSpace, r: int) -> ProbeReport:
-    """Exact rank data for the lowering operator out of degree r."""
-    mat = x_minus_matrix(space, r)
-    rk = rref(mat)[2]
+    """Exact rank data for the lowering operator out of degree r.  The map
+    is block diagonal, and on a degree-(r + 2) block with k >= 1 pairs it
+    is the inclusion W_{k-1,k}(s) up to signs, so its rank is the sum of
+    those blocks' ``_inclusion_rref`` dimensions (Wilson's F_p-ranks);
+    no matrix of the degree is built."""
+    p, m, n = space.p, space.m, space.n
+    rk = sum(count * _inclusion_rref(p, s, k, (1,)).dim
+             for s, k, count in _block_keys(m, r + 2) if k)
+    rows, cols = dim_wedge(n, r + 2), dim_wedge(n, r)
     return ProbeReport(
         r=r,
         rank=rk,
-        corank=mat.rows - rk,
-        injective=rk == mat.cols,
-        surjective=rk == mat.rows,
+        corank=rows - rk,
+        injective=rk == cols,
+        surjective=rk == rows,
     )
 
 

@@ -5,9 +5,15 @@
   definitions one monomial at a time: ``wedge_monomials`` merges
   (``divided_power_columns``), and the termwise contraction
   ``symplectic._x_plus_mono``.
+* ``assembled_map`` is the colex map assembled from the signed block maps
+  ``symplectic._block_map``, which the package no longer builds: the tests
+  hold it against the definitions and against the termwise operators.
 * ``divided_power_parts`` is the per-block builder that pair coordinates
   replaced: those gamma^(j) columns cut into torus-weight blocks
   (``block_columns``) and eliminated block by block.
+* ``image_basis`` and ``dense_decompose`` are the column space and the
+  decomposition over whole degrees that the per-block ``decompose``
+  replaced, here on the definition-level maps.
 * ``gap_profile`` is the closed form of the (ideal, vanishing, gap)
   dimensions from Wilson's F_p-ranks of the inclusion matrices W_{k-1,k}.
 * ``rref_oracle`` and ``solve_oracle`` are the list-based elimination and
@@ -37,8 +43,25 @@ from infker.inflation import (
     _gram_form,
 )
 from infker.isotropic import perp_chart
-from infker.prime_linalg import Matrix, SparseMatrix, Subspace, inv_mod
-from infker.symplectic import _x_plus_mono, dim_wedge, weight_blocks
+from infker.errors import DecompositionDefectError, InvariantError
+from infker.exterior import Multivector
+from infker.prime_linalg import (
+    Matrix,
+    SparseMatrix,
+    Subspace,
+    inv_mod,
+    kernel_basis,
+    sum_and_intersection,
+)
+from infker.symplectic import (
+    SIGMA,
+    _block_map,
+    _block_signs,
+    _x_plus_mono,
+    dim_wedge,
+    weight_blocks,
+    x_minus,
+)
 
 
 @lru_cache(maxsize=None)
@@ -65,6 +88,59 @@ def x_plus_oracle(p: int, m: int, r: int, sigma: int) -> SparseMatrix:
     return SparseMatrix(p, dim_wedge(2 * m, r - 2), (
         [(mono_rank(reduced), sign) for sign, reduced in _x_plus_mono(m, mono, sigma)]
         for mono in monomials(2 * m, r)))
+
+
+def assembled_map(p: int, m: int, r: int, t: int, scale: int) -> SparseMatrix:
+    """The weight-preserving map from degree r to degree t that is
+    ``_block_map`` on every torus-weight block, in colex coordinates: a
+    block's colex order is the colex order of its K.  Gamma^(j) ^ is
+    t = r + 2j with scale 1, the raising operator t = r - 2 with scale
+    sigma."""
+    target, columns = weight_blocks(m, t)[0], [()] * dim_wedge(2 * m, r)
+    for w, ranks in weight_blocks(m, r)[0].items():
+        if w in target:
+            s, to = w.count(0), target[w]
+            k, kt = (r - m + s) // 2, (t - m + s) // 2
+            block = _block_map(p, s, k, kt, scale, _block_signs(p, w, k), _block_signs(p, w, kt))
+            for rank, col in zip(ranks, block.columns):
+                columns[rank] = tuple([(to[i], v) for i, v in col])
+    return SparseMatrix._of(p, dim_wedge(2 * m, t), tuple(columns))
+
+
+def image_basis(mat: Matrix) -> Subspace:
+    """Column space of ``mat`` as a canonical subspace of F_p^rows."""
+    return Subspace.from_rows(mat.p, mat.rows, mat.transpose().entries)
+
+
+def dense_decompose(space, alpha):
+    """``decompose`` over the whole degree: the primitive kernel of the
+    raising matrix and the lowering matrix's image, both from their
+    definitions; the defect from their sum and intersection; then one
+    solve on the primitive rows followed by the lowering columns, with
+    free variables 0."""
+    p, m, n = space.p, space.m, space.n
+    if alpha.is_zero():
+        return alpha, alpha
+    r = alpha.degree()
+    d = dim_wedge(n, r)
+    prim = kernel_basis(x_plus_oracle(p, m, r, SIGMA).to_dense())
+    lower = divided_power_oracle(p, m, 1, r - 2).to_dense()
+    total, overlap = sum_and_intersection(prim, image_basis(lower))
+    if overlap.dim or total.dim != d:
+        raise DecompositionDefectError(overlap.dim, d - total.dim)
+    cols = [list(row) for row in prim.basis.entries] + \
+           [list(lower.column(j)) for j in range(lower.cols)]
+    sol = solve_oracle(Matrix(p, zip(*cols), cols=len(cols)), alpha.coords(r))
+    if sol is None:
+        raise InvariantError("decomposition solve failed after span check")
+    e_coords = [0] * d
+    for c, row in zip(sol[:prim.dim], prim.basis.entries):
+        e_coords = [(a + c * b) % p for a, b in zip(e_coords, row)]
+    e = Multivector.from_coords(p, m, r, e_coords)
+    beta = (Multivector.from_coords(p, m, r - 2, sol[prim.dim:]) if r >= 2
+            else Multivector.zero(p, m))
+    assert alpha == e + x_minus(space, beta)
+    return e, beta
 
 
 def block_columns(m: int, columns, r: int, s: int) -> dict:

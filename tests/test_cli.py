@@ -20,6 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 from infker import cli
 from infker.cli import _json_indented, main
+from infker.exterior import parse
+from infker.symplectic import SymplecticSpace, gamma, x_plus
 
 
 @pytest.fixture(scope="module")
@@ -387,6 +389,21 @@ def test_decompose_round_trip(capsys, schema):
     assert blob["e"] == "3*x1^y1 + 2*x2^y2"
     assert blob["beta"] == "3"
     assert blob["degree"] == 2
+
+
+def test_decompose_answers_in_the_middle_degree_at_m_8():
+    """Degree 8 at m = 8 has 12,870 coordinates; a two-term class touches
+    two torus-weight blocks, and only those are solved."""
+    cls = "x1^x2^x3^x4^x5^x6^x7^x8 + 3*x1^y1^x2^y2^x3^y3^x4^y4"
+    start = time.perf_counter()
+    proc = run_capped("decompose", "-p", "11", "-m", "8", "--class", cls)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 0
+    blob = json.loads(proc.stdout)
+    space = SymplecticSpace(11, 8)
+    e, beta = parse(blob["e"], 11, 8), parse(blob["beta"], 11, 8)
+    assert x_plus(space, e).is_zero()
+    assert e + gamma(space).wedge(beta) == parse(cls, 11, 8)
 
 
 def test_isotropic_stream_shape(capsys, schema):

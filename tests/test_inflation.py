@@ -42,7 +42,6 @@ from infker.isotropic import enumerate_isotropic, perp_chart
 from infker.prime_linalg import (
     Matrix,
     Subspace,
-    image_basis,
     inv_mod,
     kernel_basis,
     solve,
@@ -51,13 +50,18 @@ from infker.symplectic import (
     SIGMA,
     SymplecticSpace,
     dim_wedge,
-    divided_power_map,
     gamma,
     isotropic_span_basis,
     primitive_basis,
     weight_blocks,
 )
-from oracles import certificate_by_columns, divided_power_oracle, x_plus_oracle
+from oracles import (
+    assembled_map,
+    certificate_by_columns,
+    divided_power_oracle,
+    image_basis,
+    x_plus_oracle,
+)
 from test_exterior import pullback_matrix
 from test_prime_linalg import count_calls
 from test_isotropic import greedy_radical_split, kernel_annihilator, kernel_perp
@@ -285,8 +289,21 @@ def test_divided_power_map_is_gamma_power_over_factorial(p, m):
         for r in range(2 * m - 2 * j + 1):
             cols = [divided.wedge(Multivector(p, m, {mono: 1})).coords(r + 2 * j)
                     for mono in monomials(2 * m, r)]
-            assert divided_power_map(space, j, r).to_dense() == Matrix(
+            assert assembled_map(p, m, r, r + 2 * j, 1).to_dense() == Matrix(
                 p, zip(*cols), cols=len(cols))
+
+
+def test_huge_spaces_refuse_before_listing_blocks(monkeypatch):
+    """theorem1, counterexample and quotient_basis refuse an oversized
+    space themselves, before a torus weight of length m is listed."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("listed torus-weight blocks before refusing")
+    monkeypatch.setattr(inflation, "weight_blocks", refuse)
+    space = SymplecticSpace(2, 10 ** 9)
+    for call in (theorem1_verify, counterexample, lambda space: quotient_basis(space, 3)):
+        with pytest.raises(CatalogTooLargeError) as exc:
+            call(space)
+        assert exc.value.limit == inflation.VANISHING_LIMIT
 
 
 def test_theorem1_reaches_no_closure(monkeypatch):

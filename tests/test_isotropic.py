@@ -156,12 +156,31 @@ def kernel_annihilator(sub, g):
     return kernel_basis(Matrix._of(sub.p, (coeffs,), sub.dim))
 
 
+def chart_radical(chart):
+    """The radical <g> of the chart's perp, scaled to 1 at the pivot of
+    row ``lead``, where g's coordinates on the rows are led."""
+    p, g, u = chart.p, chart.g, chart.sub.pivots[chart.lead]
+    inv = inv_mod(g[u], p)
+    return Subspace(p, len(g), Matrix._of(p, (tuple(x * inv % p for x in g),), len(g)), (u,))
+
+
+def chart_complement(chart):
+    """The complement of the radical: the perp's rows other than ``lead``."""
+    sub = chart.sub
+    kept = [b for b in range(sub.dim) if b != chart.lead]
+    return Subspace(chart.p, sub.ambient_dim,
+                    Matrix._of(chart.p, tuple(sub.basis.entries[b] for b in kept),
+                               sub.ambient_dim),
+                    tuple(sub.pivots[b] for b in kept))
+
+
 def assert_chart_matches_oracles(space, g):
     chart = perp_chart(space, g)
+    chart_rad, chart_a = chart_radical(chart), chart_complement(chart)
     sub = kernel_perp(space, g)
     rad, a, gram, gram_a = kernel_radical_split(space, sub)
     ann = kernel_annihilator(sub, g)
-    for got, want in ((chart.sub, sub), (chart.rad, rad), (chart.a, a), (chart.ann, ann)):
+    for got, want in ((chart.sub, sub), (chart_rad, rad), (chart_a, a), (chart.ann, ann)):
         assert got == want and got.pivots == want.pivots
     assert chart.gram == gram.entries and len(chart.gram) == gram.rows == gram.cols
     assert chart.gram_a == gram_a and (chart.gram_a.rows, chart.gram_a.cols) == (
@@ -171,8 +190,8 @@ def assert_chart_matches_oracles(space, g):
     assert chart.t == tuple(row[chart.f_ann] for row in ann.basis.entries)
     assert rad.pivots == (sub.pivots[chart.lead],)
     greedy_rad, greedy_a = greedy_radical_split(space, sub)
-    assert chart.rad == greedy_rad and chart.a.dim == greedy_a.dim
-    assert (chart.sub.dim, chart.rad.dim, chart.a.dim, chart.ann.dim) == (
+    assert chart_rad == greedy_rad and chart_a.dim == greedy_a.dim
+    assert (chart.sub.dim, chart_rad.dim, chart_a.dim, chart.ann.dim) == (
         space.n - 1, 1, space.n - 2, space.n - 2)
 
 
@@ -403,8 +422,8 @@ def test_perp_chart_eliminates_once(monkeypatch):
     chart = perp_chart(space, [0, 0, 1, 0])
     assert len(calls) == 1
     assert chart.sub.basis.entries == ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    assert chart.rad.basis.entries == ((0, 0, 1, 0),)
-    assert chart.rad.pivots == (2,)
+    assert chart_radical(chart).basis.entries == ((0, 0, 1, 0),)
+    assert chart_radical(chart).pivots == (2,)
 
 
 def test_radical_split_frozen_cases():
@@ -417,7 +436,7 @@ def test_radical_split_frozen_cases():
     assert rad.basis.entries == ((0, 0, 1, 0),)
     # the same hyperplane is the perp of y1, and the chart agrees
     chart = perp_chart(space, [0, 0, 1, 0])
-    assert (chart.sub, chart.rad, chart.a) == (degenerate, rad, a)
+    assert (chart.sub, chart_radical(chart), chart_complement(chart)) == (degenerate, rad, a)
 
     plane = Subspace.from_rows(3, 4, [[1, 0, 0, 0], [0, 0, 1, 0]])
     rad, a, _, _ = kernel_radical_split(space, plane)

@@ -17,7 +17,6 @@ from infker.prime_linalg import (
     _rref_rows,
     check_prime,
     count_subspaces,
-    image_basis,
     inv_mod,
     is_prime,
     iter_subspaces,
@@ -28,7 +27,7 @@ from infker.prime_linalg import (
     solve_rows,
     sum_and_intersection,
 )
-from oracles import rref_oracle, solve_oracle
+from oracles import image_basis, rref_oracle, solve_oracle
 
 SMALL_PRIMES = (2, 3, 5, 7)
 

@@ -40,7 +40,8 @@ def test_no_unused_imports(path):
 UNREAD_ON_PURPOSE = {
     "calibrate_sigma": "recomputes SIGMA by trying both signs; the tests pin the choice",
     "centralizer_image": "the group-side check of perps that the extraspecial docstring promises",
-    "x_plus_matrix": "the benchmark's tracer counts the raising-matrix calls",
+    "x_minus_matrix": "the benchmark's tracer looks it up by name (HOME_WRAPPED) to count calls",
+    "x_plus_matrix": "the benchmark's tracer looks it up by name (HOME_WRAPPED) to count calls",
 }
 
 

@@ -28,6 +28,7 @@ from infker.prime_linalg import (
     SparseMatrix,
     Subspace,
     inv_mod,
+    rank,
     sum_and_intersection,
 )
 from infker.symplectic import (
@@ -35,13 +36,13 @@ from infker.symplectic import (
     _generator_directions,
     _transvection_compounds,
     DegreeCheck,
+    ProbeReport,
     Sl2Report,
     SymplecticSpace,
     assemble,
     calibrate_sigma,
     decompose,
     dim_wedge,
-    divided_power_map,
     gamma,
     h_op,
     injectivity_surjectivity_probe,
@@ -56,10 +57,9 @@ from infker.symplectic import (
     x_minus,
     x_minus_matrix,
     x_plus,
-    x_plus_map,
     x_plus_matrix,
 )
-from oracles import divided_power_oracle, x_plus_oracle
+from oracles import assembled_map, dense_decompose, divided_power_oracle, x_plus_oracle
 
 odd_primes = st.sampled_from((3, 5, 7))
 
@@ -281,17 +281,18 @@ def test_tampered_operator_fails_bracket(monkeypatch, fresh_relations, name):
 
 
 def block_map_mismatches(space):
-    """Where the maps assembled from the signed block maps differ from the
-    colex columns built from the definitions: every gamma^(j) ^ and the
-    raising operator for both signs, in every degree."""
+    """Where the maps assembled from the signed block maps
+    (``oracles.assembled_map``) differ from the colex columns built from
+    the definitions: every gamma^(j) ^ and the raising operator for both
+    signs, in every degree."""
     p, m, n = space.p, space.m, space.n
     wrong = []
     for r in range(n + 1):
         for j in range(1, m + 1):
-            if divided_power_map(space, j, r) != divided_power_oracle(p, m, j, r):
+            if assembled_map(p, m, r, r + 2 * j, 1) != divided_power_oracle(p, m, j, r):
                 wrong.append(("divided_power", j, r))
         for sigma in (1, -1):
-            if x_plus_map(space, r, sigma) != x_plus_oracle(p, m, r, sigma):
+            if assembled_map(p, m, r, r - 2, sigma) != x_plus_oracle(p, m, r, sigma):
                 wrong.append(("x_plus", sigma, r))
     return wrong
 
@@ -419,18 +420,24 @@ def test_ladder_rejects_non_primitive_seed():
 
 @pytest.mark.parametrize("r", range(0, 5))
 def test_operator_matrices_match_operators(r):
+    """The maps assembled from the signed block maps act as the termwise
+    operators on every unit monomial, and the dense matrices, which are
+    built from the termwise operators, are those maps."""
     space = SymplecticSpace(3, 2)
+    lower, raising = assembled_map(3, 2, r, r + 2, 1), assembled_map(3, 2, r, r - 2, SIGMA)
     for mono_coords in range(dim_wedge(4, r)):
         coords = [0] * dim_wedge(4, r)
         coords[mono_coords] = 1
         mv = Multivector.from_coords(3, 2, r, coords)
-        down = x_minus_matrix(space, r).matvec(coords)
+        down = lower.matvec(coords)
         assert list(down) == list(x_minus(space, mv).coords(r + 2))
-        up = x_plus_matrix(space, r).matvec(coords)
+        up = raising.matvec(coords)
         if r >= 2:
             assert list(up) == list(x_plus(space, mv).coords(r - 2))
         else:
             assert all(c == 0 for c in up)
+    assert x_minus_matrix(space, r) == lower.to_dense()
+    assert x_plus_matrix(space, r) == raising.to_dense()
 
 
 def test_decompose_frozen():
@@ -479,6 +486,77 @@ def test_ladder_and_decompose_refuse_past_the_triple_limit(monkeypatch):
     with pytest.raises(CatalogTooLargeError) as exc:
         decompose(SymplecticSpace(5, 9), parse("x1^x2^x3^x4^x5^x6", 5, 9))
     assert exc.value.count == comb(18, 6)
+
+
+def assert_decompose_matches_dense(space, alpha):
+    """Per-block ``decompose`` against the whole-degree solve on the
+    definition-level maps: the same (e, beta), or the same defect."""
+    try:
+        want = dense_decompose(space, alpha)
+    except DecompositionDefectError as exc:
+        with pytest.raises(DecompositionDefectError) as got:
+            decompose(space, alpha)
+        assert (got.value.overlap_dim, got.value.missing_dim) == (exc.overlap_dim, exc.missing_dim)
+    else:
+        assert decompose(space, alpha) == want
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_decompose_matches_the_dense_oracle(data):
+    p = data.draw(st.sampled_from((2, 3, 5, 7)))
+    m = data.draw(st.integers(1, 4))
+    r = data.draw(st.integers(0, m))
+    monos = monomials(2 * m, r)
+    terms = data.draw(st.dictionaries(st.sampled_from(monos), st.integers(1, p - 1),
+                                      max_size=len(monos)))
+    assert_decompose_matches_dense(SymplecticSpace(p, m), Multivector(p, m, terms))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("m", range(1, 5))
+def test_decompose_matches_the_dense_oracle_in_every_degree(p, m):
+    """Every degree up to m, on one monomial, on a dense random class and
+    on gamma ^ (a monomial), defects included."""
+    rng, space = random.Random(100 * p + m), SymplecticSpace(p, m)
+    for r in range(m + 1):
+        monos = monomials(2 * m, r)
+        classes = [Multivector(p, m, {rng.choice(monos): 1}),
+                   Multivector(p, m, {mono: rng.randrange(p) for mono in monos})]
+        if r >= 2:
+            classes.append(x_minus(space, Multivector(p, m, {rng.choice(monomials(2 * m, r - 2)): 1})))
+        for alpha in classes:
+            assert_decompose_matches_dense(space, alpha)
+
+
+def test_decompose_builds_no_whole_degree_map(monkeypatch):
+    """Only the blocks the class touches are solved: no colex operator
+    matrix, no assembled subspace and no list of the degree's monomials."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("decompose built a whole-degree object")
+    for name in ("x_minus_matrix", "x_plus_matrix", "assemble", "weight_blocks"):
+        monkeypatch.setattr(symplectic, name, refuse)
+    space = SymplecticSpace(7, 5)
+    alpha = parse("x1^x2^y3 + 2*x4^y4^x5 + x1^y1^x2", 7, 5)
+    e, beta = decompose(space, alpha)
+    assert x_plus(space, e).is_zero()
+    assert e + gamma(space).wedge(beta) == alpha
+    with pytest.raises(DecompositionDefectError):
+        decompose(SymplecticSpace(3, 3), parse("x1^y1", 3, 3))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("m", range(1, 6))
+def test_probe_rank_is_the_dense_rank(p, m):
+    """The probe's sum of block ranks against the rank of the lowering
+    matrix built from its definition, in every degree -2..2m + 2."""
+    space = SymplecticSpace(p, m)
+    for r in range(-2, 2 * m + 3):
+        mat = divided_power_oracle(p, m, 1, r).to_dense()
+        rk = rank(mat)
+        assert injectivity_surjectivity_probe(space, r) == ProbeReport(
+            r=r, rank=rk, corank=mat.rows - rk, injective=rk == mat.cols,
+            surjective=rk == mat.rows)
 
 
 def test_probe_known_corank():
@@ -560,8 +638,8 @@ def test_weight_blocks_partition_the_colex_ranks(m):
 def test_graded_operators_preserve_torus_weight(p, m):
     space = SymplecticSpace(p, m)
     for r in range(2 * m + 1):
-        maps = [(divided_power_map(space, j, r), r + 2 * j) for j in range(1, m + 1)]
-        for mat, s in maps + [(x_plus_map(space, r), r - 2)]:
+        maps = [(assembled_map(p, m, r, r + 2 * j, 1), r + 2 * j) for j in range(1, m + 1)]
+        for mat, s in maps + [(assembled_map(p, m, r, r - 2, SIGMA), r - 2)]:
             for mono, col in zip(monomials(2 * m, r), mat.columns):
                 assert all(torus_weight(m, monomials(2 * m, s)[i]) == torus_weight(m, mono)
                            for i, _ in col)
