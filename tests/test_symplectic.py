@@ -636,7 +636,6 @@ def test_weight_blocks_partition_the_colex_ranks(m):
 
 @pytest.mark.parametrize("p,m", [(2, 3), (3, 4)])
 def test_graded_operators_preserve_torus_weight(p, m):
-    space = SymplecticSpace(p, m)
     for r in range(2 * m + 1):
         maps = [(assembled_map(p, m, r, r + 2 * j, 1), r + 2 * j) for j in range(1, m + 1)]
         for mat, s in maps + [(assembled_map(p, m, r, r - 2, SIGMA), r - 2)]:
