@@ -45,12 +45,14 @@ class CatalogTooLargeError(InfkerError):
 
     ``noun`` names what was counted, e.g. "subspaces" or "vectors".  A
     count past PRINTABLE_BITS is stated as the power of two below it, "at
-    least 2^b", and a limit past it (a power of two) as 2^b.
+    least 2^b", and a limit past it (a power of two) as 2^b.  There the
+    count may be None with only its bit length ``bits`` given, so that a
+    count too large to build is never built.
     """
 
-    def __init__(self, count: int, limit: int, noun: str):
-        shown = (count if count.bit_length() <= PRINTABLE_BITS
-                 else f"at least 2^{count.bit_length() - 1}")
+    def __init__(self, count: int | None, limit: int, noun: str, bits: int | None = None):
+        bits = count.bit_length() if bits is None else bits
+        shown = count if bits <= PRINTABLE_BITS else f"at least 2^{bits - 1}"
         most = limit if limit.bit_length() <= PRINTABLE_BITS else f"2^{limit.bit_length() - 1}"
         super().__init__(
             f"catalog holds {shown} {noun}, more than the supported {most}"

@@ -13,6 +13,7 @@ with a text grammar and a JSON form for round-tripping.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import re
 from dataclasses import dataclass
@@ -106,16 +107,21 @@ def sort_to_monomial(positions: Sequence[int]):
 # compounds and pullbacks: every minor is a wedge coordinate
 
 
-def compound_matrix(f: Matrix, r: int) -> Matrix:
-    """The degree-r compound of ``f``: entry (I, J) is the minor with rows
-    I and columns J.  It is the matrix of the induced map on degree-r
-    wedges, acting on colex coordinates; row I is the wedge of the rows
-    of ``f`` indexed by I."""
-    if r < 0:
-        raise ValueError("degree must be nonnegative")
-    return Matrix(f.p, (pure_wedge_coords([f.entries[i] for i in mono], f.cols, f.p)
-                        for mono in monomials(f.rows, r)),
-                  cols=comb(f.cols, r))
+def rank_one_wedge(mono: Mono, a: Sequence[int], u: Sequence[tuple], p: int) -> dict:
+    """Nonzero terms of the wedge over i in I = ``mono`` of e_i + a_i u mod
+    p, u given as (k, u_k) pairs: two factors along u wedge to zero, so it
+    is e_I plus a_i times e_I with e_i replaced by u, for each i in I with
+    a_i nonzero.  That is column I of the compound of e_i -> e_i + a_i u."""
+    terms = {mono: 1}
+    for pos, i in enumerate(mono):
+        if a[i]:
+            rest = mono[:pos] + mono[pos + 1:]
+            for k, c in u:
+                if k not in rest:  # e_k takes i's slot, then moves to slot j
+                    j = bisect.bisect_left(rest, k)
+                    target = rest[:j] + (k,) + rest[j:]
+                    terms[target] = (terms.get(target, 0) + (-1) ** abs(pos - j) * a[i] * c) % p
+    return {t: c for t, c in terms.items() if c}
 
 
 def pure_wedge_coords(rows: Sequence[Sequence[int]], nvars: int, p: int) -> tuple:

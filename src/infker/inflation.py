@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
-from .errors import CatalogTooLargeError, InvariantError
+from .errors import PRINTABLE_BITS, CatalogTooLargeError, InvariantError
 from .exterior import (
     Multivector,
     _hyperplane_terms,
@@ -46,6 +46,7 @@ from .exterior import (
     monomials,
     pullback_coords,
     pure_wedge_coords,
+    rank_one_wedge,
 )
 from .isotropic import perp_chart
 from .prime_linalg import Subspace, inv_mod, solve_rows
@@ -56,10 +57,10 @@ from .symplectic import (
     _pair_signs,
     _refuse_wider,
     _signed,
+    _transvections,
     assemble,
     dim_wedge,
     gamma,
-    generator_transvections,
     torus_weight,
     weight_blocks,
 )
@@ -126,23 +127,15 @@ def quotient_basis(space: SymplecticSpace, r: int) -> tuple:
     )
 
 
-def _frame_wedges(space: SymplecticSpace) -> list:
-    """Per generator transvection t, the wedges of t(x1)..t(xr) and of
-    t(y1)..t(yr) for r = 0..m: prefix products of sparse degree-1
-    Multivectors."""
-    def build():
-        p, m, chains = space.p, space.m, []
-        one = Multivector.one(p, m)
-        for t in generator_transvections(space):
-            images = [Multivector._of(p, m, {(i,): c for i, c in enumerate(col)})
-                      for col in zip(*t.entries)]  # the columns t(e_q)
-            chain = [(one, one)]
-            for q in range(m):
-                chain.append(tuple(wedge.wedge(images[a])
-                                   for wedge, a in zip(chain[-1], (q, m + q))))
-            chains.append(chain)
-        return chains
-    return _cached(space, ("frame_wedges",), build)
+def _frame_wedges(space: SymplecticSpace, r: int) -> list:
+    """The terms of the wedges of t(x1)..t(xr) and of t(y1)..t(yr) over the
+    generator transvections t, each distinct wedge once, in the order
+    first met: most t fix a frame.  t sends e_i to e_i + a_i v, so each is
+    the closed form ``rank_one_wedge`` on the frame's monomial."""
+    p, m = space.p, space.m
+    wedges = (rank_one_wedge(tuple(range(q, q + r)), a, u, p)
+              for a, u in _transvections(space) for q in (0, m))
+    return list({frozenset(w.items()): w for w in wedges}.values())
 
 
 def _vanishing_parts(space: SymplecticSpace, r: int) -> dict:
@@ -151,8 +144,9 @@ def _vanishing_parts(space: SymplecticSpace, r: int) -> dict:
     degree r - 2j, j >= 1), which vanishes on every Lagrangian.  Its
     dimension C(2m, r - 2), the annihilator's, is asserted, and every row
     is checked to pair to zero with the images of x1 ^ ... ^ xr and
-    y1 ^ ... ^ yr under the generator transvections; the y-frame images
-    reach the blocks that hold pairs x_k ^ y_k.  A signed row is an
+    y1 ^ ... ^ yr under the generator transvections (``_frame_wedges``,
+    each in closed form from the transvection's rank-one data); the
+    y-frame images reach the blocks that hold pairs x_k ^ y_k.  A signed row is an
     unsigned row u times D, up to a sign, so it pairs to zero with the
     wedge's terms c_i exactly when sum_i c_i eps_i u_i does: the signs are
     read only for the blocks those terms touch."""
@@ -164,22 +158,21 @@ def _vanishing_parts(space: SymplecticSpace, r: int) -> dict:
         if dim != dim_wedge(n, r - 2):
             raise InvariantError(f"degree {r}: divided-power ideal has dimension {dim}")
         slot, signs = weight_blocks(m, r)[1], {}
-        for chain in _frame_wedges(space):  # those along x1, y1 fix the seeds
-            for wedge in chain[r]:
-                support = {}  # weight -> (local slot, coefficient) of the wedge's terms
-                for mono, c in wedge.terms.items():
-                    support.setdefault(torus_weight(m, mono), []).append((slot[mono_rank(mono)], c))
-                for w, terms in support.items():
-                    if w not in parts:
-                        continue
-                    if p != 2:
-                        if w not in signs:
-                            signs[w] = _pair_signs(w, (r - m + w.count(0)) // 2)
-                        terms = [(i, c * signs[w][i]) for i, c in terms]
-                    if any(sum(c * row[i] for i, c in terms) % p
-                           for row in parts[w].basis.entries):
-                        raise InvariantError(
-                            f"degree {r}: a vanishing class pairs with an isotropic wedge")
+        for wedge in _frame_wedges(space, r):  # those along x1, y1 fix the seeds
+            support = {}  # weight -> (local slot, coefficient) of the wedge's terms
+            for mono, c in wedge.items():
+                support.setdefault(torus_weight(m, mono), []).append((slot[mono_rank(mono)], c))
+            for w, terms in support.items():
+                if w not in parts:
+                    continue
+                if p != 2:
+                    if w not in signs:
+                        signs[w] = _pair_signs(w, (r - m + w.count(0)) // 2)
+                    terms = [(i, c * signs[w][i]) for i, c in terms]
+                if any(sum(c * row[i] for i, c in terms) % p
+                       for row in parts[w].basis.entries):
+                    raise InvariantError(
+                        f"degree {r}: a vanishing class pairs with an isotropic wedge")
         return parts
     return _cached(space, ("vanishing_parts", r), build)
 
@@ -435,6 +428,24 @@ def _generator(p: int, k: int, degree: int, omega_rest, ann: Subspace,
     return _form_wedge_columns(p, k, degree, omega_rest, [mono_rank(tuple(positions))])[0]
 
 
+def _power_bits(p: int, n: int) -> int:
+    """Bit length of p ** n - 1 (n >= 1) from the top bits of p ** n alone:
+    square-and-multiply on a lower and an upper bound cut to ``keep``
+    bits, ``keep`` doubled until their lengths agree.  p ** n - 1 is one
+    bit shorter than p ** n only for p = 2, where the bounds are exact."""
+    keep = 64
+    while True:
+        lo = hi = 1
+        shift = 0  # lo << shift <= p ** e <= hi << shift, e the bits of n read
+        for bit in bin(n)[2:]:
+            lo, hi = lo * lo * p ** int(bit), hi * hi * p ** int(bit)
+            drop = max(hi.bit_length() - keep, 0)
+            lo, hi, shift = lo >> drop, -(-hi >> drop), 2 * shift + drop
+        if lo.bit_length() == hi.bit_length():
+            return lo.bit_length() + shift - (p == 2)
+        keep *= 2
+
+
 def certificate(space: SymplecticSpace, target: Multivector) -> CertificateReport:
     """Check, for every nonzero vector g, that the restriction of the
     target to the perp of g lies in the span of (restricted 2-form) wedge
@@ -463,9 +474,10 @@ def certificate(space: SymplecticSpace, target: Multivector) -> CertificateRepor
     if degree < 2:
         raise ValueError("degree must be at least 2")
     p, n = space.p, space.n
-    nonzero = p ** n - 1
-    if nonzero > CERTIFICATE_LIMIT:
-        raise CatalogTooLargeError(nonzero, CERTIFICATE_LIMIT, "vectors")
+    bits = _power_bits(p, n)  # p ** n - 1 is built only if it prints
+    nonzero = p ** n - 1 if bits <= PRINTABLE_BITS else None
+    if nonzero is None or nonzero > CERTIFICATE_LIMIT:
+        raise CatalogTooLargeError(nonzero, CERTIFICATE_LIMIT, "vectors", bits)
     # g^perp has dimension k, its radical <g> dimension 1, and the
     # complement and the annihilator dimension k - 1; the generators are
     # the form wedged with each monomial, then the annihilator's wedges

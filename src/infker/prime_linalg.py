@@ -297,12 +297,6 @@ class SparseMatrix:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_dense(cls, mat: Matrix) -> "SparseMatrix":
-        cols = zip(*mat.entries) if mat.rows else [()] * mat.cols
-        return cls._of(mat.p, mat.rows, tuple(
-            tuple((i, v) for i, v in enumerate(col) if v) for col in cols))
-
-    @classmethod
     def diagonal(cls, p: int, n: int, c: int) -> "SparseMatrix":
         """``c`` times the n x n identity."""
         check_prime(p)

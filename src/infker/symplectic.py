@@ -37,13 +37,12 @@ from .errors import (
     PRINTABLE_BITS,
     CatalogTooLargeError,
     DecompositionDefectError,
-    DimensionMismatchError,
     FieldMismatchError,
     HomogeneityError,
     InvariantError,
     PrimitivityError,
 )
-from .exterior import Multivector, VariableOrder, compound_matrix, mono_rank, monomials
+from .exterior import Multivector, VariableOrder, mono_rank, monomials, rank_one_wedge
 from .prime_linalg import (
     Matrix,
     SparseMatrix,
@@ -672,22 +671,6 @@ def injectivity_surjectivity_probe(space: SymplecticSpace, r: int) -> ProbeRepor
 # transvections and generated submodules
 
 
-def transvection(space: SymplecticSpace, v: Sequence[int]) -> Matrix:
-    """The symplectic transvection x -> x + psi(x, v) v as a matrix."""
-    p, n = space.p, space.n
-    if len(v) != n:
-        raise DimensionMismatchError(f"vector length {len(v)} vs 2m = {n}")
-    v = [c % p for c in v]
-    if not any(v):
-        raise ValueError("transvection direction must be nonzero")
-    gv = space.gram.matvec(v)
-    t = Matrix._of(p, tuple(tuple((int(i == j) + a * b) % p for j, b in enumerate(gv))
-                            for i, a in enumerate(v)), n)
-    if t.transpose() @ space.gram @ t != space.gram:
-        raise InvariantError("transvection does not preserve the form")
-    return t
-
-
 def _generator_directions(m: int) -> list:
     """x1..xm, y1..ym and x_i + x_{i+1}: the 3m - 1 transvection
     directions that generate the symplectic group."""
@@ -697,16 +680,39 @@ def _generator_directions(m: int) -> list:
                     for i in range(m - 1)]
 
 
-def generator_transvections(space: SymplecticSpace) -> tuple:
+def _transvection(space: SymplecticSpace, v: Sequence[int]) -> tuple:
+    """The transvection x -> x + psi(x, v) v as rank-one data (a, u): e_i
+    goes to e_i + a_i v, a_i = psi(e_i, v), and u is v as (k, v_k) pairs.
+    The form is checked entrywise: psi(t e_i, t e_j) - psi(e_i, e_j) =
+    a_i (a_j + psi(v, e_j) + a_j psi(v, v)) for i < j, and p is prime, so
+    the second factor must vanish past the first nonzero a_i."""
+    p, rows, u = space.p, space.gram.entries, [(k, c) for k, c in enumerate(v) if c]
+    a = [sum(row[k] * c for k, c in u) % p for row in rows]
+    b = [sum(c * rows[k][j] for k, c in u) for j in range(len(v))]  # psi(v, e_j)
+    c = sum(a[k] * x for k, x in u)  # psi(v, v)
+    first = next((i for i, x in enumerate(a) if x), len(a))
+    if any((a[j] * (1 + c) + b[j]) % p for j in range(first + 1, len(a))):
+        raise InvariantError("transvection does not preserve the form")
+    return a, u
+
+
+def _transvections(space: SymplecticSpace) -> tuple:
     """The transvections along the 3m - 1 generator directions."""
     return _cached(space, ("transvections",), lambda: tuple(
-        transvection(space, v) for v in _generator_directions(space.m)))
+        _transvection(space, v) for v in _generator_directions(space.m)))
+
+
+def _rank_one_compound(p: int, r: int, a: Sequence[int], u: Sequence[tuple]) -> SparseMatrix:
+    """The degree-r compound of e_i -> e_i + a_i u from ``rank_one_wedge``."""
+    n = len(a)
+    return SparseMatrix._of(p, dim_wedge(n, r), tuple(
+        tuple(sorted((mono_rank(t), c) for t, c in rank_one_wedge(mono, a, u, p).items()))
+        for mono in monomials(n, r)))
 
 
 def _transvection_compounds(space: SymplecticSpace, r: int) -> tuple:
     return _cached(space, ("tv_compound", r), lambda: tuple(
-        SparseMatrix.from_dense(compound_matrix(t, r))
-        for t in generator_transvections(space)))
+        _rank_one_compound(space.p, r, a, u) for a, u in _transvections(space)))
 
 
 def submodule_closure(space: SymplecticSpace, r: int, seeds: Sequence[Multivector]) -> Subspace:
@@ -720,7 +726,10 @@ def submodule_closure(space: SymplecticSpace, r: int, seeds: Sequence[Multivecto
     of Lickorish's Dehn-twist generators of the mapping class group,
     which generate Sp(2m, Z), and Sp(2m, Z) maps onto Sp(2m, F_p).  Each
     generator has finite order, so closure under the generators alone is
-    exactly invariance under the group.
+    exactly invariance under the group.  A transvection is the rank-one
+    map e_i -> e_i + psi(e_i, v) v, so its degree-r compound is written
+    column by column in closed form (``rank_one_wedge``), with no dense
+    matrix and no minor.
 
     Spaces whose middle degree has more than CLOSURE_LIMIT coordinates
     are refused with CatalogTooLargeError before any compound is built.

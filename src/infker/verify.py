@@ -320,44 +320,26 @@ def criterion_10(grid: str = "small", seed: int = 0) -> CriterionResult:
             cases[f"({p},{m}) center"] = (
                 len(z) == p and all(not any(el.v) for el in z))
             gens = group.generators()
-            comm_ok = True
-            for i in range(2 * m):
-                for j in range(2 * m):
-                    c = commutator(gens[i], gens[j])
-                    want = space.pairing(gens[i].v, gens[j].v)
-                    comm_ok = comm_ok and c.z == want and not any(c.v)
-            cases[f"({p},{m}) commutator form"] = comm_ok
+            comms = [(commutator(a, b), space.pairing(a.v, b.v)) for a in gens for b in gens]
+            cases[f"({p},{m}) commutator form"] = all(
+                c.z == want and not any(c.v) for c, want in comms)
 
-        group22 = make_group(2, 2)
-        space22 = SymplecticSpace(2, 2)
-        checked = 0
-        equiv = True
-        for k in range(5):
-            for sub in iter_subspaces(2, 4, k):
-                iso = all(
-                    space22.pairing(u, v) == 0
-                    for u in sub.basis.entries for v in sub.basis.entries)
-                ab = abelian_preimage_check(group22, sub)
-                equiv = equiv and (iso == ab)
-                checked += 1
+        group22, space22 = make_group(2, 2), SymplecticSpace(2, 2)
+        subs = [sub for k in range(5) for sub in iter_subspaces(2, 4, k)]
+        checked = len(subs)
+        equiv = all([abelian_preimage_check(group22, sub) == all(
+            space22.pairing(u, v) == 0 for u in sub.basis.entries for v in sub.basis.entries)
+            for sub in subs])
         cases["(2,2) isotropic iff abelian preimage"] = (
             equiv and checked == sum(count_subspaces(2, 4, k) for k in range(5)))
 
         group21 = make_group(2, 1)
         rot = next(h for h in group21.elements() if h.order() == 4)
         ref = next(h for h in group21.elements()
-                   if h.order() == 2 and all(
-                       (rot ** k).z != h.z or (rot ** k).v != h.v
-                       for k in range(4)))
-        rel = ref * rot * ref.inverse()
-        inv = rot.inverse()
-        words = set()
-        for i in range(4):
-            for j in range(2):
-                el = (rot ** i) * (ref ** j)
-                words.add((el.z, el.v))
+                   if h.order() == 2 and all(rot ** k != h for k in range(4)))
+        words = {(rot ** i) * (ref ** j) for i in range(4) for j in range(2)}
         cases["(2,1) dihedral"] = (
-            rel.z == inv.z and rel.v == inv.v and len(words) == 8)
+            ref * rot * ref.inverse() == rot.inverse() and len(words) == 8)
 
         details = {"cases": cases, "subspaces_checked": checked,
                    "type_(2,1)": group_type(group21)}

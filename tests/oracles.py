@@ -19,6 +19,13 @@
 * ``rref_oracle`` and ``solve_oracle`` are the list-based elimination and
   the solve on a reduced augmented matrix that the packed and row-wise
   paths replaced.
+* ``sparse_from_dense`` holds a dense matrix by columns through the
+  canonicalising ``SparseMatrix`` constructor.
+* ``transvection`` and ``compound_matrix`` are the dense transvection
+  matrix, checked by t^T G t = G, and its compound by minors, which the
+  rank-one closed form ``exterior.rank_one_wedge`` replaced;
+  ``frame_wedges`` is the pairing check's frame wedges as prefix
+  products of the dense transvections' columns.
 * ``certificate_by_columns`` is the certificate loop that wrote each
   point's system column by column (``_form_wedge_columns`` and the
   annihilator wedges of ``hyperplane_wedge``) and solved its transpose.
@@ -34,6 +41,7 @@ from infker.exterior import (
     hyperplane_restriction,
     mono_rank,
     monomials,
+    pure_wedge_coords,
     wedge_monomials,
 )
 from infker.inflation import (
@@ -43,7 +51,7 @@ from infker.inflation import (
     _gram_form,
 )
 from infker.isotropic import perp_chart
-from infker.errors import DecompositionDefectError, InvariantError
+from infker.errors import DecompositionDefectError, DimensionMismatchError, InvariantError
 from infker.exterior import Multivector
 from infker.prime_linalg import (
     Matrix,
@@ -57,6 +65,7 @@ from infker.symplectic import (
     SIGMA,
     _block_map,
     _block_signs,
+    _generator_directions,
     _x_plus_mono,
     dim_wedge,
     weight_blocks,
@@ -105,6 +114,57 @@ def assembled_map(p: int, m: int, r: int, t: int, scale: int) -> SparseMatrix:
             for rank, col in zip(ranks, block.columns):
                 columns[rank] = tuple([(to[i], v) for i, v in col])
     return SparseMatrix._of(p, dim_wedge(2 * m, t), tuple(columns))
+
+
+def sparse_from_dense(mat: Matrix) -> SparseMatrix:
+    """``mat`` held by columns; the constructor drops the zeros."""
+    return SparseMatrix(mat.p, mat.rows, ([(i, row[j]) for i, row in enumerate(mat.entries)]
+                                          for j in range(mat.cols)))
+
+
+def transvection(space, v) -> Matrix:
+    """The symplectic transvection x -> x + psi(x, v) v as a matrix."""
+    p, n = space.p, space.n
+    if len(v) != n:
+        raise DimensionMismatchError(f"vector length {len(v)} vs 2m = {n}")
+    v = [c % p for c in v]
+    if not any(v):
+        raise ValueError("transvection direction must be nonzero")
+    gv = space.gram.matvec(v)
+    t = Matrix._of(p, tuple(tuple((int(i == j) + a * b) % p for j, b in enumerate(gv))
+                            for i, a in enumerate(v)), n)
+    if t.transpose() @ space.gram @ t != space.gram:
+        raise InvariantError("transvection does not preserve the form")
+    return t
+
+
+def compound_matrix(f: Matrix, r: int) -> Matrix:
+    """The degree-r compound of ``f``: entry (I, J) is the minor with rows
+    I and columns J.  It is the matrix of the induced map on degree-r
+    wedges, acting on colex coordinates; row I is the wedge of the rows
+    of ``f`` indexed by I."""
+    if r < 0:
+        raise ValueError("degree must be nonnegative")
+    return Matrix(f.p, (pure_wedge_coords([f.entries[i] for i in mono], f.cols, f.p)
+                        for mono in monomials(f.rows, r)),
+                  cols=comb(f.cols, r))
+
+
+def frame_wedges(space) -> list:
+    """Per generator transvection t, the wedges of t(x1)..t(xr) and of
+    t(y1)..t(yr) for r = 0..m: prefix products of sparse degree-1
+    Multivectors from the dense transvections' columns."""
+    p, m, chains = space.p, space.m, []
+    one = Multivector.one(p, m)
+    for t in (transvection(space, v) for v in _generator_directions(m)):
+        images = [Multivector._of(p, m, {(i,): c for i, c in enumerate(col)})
+                  for col in zip(*t.entries)]  # the columns t(e_q)
+        chain = [(one, one)]
+        for q in range(m):
+            chain.append(tuple(wedge.wedge(images[a])
+                               for wedge, a in zip(chain[-1], (q, m + q))))
+        chains.append(chain)
+    return chains
 
 
 def image_basis(mat: Matrix) -> Subspace:

@@ -269,6 +269,11 @@ def run_capped(*argv):
     (("quotient-basis", "-p", "2", "-m", "9", "-r", "9"), "48620 degree-9 wedge coordinates"),
     (("ideal-basis", "-p", "2", "-m", "100000", "-r", "3"), "1333313333400000 degree-3"),
     (("sl2-check", "-p", "2", "-m", "100000"), "at least 2^14004 degree-100000 wedge coordinates"),
+    # p ** 2m - 1 is refused by its bit length, never built
+    (("certificate", "-p", "2", "-m", "1000000000", "--class", "x1^y1"),
+     "at least 2^1999999999 vectors, more than the supported 1000000"),
+    (("certificate", "-p", "3", "-m", "1000000000", "--class", "x1^y1"),
+     "at least 2^3169925001 vectors"),
 ], ids=lambda arg: " ".join(arg) if isinstance(arg, tuple) else None)
 def test_oversized_input_refused_before_allocating(argv, noun):
     start = time.perf_counter()

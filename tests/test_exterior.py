@@ -19,7 +19,6 @@ from infker.exterior import (
     _wedge_table,
     Multivector,
     VariableOrder,
-    compound_matrix,
     hyperplane_restriction,
     mono_rank,
     monomials,
@@ -31,7 +30,7 @@ from infker.exterior import (
     wedge_monomials,
 )
 from infker.prime_linalg import Matrix
-from oracles import hyperplane_wedge
+from oracles import compound_matrix, hyperplane_wedge
 
 primes = st.sampled_from((2, 3, 5, 7))
 

@@ -13,7 +13,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from infker import exterior, inflation, isotropic, prime_linalg, symplectic
+from infker import inflation, isotropic, prime_linalg, symplectic
 from infker.errors import CatalogTooLargeError, HomogeneityError, InvariantError
 from infker.exterior import (
     Multivector,
@@ -28,6 +28,7 @@ from infker.inflation import (
     _form_wedge_columns,
     _generator,
     _gram_form,
+    _power_bits,
     _system_plan,
     certificate,
     counterexample,
@@ -307,14 +308,44 @@ def test_huge_spaces_refuse_before_listing_blocks(monkeypatch):
 
 
 def test_theorem1_reaches_no_closure(monkeypatch):
+    """theorem1 never closes an orbit, and its transvections are rank-one
+    data: it multiplies no dense matrices, not even to check the form."""
     def refuse(*args, **kwargs):
         raise AssertionError("theorem1 reached the orbit closure")
     monkeypatch.setattr(symplectic, "submodule_closure", refuse)
-    monkeypatch.setattr(symplectic, "compound_matrix", refuse)
-    monkeypatch.setattr(exterior, "compound_matrix", refuse)
+    products = count_calls(monkeypatch, Matrix, "__matmul__")
     space = SymplecticSpace(2, 4)
     assert [sw.gap for sw in theorem1_verify(space)] == [0, 0, 0, 0, 1, 8, 1, 0, 0]
+    assert products == []
     assert str(counterexample(space)) == "x2^x3^y2^y3 + x2^x4^y2^y4 + x3^x4^y3^y4"
+
+
+@given(st.sampled_from((2, 3, 5, 7, 11, 2 ** 61 - 1)), st.integers(1, 3000))
+@settings(max_examples=200)
+def test_power_bits_is_the_exact_bit_length(p, n):
+    """The certificate's refusal reads the bit length of p^n - 1 from
+    truncated bounds; it is exact wherever the integer can be built."""
+    assert _power_bits(p, n) == (p ** n - 1).bit_length()
+
+
+def bad_gram(p, m):
+    """The standard form plus a self-pairing psi(x1, x1) = 1: the
+    transvection along x1 moves psi(x1, y1) from 1 to 0."""
+    rows = [list(row) for row in SymplecticSpace(p, m).gram.entries]
+    rows[0][0] = 1
+    return Matrix(p, rows, cols=2 * m)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("build", [theorem1_verify, lambda space: isotropic_span_basis(space, 2)],
+                         ids=["theorem1", "closure"])
+def test_transvections_check_the_form(monkeypatch, p, build):
+    """The form check on the rank-one transvections fires from both of
+    their readers, the pairing check and the closure compounds."""
+    gram = bad_gram(p, 3)
+    monkeypatch.setattr(SymplecticSpace, "gram", property(lambda space: gram))
+    with pytest.raises(InvariantError, match="transvection does not preserve the form"):
+        build(SymplecticSpace(p, 3))
 
 
 @pytest.mark.parametrize("p,m,gaps,first", [

@@ -16,8 +16,9 @@ from infker.exterior import Multivector, monomials, sort_to_monomial
 from infker.inflation import _divided_power_parts, _signed, sandwich, theorem1_verify
 from infker.prime_linalg import Subspace
 from infker.symplectic import SymplecticSpace, _pair_signs, torus_weight, weight_blocks
-from oracles import divided_power_parts, gap_profile
+from oracles import divided_power_parts, frame_wedges, gap_profile
 from test_prime_linalg import count_calls
+from test_symplectic import ORACLE_SPACES
 
 PRIMES = (2, 3, 5, 7)
 
@@ -88,9 +89,24 @@ def frame_wedge_blocks(space):
     term of a generator transvection's frame wedge falls in."""
     m = space.m
     return {(r, torus_weight(m, mono))
-            for chain in inflation._frame_wedges(space)
-            for r in range(2, m + 1) for wedge in chain[r] for mono in wedge.terms
+            for r in range(2, m + 1) for wedge in inflation._frame_wedges(space, r)
+            for mono in wedge
             if torus_weight(m, mono) in inflation._vanishing_parts(space, r)}
+
+
+@pytest.mark.parametrize("p,m", ORACLE_SPACES + [(2, 5), (3, 5)])
+def test_frame_wedges_match_prefix_products(p, m):
+    """The closed-form frame wedges are the prefix products of the dense
+    transvections' columns, term for term, in every degree up to m, each
+    distinct one once in the order first met."""
+    space = SymplecticSpace(p, m)
+    chains = frame_wedges(space)
+    for r in range(m + 1):
+        want = []
+        for wedge in (wedge.terms for chain in chains for wedge in chain[r]):
+            if wedge not in want:
+                want.append(wedge)
+        assert inflation._frame_wedges(space, r) == want
 
 
 @pytest.mark.parametrize("p,m,calls", [(3, 5, 10), (3, 6, 16)])

@@ -17,7 +17,6 @@ from infker import exterior, symplectic
 from infker.errors import CatalogTooLargeError, DecompositionDefectError, PrimitivityError
 from infker.exterior import (
     Multivector,
-    compound_matrix,
     monomials,
     parse,
     pure_wedge_coords,
@@ -34,6 +33,8 @@ from infker.prime_linalg import (
 from infker.symplectic import (
     SIGMA,
     _generator_directions,
+    _rank_one_compound,
+    _transvection,
     _transvection_compounds,
     DegreeCheck,
     ProbeReport,
@@ -52,14 +53,21 @@ from infker.symplectic import (
     primitive_basis,
     sl2_check,
     submodule_closure,
-    transvection,
     weight_blocks,
     x_minus,
     x_minus_matrix,
     x_plus,
     x_plus_matrix,
 )
-from oracles import assembled_map, dense_decompose, divided_power_oracle, x_plus_oracle
+from oracles import (
+    assembled_map,
+    compound_matrix,
+    dense_decompose,
+    divided_power_oracle,
+    sparse_from_dense,
+    transvection,
+    x_plus_oracle,
+)
 
 odd_primes = st.sampled_from((3, 5, 7))
 
@@ -586,6 +594,22 @@ def test_transvection_preserves_pairing(data):
         return
     t = transvection(space, v)
     assert t.transpose() @ space.gram @ t == space.gram
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_rank_one_compound_matches_dense_minors(data):
+    """The compound written from a transvection's rank-one data equals the
+    minors of the dense transvection in every degree, for any nonzero
+    direction, not only the generators'."""
+    p = data.draw(st.sampled_from((2, 3, 5, 7)))
+    m = data.draw(st.integers(1, 3))
+    space = SymplecticSpace(p, m)
+    v = data.draw(st.lists(st.integers(0, p - 1), min_size=2 * m, max_size=2 * m).filter(any))
+    a, u = _transvection(space, v)
+    t = transvection(space, v)
+    for r in range(2 * m + 1):
+        assert _rank_one_compound(p, r, a, u) == sparse_from_dense(compound_matrix(t, r))
 
 
 def test_transvection_moves_only_along_v():
