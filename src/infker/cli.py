@@ -25,6 +25,7 @@ from .errors import (
     InvariantError,
     NotPrimeError,
     ParseError,
+    bounded_count,
 )
 from .exterior import Multivector, monomials, parse, pullback_coords
 from .extraspecial import SCAN_LIMIT, center, commutator, group_type, make_group
@@ -78,14 +79,6 @@ def _nonnegative(text: str) -> int:
 def _check_degree(r: int, m: int):
     if not 0 <= r <= 2 * m:
         raise ValueError(f"degree {r} out of range 0..{2 * m}")
-
-
-def _printable(count: int, noun: str) -> int:
-    """An exact count, answered up to PRINTABLE_BITS and refused past it,
-    where it no longer prints."""
-    if count.bit_length() > PRINTABLE_BITS:
-        raise CatalogTooLargeError(count, 1 << PRINTABLE_BITS, noun)
-    return count
 
 
 def _class_from(args, space: SymplecticSpace) -> Multivector:
@@ -195,7 +188,8 @@ def _cmd_isotropic(args):
             f"isotropic dimension {args.dim} exceeds m = {space.m}")
     count = count_isotropic(space.p, space.m, args.dim)
     if args.count_only:
-        count = _printable(count, "subspaces")
+        # an exact count is answered only while it prints
+        count = bounded_count(count.bit_length(), lambda: count, 1 << PRINTABLE_BITS, "subspaces")
         payload = {
             "command": "isotropic",
             "p": space.p,
@@ -224,7 +218,8 @@ def _cmd_group(args):
     space = SymplecticSpace(args.prime, args.rank)
     base = {"command": "group", "p": group.p, "m": group.m, "op": args.op}
     if args.op == "order":
-        return {**base, "order": _printable(group.order(), "group elements")}, 0
+        return {**base, "order": bounded_count(group.order_bits(), group.order,
+                                               1 << PRINTABLE_BITS, "group elements")}, 0
     if args.op == "center":
         elems = center(group)
         return {

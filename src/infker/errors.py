@@ -61,6 +61,16 @@ class CatalogTooLargeError(InfkerError):
         self.limit = limit
 
 
+def bounded_count(bits: int, build, limit: int, noun: str) -> int:
+    """The count ``build()``, of bit length ``bits``, when it is at most
+    ``limit``; otherwise CatalogTooLargeError, with the count built only
+    if it prints."""
+    count = build() if bits <= PRINTABLE_BITS else None
+    if count is None or count > limit:
+        raise CatalogTooLargeError(count, limit, noun, bits)
+    return count
+
+
 class DecompositionDefectError(InfkerError):
     """Primitive-plus-image decomposition failed to be direct or to span.
 

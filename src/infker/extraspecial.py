@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from functools import total_ordering
 from typing import Iterator, Sequence
 
-from .errors import CatalogTooLargeError, DimensionMismatchError, InvariantError
-from .prime_linalg import Subspace, check_prime
+from .errors import CatalogTooLargeError, DimensionMismatchError, InvariantError, bounded_count
+from .prime_linalg import Subspace, _power_bits, check_prime
 from .symplectic import SymplecticSpace
 
 #: Refuse elementwise scans beyond this many group elements.
@@ -100,6 +100,11 @@ class ExtraspecialGroup:
     def order(self) -> int:
         return self.p ** (1 + self.n)
 
+    def order_bits(self) -> int:
+        """Bit length of the order p^(2m+1), read without building it:
+        ``_power_bits`` gives that of p^(2m+1) - 1, one shorter at p = 2."""
+        return _power_bits(self.p, 1 + self.n) + (self.p == 2)
+
     def cocycle(self, u: Sequence[int], v: Sequence[int]) -> int:
         """beta(u, v): x-part of u against y-part of v."""
         m = self.m
@@ -130,9 +135,7 @@ class ExtraspecialGroup:
     def elements(self) -> Iterator[GroupElement]:
         """Every element, z outermost; refused past SCAN_LIMIT when called,
         not when first iterated."""
-        if self.order() > SCAN_LIMIT:
-            raise CatalogTooLargeError(self.order(), SCAN_LIMIT,
-                                       "group elements")
+        bounded_count(self.order_bits(), self.order, SCAN_LIMIT, "group elements")
         return (GroupElement(self, z, v) for z in range(self.p)
                 for v in itertools.product(range(self.p), repeat=self.n))
 

@@ -17,16 +17,19 @@ every pointwise membership condition even when it lies outside the
 ideal.
 
 Both operators preserve the torus weight of a monomial, so both spaces
-are kept as one local subspace per weight block (``_divided_power_parts``,
-``_vanishing_parts``).  A block is written in pair coordinates, the
-subsets K of its free set, where wedging with gamma^(j) is the inclusion
-matrix conjugated by D = diag(epsilon(K)).  D is invertible and D^2 = I,
-so the parts stay unsigned: one elimination of the inclusion matrices per
-(s, k), shared by every block with those sizes, whose pivots are the
-signed space's.  The signs are applied only where rows are printed or
-paired: the assembled bases of ``ideal_component`` and
-``vanishing_space``, the gap representatives, and the frame-wedge terms
-of the pairing check.
+are block diagonal.  A block is written in pair coordinates, the subsets
+K of its free set, where wedging with gamma^(j) is the inclusion matrix
+conjugated by D = diag(epsilon(K)).  D is invertible and D^2 = I, so
+every block with the same free-set size s (and so the same number k of
+pairs) holds the same unsigned local subspace, whose pivots are the
+signed block's.  Both spaces are therefore kept as one unsigned part per
+(s, k) key (``_divided_power_parts``, ``_vanishing_parts``): one
+elimination of the inclusion matrices per key, and each dimension is the
+sum over the keys of the block count times the part's dimension.  The
+weights of a key (``_weights``) are listed, and their signs applied,
+only where rows are printed or paired: the assembled bases of
+``ideal_component`` and ``vanishing_space``, the gap representatives, and
+the frame-wedge terms of the pairing check.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
-from .errors import PRINTABLE_BITS, CatalogTooLargeError, InvariantError
+from .errors import InvariantError, bounded_count
 from .exterior import (
     Multivector,
     _hyperplane_terms,
@@ -49,20 +52,23 @@ from .exterior import (
     rank_one_wedge,
 )
 from .isotropic import perp_chart
-from .prime_linalg import Subspace, inv_mod, solve_rows
+from .prime_linalg import Subspace, _power_bits, inv_mod, solve_rows
 from .symplectic import (
     SymplecticSpace,
+    _block_keys,
+    _block_monomials,
+    _block_slot,
     _cached,
     _inclusion_rref,
     _pair_signs,
     _refuse_wider,
     _signed,
     _transvections,
+    _weights,
     assemble,
     dim_wedge,
     gamma,
     torus_weight,
-    weight_blocks,
 )
 
 #: Most nonzero vectors p^(2m) - 1 that ``certificate`` checks, the same
@@ -76,38 +82,23 @@ VANISHING_LIMIT = 924
 
 def _divided_power_parts(space: SymplecticSpace, r: int, js: tuple) -> dict:
     """The span of the images of gamma^(j) ^ from degree r - 2j over the j
-    in ``js``, one local subspace per torus weight, unsigned.  On the block
-    of x_I ^ y_J ^ prod_{a in K} x_a ^ y_a, K a k-subset of the s-element
-    free set, gamma^(j) ^ is D' W_{k-j,k}(s) D with D = diag(epsilon(K)), so
-    the block's canonical subspace is its (s, k)'s shared
-    ``_inclusion_rref`` moved by ``_signed``; the part is that rref
-    itself."""
-    def build():
-        p, m, parts = space.p, space.m, {}
-        for w in weight_blocks(m, r)[0] if 2 * min(js, default=r + 1) <= r else ():  # O(m) each
-            s = w.count(0)
-            k = (r - m + s) // 2
-            used = tuple([j for j in js if j <= k])
-            if used:
-                parts[w] = _inclusion_rref(p, s, k, used)
-        return parts
-    return _cached(space, ("divided_power_parts", r, js), build)
-
-
-def _assemble_signed(space: SymplecticSpace, r: int, parts: dict) -> Subspace:
-    """The degree-r subspace whose block of weight w is ``parts[w]`` moved
-    by its signs, in colex coordinates."""
-    p, m = space.p, space.m
-    return assemble(p, m, r, {w: _signed(p, w, (r - m + w.count(0)) // 2, part)
-                              for w, part in parts.items()})
+    in ``js``, one unsigned local subspace per free-set size s.  On the
+    block of x_I ^ y_J ^ prod_{a in K} x_a ^ y_a, K a k-subset of the
+    s-element free set, gamma^(j) ^ is D' W_{k-j,k}(s) D with
+    D = diag(epsilon(K)), so every block with s free positions holds its
+    (s, k)'s shared ``_inclusion_rref`` moved by ``_signed``; the part is
+    that rref itself, and the dimension is the sum over ``_block_keys`` of
+    count times its dimension."""
+    return {s: _inclusion_rref(space.p, s, k, used) for s, k, _ in _block_keys(space.m, r)
+            if (used := tuple([j for j in js if j <= k]))}
 
 
 def ideal_component(space: SymplecticSpace, r: int) -> Subspace:
     """Degree-r part of the ideal generated by the invariant 2-tensor:
     the image of the lowering operator out of degree r - 2."""
     _refuse_wider(space.n, r, VANISHING_LIMIT)
-    return _cached(space, ("ideal", r), lambda: _assemble_signed(
-        space, r, _divided_power_parts(space, r, (1,))))
+    return _cached(space, ("ideal", r), lambda: assemble(
+        space.p, space.m, r, _divided_power_parts(space, r, (1,))))
 
 
 def quotient_basis(space: SymplecticSpace, r: int) -> tuple:
@@ -117,10 +108,7 @@ def quotient_basis(space: SymplecticSpace, r: int) -> tuple:
     reduced basis, listed in colex order.  Refused past VANISHING_LIMIT
     coordinates, as ``ideal_component`` is.
     """
-    _refuse_wider(space.n, r, VANISHING_LIMIT)
-    parts = _divided_power_parts(space, r, (1,))
-    blocks = weight_blocks(space.m, r)[0] if parts else {}
-    pivots = {blocks[w][c] for w, part in parts.items() for c in part.pivots}
+    pivots = set(ideal_component(space, r).pivots)
     return tuple(
         mono for k, mono in enumerate(monomials(space.n, r))
         if k not in pivots
@@ -140,37 +128,41 @@ def _frame_wedges(space: SymplecticSpace, r: int) -> list:
 
 def _vanishing_parts(space: SymplecticSpace, r: int) -> dict:
     """The vanishing space in degree r <= m, one unsigned local subspace per
-    torus weight: the divided-power ideal (images of gamma^(j) ^ from
+    free-set size s: the divided-power ideal (images of gamma^(j) ^ from
     degree r - 2j, j >= 1), which vanishes on every Lagrangian.  Its
     dimension C(2m, r - 2), the annihilator's, is asserted, and every row
     is checked to pair to zero with the images of x1 ^ ... ^ xr and
     y1 ^ ... ^ yr under the generator transvections (``_frame_wedges``,
     each in closed form from the transvection's rank-one data); the
-    y-frame images reach the blocks that hold pairs x_k ^ y_k.  A signed row is an
-    unsigned row u times D, up to a sign, so it pairs to zero with the
-    wedge's terms c_i exactly when sum_i c_i eps_i u_i does: the signs are
-    read only for the blocks those terms touch."""
+    y-frame images reach the blocks that hold pairs x_k ^ y_k.  A wedge
+    term's local slot in its block is the colex rank of its pairs inside
+    the free set (``_block_slot``).  A signed row is an unsigned row u
+    times D, up to a sign, so it pairs to zero with the wedge's terms c_i
+    exactly when sum_i c_i eps_i u_i does: the signs are read only for
+    the blocks those terms touch."""
     def build():
         p, m, n = space.p, space.m, space.n
         _refuse_wider(n, m, VANISHING_LIMIT)
         parts = _divided_power_parts(space, r, tuple(range(1, r // 2 + 1)))
-        dim = sum(part.dim for part in parts.values())
+        dim = sum(count * parts[s].dim for s, _, count in _block_keys(m, r) if s in parts)
         if dim != dim_wedge(n, r - 2):
             raise InvariantError(f"degree {r}: divided-power ideal has dimension {dim}")
-        slot, signs = weight_blocks(m, r)[1], {}
+        signs = {}
         for wedge in _frame_wedges(space, r):  # those along x1, y1 fix the seeds
             support = {}  # weight -> (local slot, coefficient) of the wedge's terms
             for mono, c in wedge.items():
-                support.setdefault(torus_weight(m, mono), []).append((slot[mono_rank(mono)], c))
+                w = torus_weight(m, mono)
+                support.setdefault(w, []).append((_block_slot(m, w, mono), c))
             for w, terms in support.items():
-                if w not in parts:
+                s = w.count(0)
+                if s not in parts:
                     continue
                 if p != 2:
                     if w not in signs:
-                        signs[w] = _pair_signs(w, (r - m + w.count(0)) // 2)
+                        signs[w] = _pair_signs(w, (r - m + s) // 2)
                     terms = [(i, c * signs[w][i]) for i, c in terms]
                 if any(sum(c * row[i] for i, c in terms) % p
-                       for row in parts[w].basis.entries):
+                       for row in parts[s].basis.entries):
                     raise InvariantError(
                         f"degree {r}: a vanishing class pairs with an isotropic wedge")
         return parts
@@ -190,7 +182,7 @@ def vanishing_space(space: SymplecticSpace, r: int) -> Subspace:
         if r > space.m:
             _refuse_wider(space.n, r, VANISHING_LIMIT)
             return Subspace.full(space.p, dim_wedge(space.n, r))
-        return _assemble_signed(space, r, _vanishing_parts(space, r))
+        return assemble(space.p, space.m, r, _vanishing_parts(space, r))
     return _cached(space, ("vanishing", r), build)
 
 
@@ -221,52 +213,49 @@ class KernelSandwich:
 def sandwich(space: SymplecticSpace, r: int) -> KernelSandwich:
     """Compute both spaces at degree r and certify the containment.
 
-    Both spaces stay one unsigned local subspace per torus weight, shared
-    by the blocks with the same free-set size s (and so the same k).  D is
+    Both spaces stay one unsigned local subspace per free-set size s, shared
+    by the blocks with s free positions (and so the same k).  D is
     invertible, so the signed ideal lies in the signed vanishing space
     exactly when the unsigned one does, and reducing modulo the ideal
     commutes with D: the containment and the reduction are taken once per
-    s, and only the gap representatives are moved to each block by its
-    signs.  Each representative goes from its local row straight to a
-    Multivector, and they are listed by the colex rank of their pivots,
-    the order of the dense rref.  Above degree m every block vanishes
-    whole, so its representatives are the unit vectors off the ideal's
-    pivots.
+    (s, k) key, and only the gap representatives are moved to each block
+    of the key (``_weights``) by its signs.  Each representative goes from
+    its local row straight to a Multivector through the block's monomials,
+    and they are listed by the colex rank of their pivots, the order of
+    the dense rref.  Above degree m every block vanishes whole, so its
+    representatives are the unit vectors off the ideal's pivots, which
+    the signs leave as they are.
 
     Raises InvariantError if the ideal ever escapes the vanishing space;
     that containment is unconditional.
     """
     p, m, n = space.p, space.m, space.n
-    blocks, monos = weight_blocks(m, r)[0], monomials(n, r)
     ideal = _divided_power_parts(space, r, (1,))
-    ideal_dim, reps = sum(part.dim for part in ideal.values()), []
-    if r > m:
-        vanishing_dim = dim_wedge(n, r)
-        for w, ranks in blocks.items():
-            pivots = set(ideal[w].pivots) if w in ideal else ()
-            reps += [(k, {monos[k]: 1}) for i, k in enumerate(ranks) if i not in pivots]
-    else:
-        vanish = _vanishing_parts(space, r)
-        vanishing_dim = sum(part.dim for part in vanish.values())
-        if any(w not in vanish for w in ideal):
-            raise InvariantError(f"degree {r}: ideal class escapes the vanishing space")
-        gaps = {}  # s -> the vanishing rows reduced modulo the ideal, rref, or None
-        for w, vanish_w in vanish.items():
-            s = w.count(0)
-            if s not in gaps:
-                ideal_w = ideal.get(w)
-                if ideal_w and any(vanish_w.member(row) is None
-                                   for row in ideal_w.basis.entries):
-                    raise InvariantError(f"degree {r}: ideal class escapes the vanishing space")
-                res = [ideal_w.residual(row) if ideal_w else row
-                       for row in vanish_w.basis.entries]
-                gaps[s] = (Subspace.from_rows(p, vanish_w.ambient_dim, res)
-                           if any(map(any, res)) else None)
-            if gaps[s] is not None:
-                ranks = blocks[w]
-                red = _signed(p, w, (r - m + s) // 2, gaps[s])
-                reps += [(ranks[c], {monos[ranks[i]]: v for i, v in enumerate(row) if v})
-                         for row, c in zip(red.basis.entries, red.pivots)]
+    vanish = _vanishing_parts(space, r) if r <= m else {}
+    if r <= m and any(s not in vanish for s in ideal):
+        raise InvariantError(f"degree {r}: ideal class escapes the vanishing space")
+    reps = []  # (colex rank of the pivot, terms)
+    for s, k, _ in _block_keys(m, r):
+        part = ideal.get(s)
+        if r > m:
+            pivots = set(part.pivots) if part else ()
+            units = [c for c in range(dim_wedge(s, k)) if c not in pivots]
+            for w in _weights(m, s) if units else ():
+                monos = _block_monomials(m, w, k)
+                reps += [(mono_rank(monos[c]), {monos[c]: 1}) for c in units]
+        elif s in vanish:
+            if part and any(vanish[s].member(row) is None for row in part.basis.entries):
+                raise InvariantError(f"degree {r}: ideal class escapes the vanishing space")
+            res = [part.residual(row) if part else row for row in vanish[s].basis.entries]
+            if any(map(any, res)):
+                gap = Subspace.from_rows(p, vanish[s].ambient_dim, res)
+                for w in _weights(m, s):
+                    red, monos = _signed(p, w, k, gap), _block_monomials(m, w, k)
+                    reps += [(mono_rank(monos[c]), {monos[i]: v for i, v in enumerate(row) if v})
+                             for row, c in zip(red.basis.entries, red.pivots)]
+    ideal_dim = sum(count * ideal[s].dim for s, _, count in _block_keys(m, r) if s in ideal)
+    # the whole degree above m; the asserted dimension of ``_vanishing_parts`` up to it
+    vanishing_dim = dim_wedge(n, r if r > m else r - 2)
     gap = vanishing_dim - ideal_dim
     if len(reps) != gap:
         raise InvariantError(
@@ -428,24 +417,6 @@ def _generator(p: int, k: int, degree: int, omega_rest, ann: Subspace,
     return _form_wedge_columns(p, k, degree, omega_rest, [mono_rank(tuple(positions))])[0]
 
 
-def _power_bits(p: int, n: int) -> int:
-    """Bit length of p ** n - 1 (n >= 1) from the top bits of p ** n alone:
-    square-and-multiply on a lower and an upper bound cut to ``keep``
-    bits, ``keep`` doubled until their lengths agree.  p ** n - 1 is one
-    bit shorter than p ** n only for p = 2, where the bounds are exact."""
-    keep = 64
-    while True:
-        lo = hi = 1
-        shift = 0  # lo << shift <= p ** e <= hi << shift, e the bits of n read
-        for bit in bin(n)[2:]:
-            lo, hi = lo * lo * p ** int(bit), hi * hi * p ** int(bit)
-            drop = max(hi.bit_length() - keep, 0)
-            lo, hi, shift = lo >> drop, -(-hi >> drop), 2 * shift + drop
-        if lo.bit_length() == hi.bit_length():
-            return lo.bit_length() + shift - (p == 2)
-        keep *= 2
-
-
 def certificate(space: SymplecticSpace, target: Multivector) -> CertificateReport:
     """Check, for every nonzero vector g, that the restriction of the
     target to the perp of g lies in the span of (restricted 2-form) wedge
@@ -474,10 +445,7 @@ def certificate(space: SymplecticSpace, target: Multivector) -> CertificateRepor
     if degree < 2:
         raise ValueError("degree must be at least 2")
     p, n = space.p, space.n
-    bits = _power_bits(p, n)  # p ** n - 1 is built only if it prints
-    nonzero = p ** n - 1 if bits <= PRINTABLE_BITS else None
-    if nonzero is None or nonzero > CERTIFICATE_LIMIT:
-        raise CatalogTooLargeError(nonzero, CERTIFICATE_LIMIT, "vectors", bits)
+    bounded_count(_power_bits(p, n), lambda: p ** n - 1, CERTIFICATE_LIMIT, "vectors")
     # g^perp has dimension k, its radical <g> dimension 1, and the
     # complement and the annihilator dimension k - 1; the generators are
     # the form wedged with each monomial, then the annihilator's wedges

@@ -89,6 +89,24 @@ def inv_mod(a: int, p: int) -> int:
     return t0 % p
 
 
+def _power_bits(p: int, n: int) -> int:
+    """Bit length of p ** n - 1 (n >= 1) from the top bits of p ** n alone:
+    square-and-multiply on a lower and an upper bound cut to ``keep``
+    bits, ``keep`` doubled until their lengths agree.  p ** n - 1 is one
+    bit shorter than p ** n only for p = 2, where the bounds are exact."""
+    keep = 64
+    while True:
+        lo = hi = 1
+        shift = 0  # lo << shift <= p ** e <= hi << shift, e the bits of n read
+        for bit in bin(n)[2:]:
+            lo, hi = lo * lo * p ** int(bit), hi * hi * p ** int(bit)
+            drop = max(hi.bit_length() - keep, 0)
+            lo, hi, shift = lo >> drop, -(-hi >> drop), 2 * shift + drop
+        if lo.bit_length() == hi.bit_length():
+            return lo.bit_length() + shift - (p == 2)
+        keep *= 2
+
+
 class Matrix:
     """Immutable dense matrix over F_p.
 

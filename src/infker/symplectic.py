@@ -27,6 +27,7 @@ primitive pieces, ``decompose`` and the rank probe.
 from __future__ import annotations
 
 import bisect
+import itertools
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -222,32 +223,31 @@ def torus_weight(m: int, mono: tuple) -> tuple:
     return tuple(w)
 
 
-@lru_cache(maxsize=None)
-def weight_blocks(m: int, r: int) -> tuple:
-    """Degree-r monomials by torus weight, which gamma^(j) ^ and the
-    raising operator preserve.  Returns (blocks, slot): ``blocks`` maps
-    each weight to the ascending colex ranks of its monomials, ``slot[k]``
-    is rank k's place in its block."""
-    blocks, slot = {}, []
-    for k, mono in enumerate(monomials(2 * m, r)):
-        ranks = blocks.setdefault(torus_weight(m, mono), [])
-        slot.append(len(ranks))
-        ranks.append(k)
-    return {w: tuple(ranks) for w, ranks in blocks.items()}, tuple(slot)
+def _weights(m: int, s: int):
+    """The C(m, s) 2^(m - s) torus weights with s free positions: the free
+    set in lex order, then the signs of the other positions."""
+    for free in itertools.combinations(range(m), s):
+        for signs in itertools.product((1, -1), repeat=m - s):
+            fill = iter(signs)
+            yield tuple([0 if a in free else next(fill) for a in range(m)])
 
 
 def assemble(p: int, m: int, r: int, parts: dict) -> Subspace:
-    """The canonical subspace of degree r with the canonical local subspace
-    ``parts[w]`` in the block of each torus weight w.  Blocks have disjoint
-    supports, so the rows of all blocks, sorted by pivot, are the rref."""
-    blocks, d, rows = weight_blocks(m, r)[0] if parts else {}, dim_wedge(2 * m, r), []
-    for w, part in parts.items():
-        ranks = blocks[w]
-        for row, pivot in zip(part.basis.entries, part.pivots):
-            vec = [0] * d
-            for k, v in zip(ranks, row):
-                vec[k] = v
-            rows.append((ranks[pivot], tuple(vec)))
+    """The canonical subspace of degree r whose block of each torus weight w
+    with s free positions is the unsigned ``parts[s]`` moved by its signs.
+    Blocks have disjoint supports, so the rows of all blocks, sorted by
+    pivot, are the rref."""
+    d, rows = dim_wedge(2 * m, r), []
+    for s, part in parts.items():
+        k = (r - m + s) // 2
+        for w in _weights(m, s):
+            signed = _signed(p, w, k, part)
+            ranks = [mono_rank(mono) for mono in _block_monomials(m, w, k)]
+            for row, pivot in zip(signed.basis.entries, signed.pivots):
+                vec = [0] * d
+                for c, v in zip(ranks, row):
+                    vec[c] = v
+                rows.append((ranks[pivot], tuple(vec)))
     rows.sort()
     return Subspace(p, d, Matrix._of(p, tuple([row for _, row in rows]), d),
                     tuple([pivot for pivot, _ in rows]))
@@ -316,11 +316,11 @@ def _signed(p: int, w: tuple, k: int, part: Subspace) -> Subspace:
 
 def _block_keys(m: int, r: int):
     """(s, k, count) for the torus-weight blocks of degree r: a block with
-    s free positions holds k = (r - m + s) / 2 pairs, and C(m, s) 2^(m - s)
-    weights have s free positions."""
-    for s in range(m + 1):
-        if (r - m + s) % 2 == 0 and 0 <= r - m + s <= 2 * s:
-            yield s, (r - m + s) // 2, comb(m, s) << (m - s)
+    s free positions holds k = (r - m + s) / 2 pairs, 0 <= k <= s, so
+    s >= |r - m| with the parity of r - m, and C(m, s) 2^(m - s) weights
+    have s free positions."""
+    for s in range(abs(r - m), m + 1, 2):
+        yield s, (r - m + s) // 2, comb(m, s) << (m - s)
 
 
 @lru_cache(maxsize=None)
@@ -345,6 +345,13 @@ def _block_monomials(m: int, w: tuple, k: int) -> tuple:
     free = [a for a, v in enumerate(w) if not v]
     return tuple(tuple(sorted(unpaired + [q for a in mono for q in (free[a], m + free[a])]))
                  for mono in monomials(len(free), k))
+
+
+def _block_slot(m: int, w: tuple, mono: tuple) -> int:
+    """The index of ``mono`` in ``_block_monomials`` of its weight w: the
+    colex rank of its pairs K inside the free set."""
+    free = [a for a, v in enumerate(w) if not v]
+    return mono_rank(tuple([i for i, a in enumerate(free) if a in mono]))
 
 
 def _colex_matrix(space: SymplecticSpace, r: int, t: int, op) -> Matrix:
@@ -549,13 +556,9 @@ def primitive_basis(space: SymplecticSpace, r: int) -> Subspace:
     """Kernel of the raising operator on degree r, canonical basis: one
     kernel per (s, k) of the raising block map in pair coordinates
     (``_block_split``), moved to each torus-weight block by its signs."""
-    def build():
-        p, m, parts = space.p, space.m, {}
-        for w in weight_blocks(m, r)[0]:
-            k = (r - m + w.count(0)) // 2
-            parts[w] = _signed(p, w, k, _block_split(p, w.count(0), k)[0])
-        return assemble(p, m, r, parts)
-    return _cached(space, ("primitive", r), build)
+    p, m = space.p, space.m
+    return _cached(space, ("primitive", r), lambda: assemble(
+        p, m, r, {s: _block_split(p, s, k)[0] for s, k, _ in _block_keys(m, r)}))
 
 
 def isotropic_span_basis(space: SymplecticSpace, r: int) -> Subspace:

@@ -8,6 +8,9 @@
 * ``assembled_map`` is the colex map assembled from the signed block maps
   ``symplectic._block_map``, which the package no longer builds: the tests
   hold it against the definitions and against the termwise operators.
+* ``weight_blocks`` groups every colex monomial of a degree by torus
+  weight, with each rank's slot in its block: the table that the per-key
+  engine replaced by listing weights from their (s, k) keys.
 * ``divided_power_parts`` is the per-block builder that pair coordinates
   replaced: those gamma^(j) columns cut into torus-weight blocks
   (``block_columns``) and eliminated block by block.
@@ -68,9 +71,23 @@ from infker.symplectic import (
     _generator_directions,
     _x_plus_mono,
     dim_wedge,
-    weight_blocks,
+    torus_weight,
     x_minus,
 )
+
+
+@lru_cache(maxsize=None)
+def weight_blocks(m: int, r: int) -> tuple:
+    """Degree-r monomials by torus weight, which gamma^(j) ^ and the
+    raising operator preserve.  Returns (blocks, slot): ``blocks`` maps
+    each weight to the ascending colex ranks of its monomials, ``slot[k]``
+    is rank k's place in its block."""
+    blocks, slot = {}, []
+    for k, mono in enumerate(monomials(2 * m, r)):
+        ranks = blocks.setdefault(torus_weight(m, mono), [])
+        slot.append(len(ranks))
+        ranks.append(k)
+    return {w: tuple(ranks) for w, ranks in blocks.items()}, tuple(slot)
 
 
 @lru_cache(maxsize=None)

@@ -274,6 +274,13 @@ def run_capped(*argv):
      "at least 2^1999999999 vectors, more than the supported 1000000"),
     (("certificate", "-p", "3", "-m", "1000000000", "--class", "x1^y1"),
      "at least 2^3169925001 vectors"),
+    # so is the group order p ** (2m + 1), whether scanned or printed
+    (("group", "-p", "2", "-m", "100000000", "--op", "type"),
+     "at least 2^200000001 group elements, more than the supported 1000000"),
+    (("group", "-p", "2", "-m", "100000000", "--op", "order"),
+     "at least 2^200000001 group elements, more than the supported 2^14000"),
+    (("group", "-p", "3", "-m", "100000000", "--op", "order"),
+     "at least 2^316992501 group elements"),
 ], ids=lambda arg: " ".join(arg) if isinstance(arg, tuple) else None)
 def test_oversized_input_refused_before_allocating(argv, noun):
     start = time.perf_counter()

@@ -28,7 +28,6 @@ from infker.inflation import (
     _form_wedge_columns,
     _generator,
     _gram_form,
-    _power_bits,
     _system_plan,
     certificate,
     counterexample,
@@ -43,6 +42,7 @@ from infker.isotropic import enumerate_isotropic, perp_chart
 from infker.prime_linalg import (
     Matrix,
     Subspace,
+    _power_bits,
     inv_mod,
     kernel_basis,
     solve,
@@ -54,13 +54,13 @@ from infker.symplectic import (
     gamma,
     isotropic_span_basis,
     primitive_basis,
-    weight_blocks,
 )
 from oracles import (
     assembled_map,
     certificate_by_columns,
     divided_power_oracle,
     image_basis,
+    weight_blocks,
     x_plus_oracle,
 )
 from test_exterior import pullback_matrix
@@ -299,7 +299,8 @@ def test_huge_spaces_refuse_before_listing_blocks(monkeypatch):
     space themselves, before a torus weight of length m is listed."""
     def refuse(*args, **kwargs):
         raise AssertionError("listed torus-weight blocks before refusing")
-    monkeypatch.setattr(inflation, "weight_blocks", refuse)
+    monkeypatch.setattr(inflation, "_weights", refuse)
+    monkeypatch.setattr(symplectic, "_weights", refuse)
     space = SymplecticSpace(2, 10 ** 9)
     for call in (theorem1_verify, counterexample, lambda space: quotient_basis(space, 3)):
         with pytest.raises(CatalogTooLargeError) as exc:

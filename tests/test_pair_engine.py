@@ -15,12 +15,20 @@ from infker import exterior, inflation, prime_linalg, symplectic
 from infker.exterior import Multivector, monomials, sort_to_monomial
 from infker.inflation import _divided_power_parts, _signed, sandwich, theorem1_verify
 from infker.prime_linalg import Subspace
-from infker.symplectic import SymplecticSpace, _pair_signs, torus_weight, weight_blocks
-from oracles import divided_power_parts, frame_wedges, gap_profile
+from infker.symplectic import SymplecticSpace, _block_keys, _pair_signs, _weights, torus_weight
+from oracles import divided_power_parts, frame_wedges, gap_profile, weight_blocks
 from test_prime_linalg import count_calls
 from test_symplectic import ORACLE_SPACES
 
 PRIMES = (2, 3, 5, 7)
+
+
+def signed_parts(space, r, parts):
+    """The unsigned per-s ``parts`` of degree r moved to every weight of
+    their key by its signs: one signed local subspace per torus weight."""
+    p, m = space.p, space.m
+    return {w: _signed(p, w, k, parts[s])
+            for s, k, _ in _block_keys(m, r) if s in parts for w in _weights(m, s)}
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -29,8 +37,7 @@ def test_pair_engine_matches_the_per_block_oracle(p, m):
     space = SymplecticSpace(p, m)
     for r in range(2 * m + 1):
         for js in ((1,), tuple(range(1, r // 2 + 1))):
-            signed = {w: _signed(p, w, (r - m + w.count(0)) // 2, part)
-                      for w, part in _divided_power_parts(space, r, js).items()}
+            signed = signed_parts(space, r, _divided_power_parts(space, r, js))
             assert signed == divided_power_parts(p, m, r, js)
 
 
@@ -73,14 +80,28 @@ def test_theorem1_eliminates_once_per_pair_key(monkeypatch, p, m, keys, blocks_w
     assert sum(s.gap for s in sandwiches) > 0
 
 
+@pytest.mark.parametrize("p", (2, 3))
+def test_theorem1_lists_no_monomials_of_a_degree(monkeypatch, p):
+    """The sandwich walks (s, k) keys and renders its representatives
+    through their blocks' monomials: no degree's colex monomial list is
+    built, not even the one monomial of degree 0."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("theorem1 listed the monomials of a degree")
+    monkeypatch.setattr(inflation, "monomials", refuse)
+    space = SymplecticSpace(p, 6)
+    dims = [(s.ideal_dim, s.vanishing_dim, s.gap) for s in theorem1_verify(space)]
+    assert dims == gap_profile(p, 6)
+
+
 def gap_blocks(space):
     """The (degree, weight) of the blocks up to degree m whose vanishing
     part is larger than their ideal part, and their distinct (degree, s)."""
     blocks = set()
     for r in range(space.m + 1):
         ideal = _divided_power_parts(space, r, (1,))
-        blocks |= {(r, w) for w, part in inflation._vanishing_parts(space, r).items()
-                   if part.dim > (ideal[w].dim if w in ideal else 0)}
+        blocks |= {(r, w) for s, part in inflation._vanishing_parts(space, r).items()
+                   if part.dim > (ideal[s].dim if s in ideal else 0)
+                   for w in _weights(space.m, s)}
     return blocks, {(r, w.count(0)) for r, w in blocks}
 
 
@@ -91,7 +112,7 @@ def frame_wedge_blocks(space):
     return {(r, torus_weight(m, mono))
             for r in range(2, m + 1) for wedge in inflation._frame_wedges(space, r)
             for mono in wedge
-            if torus_weight(m, mono) in inflation._vanishing_parts(space, r)}
+            if torus_weight(m, mono).count(0) in inflation._vanishing_parts(space, r)}
 
 
 @pytest.mark.parametrize("p,m", ORACLE_SPACES + [(2, 5), (3, 5)])

@@ -17,6 +17,7 @@ from infker import exterior, symplectic
 from infker.errors import CatalogTooLargeError, DecompositionDefectError, PrimitivityError
 from infker.exterior import (
     Multivector,
+    mono_rank,
     monomials,
     parse,
     pure_wedge_coords,
@@ -32,10 +33,15 @@ from infker.prime_linalg import (
 )
 from infker.symplectic import (
     SIGMA,
+    _block_keys,
+    _block_monomials,
+    _block_slot,
     _generator_directions,
+    _pair_signs,
     _rank_one_compound,
     _transvection,
     _transvection_compounds,
+    _weights,
     DegreeCheck,
     ProbeReport,
     Sl2Report,
@@ -53,7 +59,6 @@ from infker.symplectic import (
     primitive_basis,
     sl2_check,
     submodule_closure,
-    weight_blocks,
     x_minus,
     x_minus_matrix,
     x_plus,
@@ -66,6 +71,7 @@ from oracles import (
     divided_power_oracle,
     sparse_from_dense,
     transvection,
+    weight_blocks,
     x_plus_oracle,
 )
 
@@ -198,7 +204,7 @@ def test_sl2_check_scans_no_colex_monomial(monkeypatch, fresh_relations):
     def refuse(*args):
         raise AssertionError("sl2_check scanned colex monomials")
     for module, name in ((exterior, "wedge_monomials"), (exterior, "mono_rank"),
-                         (symplectic, "weight_blocks")):
+                         (symplectic, "mono_rank"), (symplectic, "_weights")):
         monkeypatch.setattr(module, name, refuse)
     assert sl2_check(SymplecticSpace(3, 5)).ok
 
@@ -542,7 +548,7 @@ def test_decompose_builds_no_whole_degree_map(monkeypatch):
     matrix, no assembled subspace and no list of the degree's monomials."""
     def refuse(*args, **kwargs):
         raise AssertionError("decompose built a whole-degree object")
-    for name in ("x_minus_matrix", "x_plus_matrix", "assemble", "weight_blocks"):
+    for name in ("x_minus_matrix", "x_plus_matrix", "assemble", "_weights"):
         monkeypatch.setattr(symplectic, name, refuse)
     space = SymplecticSpace(7, 5)
     alpha = parse("x1^x2^y3 + 2*x4^y4^x5 + x1^y1^x2", 7, 5)
@@ -658,6 +664,37 @@ def test_weight_blocks_partition_the_colex_ranks(m):
             assert [slot[k] for k in ranks] == list(range(len(ranks)))
 
 
+@pytest.mark.parametrize("m", range(1, 7))
+def test_weights_of_the_keys_list_each_block_once(m):
+    """Per degree, the weights of each (s, k) key with their block's
+    monomials list every monomial exactly once, grouped as the colex
+    table ``oracles.weight_blocks`` groups them, and a monomial's local
+    slot (``_block_slot``) is its place in that table's block."""
+    for r in range(-1, 2 * m + 2):
+        blocks, slot = weight_blocks(m, r)
+        got = {}
+        for s, k, count in _block_keys(m, r):
+            weights = list(_weights(m, s))
+            assert len(weights) == len(set(weights)) == count
+            for w in weights:
+                assert w.count(0) == s
+                got[w] = tuple(mono_rank(mono) for mono in _block_monomials(m, w, k))
+                assert [slot[mono_rank(mono)] for mono in _block_monomials(m, w, k)] == \
+                    [_block_slot(m, w, mono) for mono in _block_monomials(m, w, k)]
+        assert got == blocks
+
+
+def test_block_keys_start_at_the_smallest_free_set():
+    """A block of degree r has s >= |r - m| free positions, so a huge
+    space in degree 0 has one key and no loop over the smaller s."""
+    assert list(_block_keys(10 ** 9, 0)) == [(10 ** 9, 0, 1)]
+    for m in range(1, 7):
+        for r in range(-1, 2 * m + 2):
+            assert list(_block_keys(m, r)) == [
+                (s, (r - m + s) // 2, comb(m, s) * 2 ** (m - s)) for s in range(m + 1)
+                if (r - m + s) % 2 == 0 and 0 <= r - m + s <= 2 * s]
+
+
 @pytest.mark.parametrize("p,m", [(2, 3), (3, 4)])
 def test_graded_operators_preserve_torus_weight(p, m):
     for r in range(2 * m + 1):
@@ -671,22 +708,29 @@ def test_graded_operators_preserve_torus_weight(p, m):
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_assemble_is_the_rref_of_all_block_rows(data):
-    """Random local subspaces, one per torus weight: the assembled
-    subspace is the rref of their rows written in colex coordinates."""
+    """Random unsigned local subspaces, one per free-set size s: the
+    assembled subspace is the rref of their rows moved to every block
+    with s free positions by its signs epsilon(K), written in colex
+    coordinates through the oracle's block table."""
     p = data.draw(st.sampled_from((2, 3, 5)))
     m = data.draw(st.integers(1, 3))
     r = data.draw(st.integers(0, 2 * m))
-    blocks = weight_blocks(m, r)[0]
     parts, rows = {}, []
-    for w, ranks in blocks.items():
-        local = [[data.draw(st.integers(0, p - 1)) for _ in ranks]
-                 for _ in range(data.draw(st.integers(0, len(ranks))))]
-        parts[w] = Subspace.from_rows(p, len(ranks), local)
-        for row in local:
-            vec = [0] * dim_wedge(2 * m, r)
-            for k, v in zip(ranks, row):
-                vec[k] = v
-            rows.append(vec)
+    for s, k, _ in _block_keys(m, r):
+        d = dim_wedge(s, k)
+        if data.draw(st.booleans()):
+            local = [[data.draw(st.integers(0, p - 1)) for _ in range(d)]
+                     for _ in range(data.draw(st.integers(0, d)))]
+            parts[s] = (Subspace.from_rows(p, d, local), local)
+    for w, ranks in weight_blocks(m, r)[0].items():
+        if w.count(0) in parts:
+            k = (r - m + w.count(0)) // 2
+            for row in parts[w.count(0)][1]:
+                vec = [0] * dim_wedge(2 * m, r)
+                for c, v, e in zip(ranks, row, _pair_signs(w, k)):
+                    vec[c] = v * e % p
+                rows.append(vec)
+    parts = {s: part for s, (part, _) in parts.items()}
     got = assemble(p, m, r, parts)
     want = Subspace.from_rows(p, dim_wedge(2 * m, r), rows)
     assert got == want
