@@ -20,6 +20,7 @@ import sys
 
 from .errors import (
     PRINTABLE_BITS,
+    SCAN_LIMIT,
     CatalogTooLargeError,
     DecompositionDefectError,
     InvariantError,
@@ -28,7 +29,7 @@ from .errors import (
     bounded_count,
 )
 from .exterior import Multivector, monomials, parse, pullback_coords
-from .extraspecial import SCAN_LIMIT, center, commutator, group_type, make_group
+from .extraspecial import center, commutator, group_type, make_group
 from .inflation import (
     certificate,
     counterexample,
@@ -37,7 +38,7 @@ from .inflation import (
     theorem1_verify,
     vanishing_space,
 )
-from .isotropic import count_isotropic, enumerate_isotropic
+from .isotropic import _count_bits, count_isotropic, enumerate_isotropic
 from .prime_linalg import Subspace, check_prime
 from .symplectic import (
     SIGMA,
@@ -186,31 +187,16 @@ def _cmd_isotropic(args):
     if args.dim > space.m:
         raise ValueError(
             f"isotropic dimension {args.dim} exceeds m = {space.m}")
-    count = count_isotropic(space.p, space.m, args.dim)
+    p, m, r = space.p, space.m, args.dim
+    base = {"command": "isotropic", "p": p, "m": m, "dim": r, "enumerated": not args.count_only}
     if args.count_only:
-        # an exact count is answered only while it prints
-        count = bounded_count(count.bit_length(), lambda: count, 1 << PRINTABLE_BITS, "subspaces")
-        payload = {
-            "command": "isotropic",
-            "p": space.p,
-            "m": space.m,
-            "dim": args.dim,
-            "count": count,
-            "enumerated": False,
-        }
-        return payload, 0
-    catalog = enumerate_isotropic(space, args.dim)
+        # an exact count is answered only while it prints, sized before it is built
+        return {**base, "count": bounded_count(lambda: count_isotropic(p, m, r), 1 << PRINTABLE_BITS,
+                                                "subspaces", _count_bits(p, m, r))}, 0
+    catalog = enumerate_isotropic(space, r)
     lines = [{"basis": [list(row) for row in sub.basis.entries]}
              for sub in catalog]
-    summary = {
-        "command": "isotropic",
-        "p": space.p,
-        "m": space.m,
-        "dim": args.dim,
-        "count": catalog.count,
-        "enumerated": True,
-    }
-    return lines + [summary], 0
+    return lines + [{**base, "count": catalog.count}], 0
 
 
 def _cmd_group(args):
@@ -218,8 +204,8 @@ def _cmd_group(args):
     space = SymplecticSpace(args.prime, args.rank)
     base = {"command": "group", "p": group.p, "m": group.m, "op": args.op}
     if args.op == "order":
-        return {**base, "order": bounded_count(group.order_bits(), group.order,
-                                               1 << PRINTABLE_BITS, "group elements")}, 0
+        return {**base, "order": bounded_count(group.order, 1 << PRINTABLE_BITS,
+                                               "group elements", group.order_bits())}, 0
     if args.op == "center":
         elems = center(group)
         return {
@@ -228,8 +214,7 @@ def _cmd_group(args):
             "elements": [str(el) for el in elems],
         }, 0
     if args.op == "commutator-form":
-        if group.n ** 2 > SCAN_LIMIT:
-            raise CatalogTooLargeError(group.n ** 2, SCAN_LIMIT, "element pairs")
+        bounded_count(lambda: group.n ** 2, SCAN_LIMIT, "element pairs")
         gens = group.generators()
         matrix = [
             [commutator(a, b).z for b in gens]
@@ -284,12 +269,8 @@ def _cmd_restrict(args):
         raise ValueError("subspace entries must be integers")
     sub = Subspace.from_rows(space.p, space.n, rows)
     rest = pullback_coords(sub.basis.transpose(), degree, target.terms)
-    terms = []
-    for idx, coeff in enumerate(rest):
-        if coeff:
-            mono = monomials(sub.dim, degree)[idx]
-            name = "^".join(f"e{i + 1}" for i in mono) if mono else "1"
-            terms.append({"monomial": name, "coeff": coeff})
+    terms = [{"monomial": "^".join(f"e{i + 1}" for i in mono) or "1", "coeff": coeff}
+             for mono, coeff in zip(monomials(sub.dim, degree), rest) if coeff]
     payload = {
         "command": "restrict",
         "p": space.p,

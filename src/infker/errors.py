@@ -39,32 +39,35 @@ class ParseError(InfkerError, ValueError):
 #: decimal digits, under the 4,300 that ``str`` converts by default.
 PRINTABLE_BITS = 14000
 
+#: Most items that any enumeration lists or scans: subspaces, vectors,
+#: group elements and pairs, subset positions, wedge-table entries.
+SCAN_LIMIT = 10 ** 6
+
 
 class CatalogTooLargeError(InfkerError):
-    """An enumeration would exceed its size budget.
+    """A computation would exceed its size budget; ``bounded_count`` raises it.
 
     ``noun`` names what was counted, e.g. "subspaces" or "vectors".  A
     count past PRINTABLE_BITS is stated as the power of two below it, "at
     least 2^b", and a limit past it (a power of two) as 2^b.  There the
-    count may be None with only its bit length ``bits`` given, so that a
-    count too large to build is never built.
+    count may be None with only a lower bound ``bits`` on its bit length
+    given, so that a count too large to build is never built.
     """
 
-    def __init__(self, count: int | None, limit: int, noun: str, bits: int | None = None):
-        bits = count.bit_length() if bits is None else bits
+    def __init__(self, count: int | None, limit: int, noun: str, bits: int):
+        bits = bits if count is None else count.bit_length()
         shown = count if bits <= PRINTABLE_BITS else f"at least 2^{bits - 1}"
         most = limit if limit.bit_length() <= PRINTABLE_BITS else f"2^{limit.bit_length() - 1}"
-        super().__init__(
-            f"catalog holds {shown} {noun}, more than the supported {most}"
-        )
+        super().__init__(f"refused: {shown} {noun}, more than the supported {most}")
         self.count = count
         self.limit = limit
 
 
-def bounded_count(bits: int, build, limit: int, noun: str) -> int:
-    """The count ``build()``, of bit length ``bits``, when it is at most
-    ``limit``; otherwise CatalogTooLargeError, with the count built only
-    if it prints."""
+def bounded_count(build, limit: int, noun: str, bits: int = 0) -> int:
+    """The count ``build()``, whose bit length is at least ``bits``, when it
+    is at most ``limit``; otherwise CatalogTooLargeError.  The count is
+    built only when ``bits`` is at most PRINTABLE_BITS, and the error is
+    sized by the built count, or by ``bits`` when none was built."""
     count = build() if bits <= PRINTABLE_BITS else None
     if count is None or count > limit:
         raise CatalogTooLargeError(count, limit, noun, bits)

@@ -22,10 +22,12 @@ from math import comb
 from typing import Optional, Sequence
 
 from .errors import (
+    SCAN_LIMIT,
     DimensionMismatchError,
     FieldMismatchError,
     HomogeneityError,
     ParseError,
+    bounded_count,
 )
 from .prime_linalg import Matrix, check_prime
 
@@ -144,10 +146,14 @@ def pullback_coords(f: Matrix, r: int, terms: dict) -> tuple:
     (the shape of :attr:`Multivector.terms`).  The pullback of x_I is the
     wedge of the rows of ``f`` indexed by I, so only the minors on the
     class's own monomials are taken; the result is the class's coordinates
-    times the transposed compound of ``f``.
+    times the transposed compound of ``f``.  Refused when the widest wedge
+    table those minors read, ``_wedge_table(f.cols, d, 1)`` with
+    d = min(r - 1, f.cols // 2), holds more than SCAN_LIMIT entries.
     """
-    p = f.p
-    out = [0] * comb(f.cols, r)
+    p, n = f.p, f.cols
+    bounded_count(lambda: comb(n, min(r - 1, n // 2)) * n if r else 0, SCAN_LIMIT,
+                  "wedge-table entries")
+    out = [0] * comb(n, r)
     for mono, coeff in terms.items():
         if len(mono) != r:
             raise DimensionMismatchError(f"monomial {mono} does not have degree {r}")

@@ -19,12 +19,9 @@ from dataclasses import dataclass
 from functools import total_ordering
 from typing import Iterator, Sequence
 
-from .errors import CatalogTooLargeError, DimensionMismatchError, InvariantError, bounded_count
+from .errors import SCAN_LIMIT, DimensionMismatchError, InvariantError, bounded_count
 from .prime_linalg import Subspace, _power_bits, check_prime
 from .symplectic import SymplecticSpace
-
-#: Refuse elementwise scans beyond this many group elements.
-SCAN_LIMIT = 10 ** 6
 
 
 @total_ordering
@@ -135,7 +132,7 @@ class ExtraspecialGroup:
     def elements(self) -> Iterator[GroupElement]:
         """Every element, z outermost; refused past SCAN_LIMIT when called,
         not when first iterated."""
-        bounded_count(self.order_bits(), self.order, SCAN_LIMIT, "group elements")
+        bounded_count(self.order, SCAN_LIMIT, "group elements", self.order_bits())
         return (GroupElement(self, z, v) for z in range(self.p)
                 for v in itertools.product(range(self.p), repeat=self.n))
 
@@ -200,9 +197,7 @@ def abelian_preimage_check(group: ExtraspecialGroup, sub: Subspace) -> bool:
     """
     if sub.p != group.p or sub.ambient_dim != group.n:
         raise DimensionMismatchError("subspace does not match the group")
-    size = group.p ** (sub.dim + 1)
-    if size * size > SCAN_LIMIT:
-        raise CatalogTooLargeError(size * size, SCAN_LIMIT, "element pairs")
+    bounded_count(lambda: group.p ** (2 * sub.dim + 2), SCAN_LIMIT, "element pairs")
     lifts = [(z, v) for z in range(group.p) for v in sub.vectors()]
     return all(group.product(*a, *b) == group.product(*b, *a)
                for a, b in itertools.combinations(lifts, 2))

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
-from .errors import InvariantError, bounded_count
+from .errors import SCAN_LIMIT, InvariantError, bounded_count
 from .exterior import (
     Multivector,
     _hyperplane_terms,
@@ -71,12 +71,9 @@ from .symplectic import (
     torus_weight,
 )
 
-#: Most nonzero vectors p^(2m) - 1 that ``certificate`` checks, the same
-#: budget as ``Subspace.vectors`` and the group scans.
-CERTIFICATE_LIMIT = 10 ** 6
-
-#: Most C(2m, r) that ``ideal_component`` and ``vanishing_space`` serve,
-#: and most C(2m, m) for the vanishing space up to degree m: C(12, 6).
+#: Most C(2m, r) that ``ideal_component``, ``vanishing_space`` and
+#: ``primitive_basis`` serve, and most C(2m, m) for the vanishing space up
+#: to degree m and for ``sandwich``: C(12, 6).
 VANISHING_LIMIT = 924
 
 
@@ -142,7 +139,6 @@ def _vanishing_parts(space: SymplecticSpace, r: int) -> dict:
     the blocks those terms touch."""
     def build():
         p, m, n = space.p, space.m, space.n
-        _refuse_wider(n, m, VANISHING_LIMIT)
         parts = _divided_power_parts(space, r, tuple(range(1, r // 2 + 1)))
         dim = sum(count * parts[s].dim for s, _, count in _block_keys(m, r) if s in parts)
         if dim != dim_wedge(n, r - 2):
@@ -176,11 +172,13 @@ def vanishing_space(space: SymplecticSpace, r: int) -> Subspace:
     r-subsets of its basis, so the vanishing space is the annihilator of
     the isotropic span; above degree m there is nothing to pair against.
     Up to degree m it is the divided-power ideal, checked as described in
-    ``_vanishing_parts``.
+    ``_vanishing_parts``.  Refused past VANISHING_LIMIT coordinates in
+    degree r, or up to degree m in degree m.
     """
+    _refuse_wider(space.n, max(r, space.m), VANISHING_LIMIT)
+
     def build():
         if r > space.m:
-            _refuse_wider(space.n, r, VANISHING_LIMIT)
             return Subspace.full(space.p, dim_wedge(space.n, r))
         return assemble(space.p, space.m, r, _vanishing_parts(space, r))
     return _cached(space, ("vanishing", r), build)
@@ -227,9 +225,11 @@ def sandwich(space: SymplecticSpace, r: int) -> KernelSandwich:
     the signs leave as they are.
 
     Raises InvariantError if the ideal ever escapes the vanishing space;
-    that containment is unconditional.
+    that containment is unconditional.  Refused past VANISHING_LIMIT
+    middle-degree coordinates before any block is listed.
     """
     p, m, n = space.p, space.m, space.n
+    _refuse_wider(n, m, VANISHING_LIMIT)
     ideal = _divided_power_parts(space, r, (1,))
     vanish = _vanishing_parts(space, r) if r <= m else {}
     if r <= m and any(s not in vanish for s in ideal):
@@ -272,10 +272,8 @@ def theorem1_verify(space: SymplecticSpace) -> tuple:
 
     For p > m the two spaces are asserted equal degreewise, so any gap
     raises InvariantError.  For p <= m gaps are legitimate output.  Refused
-    past VANISHING_LIMIT middle-degree coordinates before any block is
-    listed.
+    as ``sandwich`` is, at degree 0.
     """
-    _refuse_wider(space.n, space.m, VANISHING_LIMIT)
     out = []
     for r in range(space.n + 1):
         s = sandwich(space, r)
@@ -290,8 +288,7 @@ def theorem1_verify(space: SymplecticSpace) -> tuple:
 def counterexample(space: SymplecticSpace) -> Optional[Multivector]:
     """The first gap class at the lowest defective degree, reduced to
     standard-monomial form; None when every degree collapses.  Refused
-    as ``theorem1_verify`` is."""
-    _refuse_wider(space.n, space.m, VANISHING_LIMIT)
+    as ``sandwich`` is."""
     for r in range(space.n + 1):
         s = sandwich(space, r)
         if s.gap:
@@ -434,8 +431,8 @@ def certificate(space: SymplecticSpace, target: Multivector) -> CertificateRepor
     form, the annihilator's ``_hyperplane_terms`` at its t, and the
     restriction, in the generators' column order; identity records are
     built only for a witness's nonzero coefficients.  Spaces with more than
-    CERTIFICATE_LIMIT nonzero vectors are refused with
-    CatalogTooLargeError before the first perp is built.
+    SCAN_LIMIT nonzero vectors are refused with CatalogTooLargeError
+    before the first perp is built.
     """
     if target.p != space.p or target.m != space.m:
         raise ValueError("class does not live on this space")
@@ -445,7 +442,7 @@ def certificate(space: SymplecticSpace, target: Multivector) -> CertificateRepor
     if degree < 2:
         raise ValueError("degree must be at least 2")
     p, n = space.p, space.n
-    bounded_count(_power_bits(p, n), lambda: p ** n - 1, CERTIFICATE_LIMIT, "vectors")
+    bounded_count(lambda: p ** n - 1, SCAN_LIMIT, "vectors", _power_bits(p, n))
     # g^perp has dimension k, its radical <g> dimension 1, and the
     # complement and the annihilator dimension k - 1; the generators are
     # the form wedged with each monomial, then the annihilator's wedges

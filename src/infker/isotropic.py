@@ -16,23 +16,17 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import (
-    CatalogTooLargeError,
-    DimensionMismatchError,
-    InvariantError,
-)
+from .errors import SCAN_LIMIT, DimensionMismatchError, InvariantError, bounded_count
 from .prime_linalg import (
     Matrix,
     Subspace,
+    _power_bits,
     inv_mod,
     kernel_basis,
     rank,
     solve,
 )
 from .symplectic import SymplecticSpace, _cached
-
-#: Refuse to materialize catalogs beyond this many subspaces.
-CATALOG_LIMIT = 10 ** 6
 
 
 def count_isotropic(p: int, m: int, r: int) -> int:
@@ -51,6 +45,16 @@ def count_isotropic(p: int, m: int, r: int) -> int:
     if rem:
         raise InvariantError("frame count is not divisible by basis count")
     return q
+
+
+def _count_bits(p: int, m: int, r: int) -> int:
+    """A lower bound on the bit length of ``count_isotropic(p, m, r)``, read
+    without building it.  The count is the product over i = 1..r of
+    (p^(2(m - i + 1)) - 1) / (p^i - 1) >= p^(2m - 3i + 2), so at least p^E,
+    E = r(4m - 3r + 1)/2, whose bit length is read as
+    ``ExtraspecialGroup.order_bits`` reads the group order's.  Exact at
+    p = 2, r = 1; elsewhere at most two bits short."""
+    return _power_bits(p, r * (4 * m - 3 * r + 1) // 2) + (p == 2) if 0 < r <= m else 0
 
 
 def _row_solutions(space: SymplecticSpace, fixed_rows, pattern, i):
@@ -143,9 +147,9 @@ def enumerate_isotropic(space: SymplecticSpace, r: int) -> IsotropicCatalog:
     listed subspace is re-checked to be isotropic.
     """
     def build():
-        expected = count_isotropic(space.p, space.m, r)
-        if expected > CATALOG_LIMIT:
-            raise CatalogTooLargeError(expected, CATALOG_LIMIT, "subspaces")
+        p, m = space.p, space.m
+        expected = bounded_count(lambda: count_isotropic(p, m, r), SCAN_LIMIT, "subspaces",
+                                 _count_bits(p, m, r))
         subs = tuple(iter_isotropic(space, r))
         if len(subs) != expected:
             raise InvariantError(

@@ -23,10 +23,11 @@ import itertools
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
-    CatalogTooLargeError,
+    SCAN_LIMIT,
     DimensionMismatchError,
     FieldMismatchError,
     NotPrimeError,
+    bounded_count,
 )
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -580,10 +581,9 @@ class Subspace:
 
     def vectors(self) -> Iterator[tuple]:
         """Every vector of the subspace, p^dim of them, in a fixed order;
-        more than 10^6 are refused with CatalogTooLargeError."""
-        if self.p ** self.dim > 10 ** 6:
-            raise CatalogTooLargeError(self.p ** self.dim, 10 ** 6, "vectors")
+        more than SCAN_LIMIT are refused with CatalogTooLargeError."""
         p = self.p
+        bounded_count(lambda: p ** self.dim, SCAN_LIMIT, "vectors")
         rows = self.basis.entries
         for coeffs in itertools.product(range(p), repeat=self.dim):
             vec = [0] * self.ambient_dim

@@ -36,12 +36,13 @@ from typing import Sequence
 
 from .errors import (
     PRINTABLE_BITS,
-    CatalogTooLargeError,
+    SCAN_LIMIT,
     DecompositionDefectError,
     FieldMismatchError,
     HomogeneityError,
     InvariantError,
     PrimitivityError,
+    bounded_count,
 )
 from .exterior import Multivector, VariableOrder, mono_rank, monomials, rank_one_wedge
 from .prime_linalg import (
@@ -78,17 +79,24 @@ def dim_wedge(n: int, r: int) -> int:
     return comb(n, r) if 0 <= r <= n else 0
 
 
+def _capped_comb_product(pairs) -> int:
+    """The product of C(n, r) over the (n, r) in ``pairs``, grown one factor
+    (n - i) / (i + 1) at a time and stopped once past PRINTABLE_BITS: exact
+    up to there, and past it a lower bound, since no step shrinks it."""
+    count = 1
+    for n, r in pairs:
+        count *= int(0 <= r <= n)
+        for i in range(min(r, n - r)):
+            count = count * (n - i) // (i + 1)
+            if count.bit_length() > PRINTABLE_BITS:
+                return count
+    return count
+
+
 def _refuse_wider(n: int, r: int, limit: int):
-    """Refuse more than ``limit`` degree-r wedge coordinates.  C(n, r) grows
-    one factor at a time and stops past PRINTABLE_BITS, where the refusal
-    states a power of two below it, so huge n refuse at once."""
-    noun, count = f"degree-{r} wedge coordinates", int(0 <= r <= n)
-    for i in range(min(r, n - r)):
-        count = count * (n - i) // (i + 1)
-        if count.bit_length() > PRINTABLE_BITS:
-            break
-    if count > limit:
-        raise CatalogTooLargeError(count, limit, noun)
+    """Refuse more than ``limit`` degree-r wedge coordinates, C(n, r) read
+    by ``_capped_comb_product``, so huge n refuse at once."""
+    bounded_count(lambda: _capped_comb_product([(n, r)]), limit, f"degree-{r} wedge coordinates")
 
 
 class SymplecticSpace:
@@ -273,7 +281,10 @@ def _inclusion_columns(s: int, k: int, t: int) -> tuple:
     """The inclusion map from the k-subsets of range(s) to its t-subsets, by
     columns: per k-subset in colex order, the ascending colex indices of the
     t-subsets that hold it (t > k) or that it holds (t < k).  For t > k
-    these are the columns of W_{k,t}(s), for t < k those of W_{t,k}(s)^T."""
+    these are the columns of W_{k,t}(s), for t < k those of W_{t,k}(s)^T.
+    Refused when its two pools of subsets hold more than SCAN_LIMIT
+    positions, once per key: the top degree's key (m, m) lists about m^2."""
+    bounded_count(lambda: dim_wedge(s, k) * k + dim_wedge(s, t) * t, SCAN_LIMIT, "subset positions")
     rows = [sum(1 << a for a in mono) for mono in monomials(s, t)]
     return tuple(tuple([i for i, row in enumerate(rows) if row & col == (col if t > k else row)])
                  for col in (sum(1 << a for a in mono) for mono in monomials(s, k)))
@@ -555,8 +566,11 @@ def ladder(space: SymplecticSpace, seed: Multivector) -> LadderSequence:
 def primitive_basis(space: SymplecticSpace, r: int) -> Subspace:
     """Kernel of the raising operator on degree r, canonical basis: one
     kernel per (s, k) of the raising block map in pair coordinates
-    (``_block_split``), moved to each torus-weight block by its signs."""
+    (``_block_split``), moved to each torus-weight block by its signs.
+    Refused past VANISHING_LIMIT coordinates, as ``ideal_component`` is."""
+    from .inflation import VANISHING_LIMIT  # inflation imports this module
     p, m = space.p, space.m
+    _refuse_wider(space.n, r, VANISHING_LIMIT)
     return _cached(space, ("primitive", r), lambda: assemble(
         p, m, r, {s: _block_split(p, s, k)[0] for s, k, _ in _block_keys(m, r)}))
 
@@ -738,10 +752,7 @@ def submodule_closure(space: SymplecticSpace, r: int, seeds: Sequence[Multivecto
     are refused with CatalogTooLargeError before any compound is built.
     """
     p, m, n = space.p, space.m, space.n
-    middle = dim_wedge(n, m)
-    if middle > CLOSURE_LIMIT:
-        raise CatalogTooLargeError(middle, CLOSURE_LIMIT,
-                                   f"degree-{m} wedge coordinates")
+    _refuse_wider(n, m, CLOSURE_LIMIT)
     # echelon rows (pivot, row), 1 at the pivot and 0 left of it, by pivot;
     # each new vector is reduced against them and appended once, normalised
     echelon, frontier = [], []
@@ -803,15 +814,17 @@ def premet_suprunenko(p: int, m: int, r: int) -> PremetReport:
     exactly when p does not divide the product.  Everything is exact
     integer arithmetic.  The simpler sufficient bound p > m - r/2 + 1 is
     reported alongside (compared as 2p > 2m - r + 2 to stay integral).
+    A product past PRINTABLE_BITS is refused, as ``group --op order`` is,
+    before it is multiplied out.
     """
     check_prime(p)
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     if not 0 <= r <= m:
         raise ValueError(f"degree {r} out of range 0..{m}")
-    product = 1
-    for j in range(r % 2, r + 1, 2):
-        product *= comb(m - (r + j) // 2 + 1, (r - j) // 2)
+    product = bounded_count(lambda: _capped_comb_product(
+        (m - (r + j) // 2 + 1, (r - j) // 2) for j in range(r % 2, r + 1, 2)),
+        1 << PRINTABLE_BITS, "as the product")
     divisible = product % p == 0
     return PremetReport(
         p=p, m=m, r=r,

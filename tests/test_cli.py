@@ -261,6 +261,22 @@ def run_capped(*argv):
                           text=True, timeout=30, preexec_fn=cap)
 
 
+def with_unit_rows(argv, tmp_path):
+    """``argv`` with each "UNIT<n>" replaced by a file holding the n unit
+    rows of F_p^n, a ``--subspace`` that is the whole space."""
+    out = []
+    for arg in argv:
+        if arg.startswith("UNIT"):
+            n, arg = int(arg[4:]), tmp_path / f"{arg}.json"
+            arg.write_text(json.dumps([[int(i == j) for j in range(n)] for i in range(n)]))
+        out.append(str(arg))
+    return out
+
+
+def wedge_of_x(m):
+    return "^".join(f"x{i}" for i in range(1, m + 1))
+
+
 @pytest.mark.parametrize("argv,noun", [
     (("theorem1", "-p", "2", "-m", "100000"), "at least 2^14004 degree-100000 wedge coordinates"),
     (("counterexample", "-p", "2", "-m", "100000"), "at least 2^14004 degree-100000"),
@@ -281,8 +297,30 @@ def run_capped(*argv):
      "at least 2^200000001 group elements, more than the supported 2^14000"),
     (("group", "-p", "3", "-m", "100000000", "--op", "order"),
      "at least 2^316992501 group elements"),
+    # the top degree's one coordinate passes, but its key (m, m) would list
+    # the m subsets of size m - 1
+    (("ideal-basis", "-p", "2", "-m", "100000", "-r", "200000"),
+     "10000000000 subset positions, more than the supported 1000000"),
+    (("quotient-basis", "-p", "2", "-m", "100000", "-r", "200000"),
+     "10000000000 subset positions, more than the supported 1000000"),
+    # the pullback's widest wedge table holds C(n, min(r - 1, n // 2)) n entries
+    (("restrict", "-p", "2", "-m", "20", "--class", wedge_of_x(20), "--subspace", "UNIT40"),
+     "5251296336000 wedge-table entries, more than the supported 1000000"),
+    (("restrict", "-p", "2", "-m", "11", "--class", wedge_of_x(11), "--subspace", "UNIT22"),
+     "14226212 wedge-table entries, more than the supported 1000000"),
+    # a product past 14,000 bits is refused as it passes them
+    (("premet-suprunenko", "-p", "3", "-m", "2000", "-r", "1000"),
+     "at least 2^14002 as the product, more than the supported 2^14000"),
+    (("premet-suprunenko", "-p", "2", "-m", "100000", "-r", "100000"),
+     "at least 2^14005 as the product, more than the supported 2^14000"),
+    (("premet-suprunenko", "-p", "2", "-m", "100000", "-r", "50000"),
+     "at least 2^14001 as the product, more than the supported 2^14000"),
+    # the subspace count is sized by a lower bound on its bit length
+    (("isotropic", "-p", "2", "-m", "100000000", "--dim", "1"),
+     "at least 2^199999999 subspaces, more than the supported 1000000"),
 ], ids=lambda arg: " ".join(arg) if isinstance(arg, tuple) else None)
-def test_oversized_input_refused_before_allocating(argv, noun):
+def test_oversized_input_refused_before_allocating(argv, noun, tmp_path):
+    argv = with_unit_rows(argv, tmp_path)
     start = time.perf_counter()
     proc = run_capped(*argv)
     assert time.perf_counter() - start < 2
@@ -315,16 +353,22 @@ OVERSIZED = [
      "19999900000 degree-2 wedge coordinates, more than the supported 12870"),
     (("ladder", "-p", "2", "-m", "100000", "--class", "x1"),
      "2666533335666650000040000 degree-5 wedge coordinates"),
+    # C(16, 7) 16 = 183,040 wedge-table entries are under the budget
+    (("restrict", "-p", "2", "-m", "8", "--class", wedge_of_x(8), "--subspace", "UNIT16"),
+     ("terms", [{"monomial": "^".join(f"e{i}" for i in range(1, 9)), "coeff": 1}])),
+    (("isotropic", "-p", "2", "-m", "100000000", "--dim", "1", "--count-only"),
+     "at least 2^199999999 subspaces, more than the supported 2^14000"),
 ]
 
 
 @pytest.mark.parametrize("argv,expect", OVERSIZED, ids=[" ".join(argv) for argv, _ in OVERSIZED])
-def test_oversized_space_answers_or_refuses_without_its_form(argv, expect):
+def test_oversized_space_answers_or_refuses_without_its_form(argv, expect, tmp_path):
     """The 2m x 2m Gram matrix is built only when read, refusal counts past
     14,000 bits are stated as a power of two, and exact answers past that
     are refused: each command ends in an answer (``expect`` is a key of
     the report and its value) or in exit 3 (``expect`` is in the message),
     within the 1.5 GB cap and in seconds."""
+    argv = with_unit_rows(argv, tmp_path)
     start = time.perf_counter()
     proc = run_capped(*argv)
     assert time.perf_counter() - start < 5

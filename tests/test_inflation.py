@@ -8,6 +8,7 @@ load-bearing example and is frozen here in full.
 import dataclasses
 import functools
 import itertools
+import time
 from math import comb
 
 import pytest
@@ -52,6 +53,7 @@ from infker.symplectic import (
     SymplecticSpace,
     dim_wedge,
     gamma,
+    injectivity_surjectivity_probe,
     isotropic_span_basis,
     primitive_basis,
 )
@@ -306,6 +308,19 @@ def test_huge_spaces_refuse_before_listing_blocks(monkeypatch):
         with pytest.raises(CatalogTooLargeError) as exc:
             call(space)
         assert exc.value.limit == inflation.VANISHING_LIMIT
+
+
+def test_library_refuses_at_m_100000():
+    """At m = 10^5 the sandwich refuses on its middle degree, primitive_basis
+    on its own degree, and the probe out of degree 2m - 2 on the top key
+    (m, m), whose m subsets of size m - 1 it would list: each at once."""
+    space, m = SymplecticSpace(2, 10 ** 5), 10 ** 5
+    for call in (lambda: sandwich(space, 2 * m), lambda: primitive_basis(space, 1),
+                 lambda: injectivity_surjectivity_probe(space, 2 * m - 2)):
+        start = time.perf_counter()
+        with pytest.raises(CatalogTooLargeError):
+            call()
+        assert time.perf_counter() - start < 2
 
 
 def test_theorem1_reaches_no_closure(monkeypatch):

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from infker import isotropic
 from infker.errors import CatalogTooLargeError, DimensionMismatchError, InvariantError
 from infker.isotropic import (
-    CATALOG_LIMIT,
+    SCAN_LIMIT,
     count_isotropic,
     enumerate_isotropic,
     iter_isotropic,
@@ -109,15 +109,26 @@ def test_zero_dimensional_catalog():
 def test_refusal_over_limit():
     space = SymplecticSpace(31, 3)
     assert count_isotropic(31, 3, 3) == 917_116_928
-    assert count_isotropic(31, 3, 3) > CATALOG_LIMIT
+    assert count_isotropic(31, 3, 3) > SCAN_LIMIT
     with pytest.raises(CatalogTooLargeError) as exc:
         enumerate_isotropic(space, 3)
     assert exc.value.count == 917_116_928
 
 
+def test_count_bits_is_a_lower_bound():
+    """The bit length read from p^E, E = r(4m - 3r + 1)/2, is at most two
+    short of the count's, and exact at p = 2, r = 1."""
+    for p in (2, 3, 5, 31):
+        for m in range(1, 16):
+            for r in range(m + 1):
+                bits = count_isotropic(p, m, r).bit_length()
+                assert bits - 2 <= isotropic._count_bits(p, m, r) <= bits
+            assert isotropic._count_bits(2, m, 1) == (2 ** (2 * m) - 1).bit_length()
+
+
 def test_lagrangian_catalog_under_limit():
     assert count_isotropic(7, 3, 3) == 137_600
-    assert count_isotropic(7, 3, 3) < CATALOG_LIMIT
+    assert count_isotropic(7, 3, 3) < SCAN_LIMIT
 
 
 def kernel_perp(space, g):

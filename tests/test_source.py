@@ -36,6 +36,26 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def constructors(source: str, name: str) -> list:
+    """Line numbers where ``name`` is called, bare or as an attribute."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                       getattr(node.func, "attr", None))]
+
+
+def test_constructors_are_found():
+    source = "import errors\nraise errors.Refused(1)\nx = Refused\nRefused(2)\n"
+    assert constructors(source, "Refused") == [2, 4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_size_refusals_are_raised_by_bounded_count(path):
+    """Every size refusal goes through ``errors.bounded_count``, so no other
+    module constructs CatalogTooLargeError."""
+    calls = constructors(path.read_text(encoding="utf-8"), "CatalogTooLargeError")
+    assert (calls != []) == (path.name == "errors.py")
+
+
 #: Public names that no module reads, each kept for a stated reason.
 UNREAD_ON_PURPOSE = {
     "calibrate_sigma": "recomputes SIGMA by trying both signs; the tests pin the choice",

@@ -878,6 +878,23 @@ def test_premet_frozen():
     assert blob["irreducible"] is True
 
 
+def test_premet_product_is_the_product_of_binomials_while_it_prints():
+    """Grown one factor at a time, the product equals the product of the
+    binomials; past 14,000 bits it is refused, not multiplied out."""
+    for m in range(1, 41):
+        for r in range(m + 1):
+            want = 1
+            for j in range(r % 2, r + 1, 2):
+                want *= comb(m - (r + j) // 2 + 1, (r - j) // 2)
+            assert premet_suprunenko(7, m, r).product == want
+    want = 1
+    for j in range(0, 1001, 2):
+        want *= comb(2000 - (1000 + j) // 2 + 1, (1000 - j) // 2)
+    assert want.bit_length() > 14000
+    with pytest.raises(CatalogTooLargeError, match="more than the supported 2\\^14000"):
+        premet_suprunenko(3, 2000, 1000)
+
+
 def test_premet_rejects_out_of_range_degrees():
     with pytest.raises(ValueError):
         premet_suprunenko(5, 2, 3)
