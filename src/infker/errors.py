@@ -1,6 +1,68 @@
-"""Exception types shared across the package."""
+"""Exception types and the frozen record base shared across the package."""
 
 from __future__ import annotations
+
+from operator import attrgetter
+
+
+class Record:
+    """A frozen record whose fields are the subclass's ``__slots__``.
+
+    Fields are given positionally or by keyword; a subclass that needs
+    defaults, validation or a faster constructor writes its own
+    ``__init__`` with ``object.__setattr__``.  Two records are equal when
+    they are of one class with equal fields; a record hashes as the tuple
+    of its fields and prints as ``Name(field=value, ...)``.  Assignment and
+    deletion raise AttributeError, and ``_replace`` copies a record with
+    some fields changed, through the constructor.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        get = attrgetter(*cls.__slots__)  # the bare value for one field
+        cls._values = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+
+    def __init__(self, *args, **kwargs):
+        names, name = self.__slots__, type(self).__name__
+        if len(args) > len(names):
+            raise TypeError(f"{name} takes {len(names)} fields but {len(args)} were given")
+        for field, value in zip(names, args):
+            object.__setattr__(self, field, value)
+        for field in names[len(args):]:
+            if field not in kwargs:
+                raise TypeError(f"{name} is missing the field {field!r}")
+            object.__setattr__(self, field, kwargs.pop(field))
+        if kwargs:
+            raise TypeError(f"{name} got an unexpected field {next(iter(kwargs))!r}")
+
+    def _replace(self, **changes):
+        values = [changes.pop(field, getattr(self, field)) for field in self.__slots__]
+        if changes:
+            raise TypeError(f"{type(self).__name__} has no field {next(iter(changes))!r}")
+        return type(self)(*values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __reduce__(self):
+        return type(self), self._values
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class InfkerError(Exception):

@@ -16,7 +16,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Optional, Sequence
@@ -27,6 +26,7 @@ from .errors import (
     FieldMismatchError,
     HomogeneityError,
     ParseError,
+    Record,
     bounded_count,
 )
 from .prime_linalg import Matrix, check_prime
@@ -255,11 +255,13 @@ def wedge_coords(nvars: int, p: int, deg_a: int, vec_a: Sequence[int],
 _VAR_RE = re.compile(r"([xy])([0-9]+)$")
 
 
-@dataclass(frozen=True)
-class VariableOrder:
+class VariableOrder(Record):
     """The fixed variable order x1 < ... < xm < y1 < ... < ym."""
 
-    m: int
+    __slots__ = ("m",)
+
+    def __init__(self, m: int):
+        object.__setattr__(self, "m", m)
 
     @property
     def nvars(self) -> int:

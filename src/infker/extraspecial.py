@@ -15,23 +15,24 @@ assumed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import total_ordering
 from typing import Iterator, Sequence
 
-from .errors import SCAN_LIMIT, DimensionMismatchError, InvariantError, bounded_count
+from .errors import SCAN_LIMIT, DimensionMismatchError, InvariantError, Record, bounded_count
 from .prime_linalg import Subspace, _power_bits, check_prime
 from .symplectic import SymplecticSpace
 
 
 @total_ordering
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Record):
     """One element (z, v) of an extraspecial group."""
 
-    group: "ExtraspecialGroup"
-    z: int
-    v: tuple
+    __slots__ = ("group", "z", "v")
+
+    def __init__(self, group: "ExtraspecialGroup", z: int, v: tuple):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "v", v)
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         g = self.group
@@ -78,16 +79,16 @@ class GroupElement:
         return f"({self.z}; {','.join(map(str, self.v))})"
 
 
-@dataclass(frozen=True)
-class ExtraspecialGroup:
+class ExtraspecialGroup(Record):
     """The group of pairs (z, v) under the cocycle-twisted product."""
 
-    p: int
-    m: int
+    __slots__ = ("p", "m")
 
-    def __post_init__(self):
-        check_prime(self.p)
-        if self.m < 1:
+    def __init__(self, p: int, m: int):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "m", m)
+        check_prime(p)
+        if m < 1:
             raise ValueError("need m >= 1")
 
     @property

@@ -35,11 +35,10 @@ the frame-wedge terms of the pairing check.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
-from .errors import SCAN_LIMIT, InvariantError, bounded_count
+from .errors import SCAN_LIMIT, InvariantError, Record, bounded_count
 from .exterior import (
     Multivector,
     _hyperplane_terms,
@@ -184,17 +183,10 @@ def vanishing_space(space: SymplecticSpace, r: int) -> Subspace:
     return _cached(space, ("vanishing", r), build)
 
 
-@dataclass(frozen=True)
-class KernelSandwich:
+class KernelSandwich(Record):
     """Both spaces' dimensions at one degree, with the gap spelled out."""
 
-    p: int
-    m: int
-    r: int
-    ideal_dim: int
-    vanishing_dim: int
-    gap: int
-    gap_classes: tuple
+    __slots__ = ("p", "m", "r", "ideal_dim", "vanishing_dim", "gap", "gap_classes")
 
     def to_json(self) -> dict:
         return {
@@ -296,20 +288,25 @@ def counterexample(space: SymplecticSpace) -> Optional[Multivector]:
     return None
 
 
-@dataclass(frozen=True)
-class CertificateRecord:
+class CertificateRecord(Record):
     """Outcome of the membership test at one nonzero vector, together
     with the structure of the perp: its radical and the dimension of a
     complement carrying a nondegenerate form."""
 
-    g: tuple
-    dim_perp: int
-    dim_radical: int
-    dim_complement: int
-    dim_annihilator: int
-    vacuous: bool
-    member: bool
-    witness: Optional[dict]
+    __slots__ = ("g", "dim_perp", "dim_radical", "dim_complement", "dim_annihilator",
+                 "vacuous", "member", "witness")
+
+    def __init__(self, g: tuple, dim_perp: int, dim_radical: int, dim_complement: int,
+                 dim_annihilator: int, vacuous: bool, member: bool, witness: Optional[dict]):
+        put = object.__setattr__
+        put(self, "g", g)
+        put(self, "dim_perp", dim_perp)
+        put(self, "dim_radical", dim_radical)
+        put(self, "dim_complement", dim_complement)
+        put(self, "dim_annihilator", dim_annihilator)
+        put(self, "vacuous", vacuous)
+        put(self, "member", member)
+        put(self, "witness", witness)
 
     @property
     def ok(self) -> bool:
@@ -329,15 +326,10 @@ class CertificateRecord:
         }
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(Record):
     """Per-vector membership outcomes for one homogeneous class."""
 
-    p: int
-    m: int
-    degree: int
-    target: Multivector
-    records: tuple
+    __slots__ = ("p", "m", "degree", "target", "records")
 
     @property
     def overall(self) -> bool:
@@ -463,7 +455,7 @@ def certificate(space: SymplecticSpace, target: Multivector) -> CertificateRepor
         lead = next((c for c in g if c), 0)
         if lead > 1:
             inv = inv_mod(lead, p)
-            records.append(replace(by_point[tuple(c * inv % p for c in g)], g=g))
+            records.append(by_point[tuple(c * inv % p for c in g)]._replace(g=g))
             continue
         if not lead:
             continue

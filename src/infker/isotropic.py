@@ -13,10 +13,9 @@ and the annihilator are written down from psi(g, -) alone (``perp_chart``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import SCAN_LIMIT, DimensionMismatchError, InvariantError, bounded_count
+from .errors import SCAN_LIMIT, DimensionMismatchError, InvariantError, Record, bounded_count
 from .prime_linalg import (
     Matrix,
     Subspace,
@@ -123,15 +122,10 @@ def iter_isotropic(space: SymplecticSpace, r: int) -> Iterator[Subspace]:
         yield from fill(pattern, [])
 
 
-@dataclass(frozen=True)
-class IsotropicCatalog:
+class IsotropicCatalog(Record):
     """A complete, cached enumeration for one (p, m, r)."""
 
-    p: int
-    m: int
-    r: int
-    count: int
-    subspaces: tuple
+    __slots__ = ("p", "m", "r", "count", "subspaces")
 
     def __iter__(self) -> Iterator[Subspace]:
         return iter(self.subspaces)
@@ -155,11 +149,12 @@ def enumerate_isotropic(space: SymplecticSpace, r: int) -> IsotropicCatalog:
             raise InvariantError(
                 f"enumerated {len(subs)} subspaces, closed form says {expected}"
             )
-        gram = space.gram
-        for sub in subs:
-            b = sub.basis
-            if not (b @ gram @ b.transpose()).is_zero():
-                raise InvariantError("catalog contains a non-isotropic subspace")
+        if r:  # the zero subspace is isotropic with no form to read
+            gram = space.gram
+            for sub in subs:
+                b = sub.basis
+                if not (b @ gram @ b.transpose()).is_zero():
+                    raise InvariantError("catalog contains a non-isotropic subspace")
         return IsotropicCatalog(p=space.p, m=space.m, r=r, count=expected, subspaces=subs)
     return _cached(space, ("catalog", r), build)
 
@@ -195,8 +190,7 @@ def _perp_gram(space: SymplecticSpace, f: int) -> tuple:
     return _cached(space, ("perp_gram", f), build)
 
 
-@dataclass(frozen=True)
-class PerpChart:
+class PerpChart(Record):
     """The perp of a nonzero g, as the data that every one of its parts
     is written down from.
 
@@ -210,14 +204,19 @@ class PerpChart:
     read.
     """
 
-    p: int
-    g: tuple
-    f: int
-    c: tuple
-    gram: tuple
-    lead: int
-    f_ann: int
-    t: tuple
+    __slots__ = ("p", "g", "f", "c", "gram", "lead", "f_ann", "t")
+
+    def __init__(self, p: int, g: tuple, f: int, c: tuple, gram: tuple, lead: int,
+                 f_ann: int, t: tuple):
+        put = object.__setattr__
+        put(self, "p", p)
+        put(self, "g", g)
+        put(self, "f", f)
+        put(self, "c", c)
+        put(self, "gram", gram)
+        put(self, "lead", lead)
+        put(self, "f_ann", f_ann)
+        put(self, "t", t)
 
     @property
     def sub(self) -> Subspace:

@@ -29,7 +29,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Sequence
@@ -42,6 +41,7 @@ from .errors import (
     HomogeneityError,
     InvariantError,
     PrimitivityError,
+    Record,
     bounded_count,
 )
 from .exterior import Multivector, VariableOrder, mono_rank, monomials, rank_one_wedge
@@ -390,13 +390,12 @@ def x_plus_matrix(space: SymplecticSpace, r: int, sigma: int = SIGMA) -> Matrix:
 # bracket relations
 
 
-@dataclass(frozen=True)
-class DegreeCheck:
-    r: int
-    bracket_ok: bool          # [raise, lower] = -(weight)
-    raise_shift_ok: bool      # [weight, raise] = 2 raise
-    lower_shift_ok: bool      # [weight, lower] = -2 lower
-    weight_ok: bool           # weight acts by m - r
+class DegreeCheck(Record):
+    """The bracket relations at degree r: [raise, lower] = -(weight),
+    [weight, raise] = 2 raise, [weight, lower] = -2 lower, and the weight
+    acting by m - r."""
+
+    __slots__ = ("r", "bracket_ok", "raise_shift_ok", "lower_shift_ok", "weight_ok")
 
     @property
     def ok(self) -> bool:
@@ -404,13 +403,8 @@ class DegreeCheck:
                 and self.lower_shift_ok and self.weight_ok)
 
 
-@dataclass(frozen=True)
-class Sl2Report:
-    p: int
-    m: int
-    sigma: int
-    ok: bool
-    degrees: tuple
+class Sl2Report(Record):
+    __slots__ = ("p", "m", "sigma", "ok", "degrees")
 
     def to_json(self) -> dict:
         return {
@@ -496,8 +490,7 @@ def calibrate_sigma(space: SymplecticSpace) -> tuple:
 # ladders
 
 
-@dataclass(frozen=True)
-class LadderSequence:
+class LadderSequence(Record):
     """A string of vectors generated downward from a primitive seed.
 
     entry nu is ((-1)^nu / nu!) times the nu-fold lowering of the seed;
@@ -506,9 +499,7 @@ class LadderSequence:
     at index p - 1, whichever comes first.
     """
 
-    start: Multivector
-    weight: int
-    entries: tuple
+    __slots__ = ("start", "weight", "entries")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -619,7 +610,8 @@ def decompose(space: SymplecticSpace, alpha: Multivector):
     signed primitive rows, then its signed lowering columns in pair order,
     free variables 0: the system is block diagonal, so this is the whole
     degree's solution.  Refused past TRIPLE_LIMIT coordinates in the
-    class's degree.
+    class's degree; below degree 2 the class is its own primitive part,
+    answered with nothing of size m built.
     """
     _check_value(space, alpha)
     if alpha.is_zero():
@@ -630,6 +622,8 @@ def decompose(space: SymplecticSpace, alpha: Multivector):
     if r > m:
         raise ValueError(f"degree {r} exceeds m = {m}")
     _refuse_wider(n, r, TRIPLE_LIMIT)
+    if r < 2:  # nothing lowers into degrees 0 and 1, so the class is primitive
+        return alpha, Multivector.zero(p, m)
     defect = [sum(count * _block_split(p, s, k)[i] for s, k, count in _block_keys(m, r))
               for i in (1, 2)]
     if any(defect):
@@ -656,13 +650,8 @@ def decompose(space: SymplecticSpace, alpha: Multivector):
     return e, beta
 
 
-@dataclass(frozen=True)
-class ProbeReport:
-    r: int
-    rank: int
-    corank: int
-    injective: bool
-    surjective: bool
+class ProbeReport(Record):
+    __slots__ = ("r", "rank", "corank", "injective", "surjective")
 
 
 def injectivity_surjectivity_probe(space: SymplecticSpace, r: int) -> ProbeReport:
@@ -786,15 +775,8 @@ def submodule_closure(space: SymplecticSpace, r: int, seeds: Sequence[Multivecto
 # irreducibility predicate
 
 
-@dataclass(frozen=True)
-class PremetReport:
-    p: int
-    m: int
-    r: int
-    product: int
-    divisible: bool
-    sufficient_bound_holds: bool
-    irreducible: bool
+class PremetReport(Record):
+    __slots__ = ("p", "m", "r", "product", "divisible", "sufficient_bound_holds", "irreducible")
 
     def to_json(self) -> dict:
         return {

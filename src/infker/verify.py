@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from math import comb
 
+from .errors import Record
 from .exterior import Multivector, monomials
 from .extraspecial import (
     abelian_preimage_check,
@@ -51,14 +51,14 @@ from .symplectic import (
 )
 
 
-@dataclass
-class CriterionResult:
-    cid: int
-    description: str
-    ok: bool
-    seconds: float
-    budget: float
-    details: dict = field(default_factory=dict)
+class CriterionResult(Record):
+    __slots__ = ("cid", "description", "ok", "seconds", "budget", "details")
+    __hash__ = None  # its details are a dict
+
+    def __init__(self, cid: int, description: str, ok: bool, seconds: float,
+                 budget: float, details: dict | None = None):
+        super().__init__(cid, description, ok, seconds, budget,
+                         {} if details is None else details)
 
     @property
     def in_budget(self) -> bool:

@@ -35,7 +35,6 @@
 """
 
 import itertools
-from dataclasses import replace
 from functools import lru_cache
 from math import comb
 
@@ -334,7 +333,7 @@ def certificate_by_columns(space, target) -> CertificateReport:
         lead = next((c for c in g if c), 0)
         if lead > 1:
             inv = inv_mod(lead, p)
-            records.append(replace(by_point[tuple(c * inv % p for c in g)], g=g))
+            records.append(by_point[tuple(c * inv % p for c in g)]._replace(g=g))
             continue
         if not lead:
             continue

@@ -351,6 +351,9 @@ OVERSIZED = [
     (("quotient-basis", "-p", "2", "-m", "1000000000", "-r", "0"), ("basis", ["1"])),
     (("decompose", "-p", "2", "-m", "100000", "--class", "x1^y1"),
      "19999900000 degree-2 wedge coordinates, more than the supported 12870"),
+    # below degree 2 a class is its own primitive part: no weight, no gamma
+    (("decompose", "-p", "2", "-m", "100000000", "--class", "1"), ("e", "1")),
+    (("decompose", "-p", "3", "-m", "100000000", "--class", "2"), ("beta", "0")),
     (("ladder", "-p", "2", "-m", "100000", "--class", "x1"),
      "2666533335666650000040000 degree-5 wedge coordinates"),
     # C(16, 7) 16 = 183,040 wedge-table entries are under the budget
@@ -380,6 +383,18 @@ def test_oversized_space_answers_or_refuses_without_its_form(argv, expect, tmp_p
         key, value = expect
         assert proc.returncode == 0
         assert json.loads(proc.stdout)[key] == value
+
+
+def test_zero_subspace_is_listed_without_the_form():
+    """The zero subspace is isotropic with no form to check, so the one
+    subspace of dimension 0 is listed at m = 100000 within the cap."""
+    start = time.perf_counter()
+    proc = run_capped("isotropic", "-p", "2", "-m", "100000", "--dim", "0")
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(lines) == 2 and lines[0] == {"basis": []}
+    assert (lines[1]["m"], lines[1]["count"]) == (100000, 1)
 
 
 def test_quotient_basis_answers_up_to_the_limit(capsys, schema):

@@ -5,7 +5,6 @@ bound; the one-dimensional gap at half weight for p = 2, m = 3 is the
 load-bearing example and is frozen here in full.
 """
 
-import dataclasses
 import functools
 import itertools
 import time
@@ -489,7 +488,7 @@ class TestCertificate:
         terms = [dict(t) for t in rec.witness["terms"]]
         assert terms[0]["kind"] == "form_wedge"
         terms[0] = self.TAMPERS[tamper](terms[0])
-        bad = dataclasses.replace(rec, witness={"terms": terms})
+        bad = rec._replace(witness={"terms": terms})
         assert verify_certificate_record(space, zeta, bad) is False
 
     @pytest.mark.parametrize("witness", [{}, {"terms": None}, {"terms": [None]}],
@@ -497,7 +496,7 @@ class TestCertificate:
     def test_malformed_witness_fails_replay(self, witness):
         space, zeta, rep = self.report()
         rec = next(r for r in rep.records if not r.vacuous)
-        bad = dataclasses.replace(rec, witness=witness)
+        bad = rec._replace(witness=witness)
         assert verify_certificate_record(space, zeta, bad) is False
 
     def test_json_counts(self):

@@ -1,0 +1,184 @@
+"""The package's result records: frozen, slotted, and equal, hashed and
+printed field by field, with the text pinned to the dataclass form they
+had before the ``errors.Record`` base replaced ``dataclasses``."""
+
+import copy
+import itertools
+import operator
+import pickle
+
+import pytest
+
+from infker.errors import NotPrimeError, Record
+from infker.exterior import Multivector, VariableOrder
+from infker.extraspecial import ExtraspecialGroup, GroupElement, make_group
+from infker.inflation import CertificateRecord, CertificateReport, KernelSandwich
+from infker.isotropic import IsotropicCatalog, PerpChart
+from infker.symplectic import (
+    DegreeCheck,
+    LadderSequence,
+    PremetReport,
+    ProbeReport,
+    Sl2Report,
+)
+from infker.verify import CriterionResult
+
+GROUP = ExtraspecialGroup(3, 1)
+CLASS = Multivector(3, 1, {(0,): 1, (0, 1): 2})
+
+#: One instance of every record: its class, its fields by keyword in
+#: declaration order, and its repr as the dataclass printed it.
+RECORDS = [
+    (VariableOrder, dict(m=3), "VariableOrder(m=3)"),
+    (ExtraspecialGroup, dict(p=3, m=1), "ExtraspecialGroup(p=3, m=1)"),
+    (GroupElement, dict(group=GROUP, z=1, v=(0, 2)),
+     "GroupElement(group=ExtraspecialGroup(p=3, m=1), z=1, v=(0, 2))"),
+    (KernelSandwich, dict(p=2, m=3, r=4, ideal_dim=14, vanishing_dim=15, gap=1,
+                          gap_classes=("x2^x3^y2^y3",)),
+     "KernelSandwich(p=2, m=3, r=4, ideal_dim=14, vanishing_dim=15, gap=1, "
+     "gap_classes=('x2^x3^y2^y3',))"),
+    (CertificateRecord, dict(g=(1, 0), dim_perp=1, dim_radical=1, dim_complement=0,
+                             dim_annihilator=0, vacuous=True, member=False, witness=None),
+     "CertificateRecord(g=(1, 0), dim_perp=1, dim_radical=1, dim_complement=0, "
+     "dim_annihilator=0, vacuous=True, member=False, witness=None)"),
+    (CertificateReport, dict(p=3, m=1, degree=2, target=CLASS, records=()),
+     "CertificateReport(p=3, m=1, degree=2, target=Multivector(p=3, m=1, 'x1 + 2*x1^y1'), "
+     "records=())"),
+    (IsotropicCatalog, dict(p=2, m=1, r=1, count=3, subspaces=()),
+     "IsotropicCatalog(p=2, m=1, r=1, count=3, subspaces=())"),
+    (PerpChart, dict(p=2, g=(1, 0), f=0, c=(0,), gram=((0,),), lead=0, f_ann=0, t=()),
+     "PerpChart(p=2, g=(1, 0), f=0, c=(0,), gram=((0,),), lead=0, f_ann=0, t=())"),
+    (DegreeCheck, dict(r=2, bracket_ok=True, raise_shift_ok=True, lower_shift_ok=True,
+                       weight_ok=False),
+     "DegreeCheck(r=2, bracket_ok=True, raise_shift_ok=True, lower_shift_ok=True, "
+     "weight_ok=False)"),
+    (Sl2Report, dict(p=3, m=2, sigma=-1, ok=True, degrees=()),
+     "Sl2Report(p=3, m=2, sigma=-1, ok=True, degrees=())"),
+    (LadderSequence, dict(start=CLASS, weight=1, entries=(CLASS,)),
+     "LadderSequence(start=Multivector(p=3, m=1, 'x1 + 2*x1^y1'), weight=1, "
+     "entries=(Multivector(p=3, m=1, 'x1 + 2*x1^y1'),))"),
+    (ProbeReport, dict(r=2, rank=5, corank=1, injective=False, surjective=True),
+     "ProbeReport(r=2, rank=5, corank=1, injective=False, surjective=True)"),
+    (PremetReport, dict(p=3, m=2, r=1, product=6, divisible=True,
+                        sufficient_bound_holds=False, irreducible=False),
+     "PremetReport(p=3, m=2, r=1, product=6, divisible=True, "
+     "sufficient_bound_holds=False, irreducible=False)"),
+    (CriterionResult, dict(cid=1, description="d", ok=True, seconds=0.5, budget=1.0,
+                           details={}),
+     "CriterionResult(cid=1, description='d', ok=True, seconds=0.5, budget=1.0, details={})"),
+]
+
+IDS = [cls.__name__ for cls, _, _ in RECORDS]
+#: Records with a dict field hash as the dataclass did: not at all.
+UNHASHABLE = {CriterionResult}
+
+
+def test_every_record_is_listed():
+    assert len(RECORDS) == 14
+    assert all(issubclass(cls, Record) for cls, _, _ in RECORDS)
+
+
+@pytest.mark.parametrize("cls,fields,text", RECORDS, ids=IDS)
+def test_repr_is_the_dataclass_text(cls, fields, text):
+    assert repr(cls(**fields)) == text
+
+
+@pytest.mark.parametrize("cls,fields,text", RECORDS, ids=IDS)
+def test_positional_and_keyword_construction_agree(cls, fields, text):
+    by_position, by_keyword = cls(*fields.values()), cls(**fields)
+    assert by_position == by_keyword
+    assert all(getattr(by_position, name) == value for name, value in fields.items())
+    assert cls.__slots__ == tuple(fields)
+
+
+@pytest.mark.parametrize("cls,fields,text", RECORDS, ids=IDS)
+def test_equality_and_hash_go_by_class_and_fields(cls, fields, text):
+    rec, twin = cls(**fields), cls(**fields)
+    values = tuple(fields.values())
+    assert rec == twin and not rec != twin
+    assert rec != values and values != rec
+    assert rec != object()
+    if cls in UNHASHABLE:
+        with pytest.raises(TypeError, match=cls.__name__):
+            hash(rec)
+    else:
+        assert hash(rec) == hash(twin) == hash(values)
+    for name in fields:
+        other = cls(**{**fields, name: 7}) if cls is not ExtraspecialGroup else (
+            cls(**{**fields, name: 5}))
+        assert rec != other and not rec == other
+
+
+@pytest.mark.parametrize("cls,fields,text", RECORDS, ids=IDS)
+def test_fields_refuse_assignment_and_deletion(cls, fields, text):
+    rec = cls(**fields)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+    with pytest.raises(AttributeError):
+        rec.extra = 0
+    assert rec == cls(**fields)
+
+
+@pytest.mark.parametrize("cls,fields,text", RECORDS, ids=IDS)
+def test_replace_copies_with_changed_fields(cls, fields, text):
+    rec = cls(**fields)
+    name = next(iter(fields))
+    value = 5 if cls is ExtraspecialGroup else 7
+    changed = rec._replace(**{name: value})
+    assert type(changed) is cls and getattr(changed, name) == value
+    assert changed == cls(**{**fields, name: value})
+    assert rec == cls(**fields)
+    assert rec._replace() == rec
+    with pytest.raises(TypeError):
+        rec._replace(no_such_field=1)
+
+
+@pytest.mark.parametrize("cls,fields,text", RECORDS, ids=IDS)
+def test_copy_and_pickle_round_trip(cls, fields, text):
+    rec = cls(**fields)
+    assert copy.copy(rec) == rec
+    if cls not in (CertificateReport, LadderSequence):  # a Multivector does not pickle
+        assert pickle.loads(pickle.dumps(rec)) == rec
+
+
+def test_construction_checks_the_fields():
+    with pytest.raises(TypeError):
+        ProbeReport(2, 5, 1, False)
+    with pytest.raises(TypeError):
+        ProbeReport(2, 5, 1, False, True, None)
+    with pytest.raises(TypeError):
+        ProbeReport(2, 5, 1, False, surjective=True, injective=False)
+    with pytest.raises(TypeError):
+        PerpChart(2, (1, 0), 0, (0,), ((0,),), 0, 0)
+
+
+def test_criterion_details_default_to_a_fresh_dict():
+    first = CriterionResult(1, "d", True, 0.5, 1.0)
+    second = CriterionResult(1, "d", True, 0.5, 1.0)
+    assert first.details == {} and first.details is not second.details
+    assert first == second
+
+
+def test_group_checks_its_prime_first_then_its_rank():
+    with pytest.raises(NotPrimeError):
+        ExtraspecialGroup(4, 0)
+    with pytest.raises(ValueError, match="need m >= 1"):
+        ExtraspecialGroup(3, 0)
+    with pytest.raises(NotPrimeError):
+        ExtraspecialGroup(p=1, m=2)
+    with pytest.raises(NotPrimeError):
+        GROUP._replace(p=9)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1)])
+def test_group_elements_order_by_z_then_v(p, m):
+    elements = list(make_group(p, m).elements())
+    key = operator.attrgetter("z", "v")
+    assert sorted(elements) == sorted(elements, key=key)
+    assert sorted(reversed(elements)) == sorted(elements, key=key)
+    for a, b in itertools.product(elements, repeat=2):
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            assert compare(a, b) == compare(key(a), key(b))

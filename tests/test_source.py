@@ -1,8 +1,12 @@
-"""Source hygiene: every module of the package uses what it imports, and
-every public function or class has a reader in the package."""
+"""Source hygiene: every module of the package uses what it imports,
+imports nothing that costs every CLI call a cold start it does not need,
+and every public function or class has a reader in the package."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -34,6 +38,44 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imported_modules(source: str) -> set:
+    """Top-level names of the modules an import statement loads."""
+    tree = ast.parse(source)
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names}
+    names |= {node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module and not node.level}
+    return {name.split(".")[0] for name in names}
+
+
+def test_imported_modules_are_found():
+    source = ("import os.path\nfrom dataclasses import replace\nfrom . import errors\n"
+              "def f():\n    import json\n")
+    assert imported_modules(source) == {"os", "dataclasses", "json"}
+
+
+#: Modules the CLI's import must not load: ``dataclasses`` compiles every
+#: record's methods with ``exec`` and pulls in the rest to inspect them.
+COLD_START_EXCLUDED = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_imports_dataclasses(path):
+    assert "dataclasses" not in imported_modules(path.read_text(encoding="utf-8"))
+
+
+def test_cli_import_loads_no_introspection_modules():
+    """A fresh interpreter imports ``infker.cli``; of the excluded modules,
+    it may hold only those that were loaded before the import."""
+    src = str(pathlib.Path(infker.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    code = ("import sys\nbefore = set(sys.modules)\nimport infker.cli\n"
+            f"print(sorted(set({COLD_START_EXCLUDED!r}) & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def constructors(source: str, name: str) -> list:
