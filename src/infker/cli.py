@@ -137,8 +137,8 @@ def _cmd_ideal_basis(args):
 
 
 def _cmd_quotient_basis(args):
-    return _degree_report(args, "quotient-basis", lambda space, r: [
-        space.order.mono_name(mono) for mono in quotient_basis(space, r)])
+    return _degree_report(args, "quotient-basis", lambda space, r: list(
+        map(space.order.mono_name, quotient_basis(space, r))))
 
 
 def _cmd_vanishing_space(args):

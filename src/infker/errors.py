@@ -6,39 +6,72 @@ from operator import attrgetter
 
 
 class Record:
-    """A frozen record whose fields are the subclass's ``__slots__``.
+    """A frozen value whose fields are the subclass's ``__slots__`` that do
+    not start with ``_``.
 
-    Fields are given positionally or by keyword; a subclass that needs
-    defaults, validation or a faster constructor writes its own
-    ``__init__`` with ``object.__setattr__``.  Two records are equal when
-    they are of one class with equal fields; a record hashes as the tuple
-    of its fields and prints as ``Name(field=value, ...)``.  Assignment and
-    deletion raise AttributeError, and ``_replace`` copies a record with
-    some fields changed, through the constructor.
+    A slot with a leading ``_`` holds state, such as a cache: every
+    constructor starts it as an empty dict, and it is not compared, hashed,
+    printed, pickled or replaced.  The constructor takes the fields
+    positionally or by keyword and writes each through its slot's own
+    member descriptor, which bypasses ``__setattr__``; a subclass that
+    validates, normalises or defaults its arguments writes its own
+    ``__init__`` and ends it with ``super().__init__(*fields)``.
+    ``_make(*fields)`` builds a value without calling ``__init__``, for
+    fields already in canonical form.
+
+    Two records are equal when they are of one class with equal fields; a
+    record hashes as the tuple of its fields and prints as
+    ``Name(field=value, ...)``.  Assignment and deletion raise
+    AttributeError.  Copy, pickle and ``_replace`` (a copy with some fields
+    changed) rebuild a value by calling its constructor on its fields, so
+    each subclass's fields are its constructor's arguments, in order.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        get = attrgetter(*cls.__slots__)  # the bare value for one field
-        cls._values = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+        slots = cls.__slots__
+        cls._fields = tuple(name for name in slots if not name.startswith("_"))
+        cls._puts = tuple(getattr(cls, name).__set__ for name in cls._fields)
+        cls._state = tuple(getattr(cls, name).__set__ for name in slots if name.startswith("_"))
+        get = attrgetter(*cls._fields)  # the bare value for one field
+        cls._values = property(get if len(cls._fields) > 1 else lambda self: (get(self),))
 
     def __init__(self, *args, **kwargs):
-        names, name = self.__slots__, type(self).__name__
+        puts = self._puts
+        if kwargs or len(args) != len(puts):
+            args = self._by_keyword(args, kwargs)
+        for put, value in zip(puts, args):
+            put(self, value)
+        for put in self._state:
+            put(self, {})
+
+    def _by_keyword(self, args: tuple, kwargs: dict) -> list:
+        """The fields in order from ``args`` and then ``kwargs``."""
+        names, name = self._fields, type(self).__name__
         if len(args) > len(names):
             raise TypeError(f"{name} takes {len(names)} fields but {len(args)} were given")
-        for field, value in zip(names, args):
-            object.__setattr__(self, field, value)
+        values = list(args)
         for field in names[len(args):]:
             if field not in kwargs:
                 raise TypeError(f"{name} is missing the field {field!r}")
-            object.__setattr__(self, field, kwargs.pop(field))
+            values.append(kwargs.pop(field))
         if kwargs:
             raise TypeError(f"{name} got an unexpected field {next(iter(kwargs))!r}")
+        return values
+
+    @classmethod
+    def _make(cls, *fields):
+        obj = object.__new__(cls)
+        for put, value in zip(cls._puts, fields):
+            put(obj, value)
+        for put in cls._state:
+            put(obj, {})
+        return obj
 
     def _replace(self, **changes):
-        values = [changes.pop(field, getattr(self, field)) for field in self.__slots__]
+        values = [changes.pop(field, getattr(self, field)) for field in self._fields]
         if changes:
             raise TypeError(f"{type(self).__name__} has no field {next(iter(changes))!r}")
         return type(self)(*values)
@@ -61,7 +94,7 @@ class Record:
         return type(self), self._values
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self.__slots__)
+        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
 

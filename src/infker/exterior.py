@@ -260,9 +260,6 @@ class VariableOrder(Record):
 
     __slots__ = ("m",)
 
-    def __init__(self, m: int):
-        object.__setattr__(self, "m", m)
-
     @property
     def nvars(self) -> int:
         return 2 * self.m
@@ -289,12 +286,13 @@ class VariableOrder(Record):
         return "^".join(self.name(c) for c in mono)
 
 
-class Multivector:
+class Multivector(Record):
     """An element of the exterior algebra on x1..xm, y1..ym over F_p.
 
     Terms are stored sparsely as {monomial: coefficient} with coefficients
     normalized into [1, p).  Instances are treated as immutable; all
-    arithmetic returns new values.
+    arithmetic returns new values.  The terms are a dict, so the hash is
+    taken over them sorted.
     """
 
     __slots__ = ("p", "m", "terms")
@@ -314,22 +312,13 @@ class Multivector:
             coeff %= p
             if coeff:
                 clean[mono] = coeff
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Multivector is immutable")
+        super().__init__(p, m, clean)
 
     @classmethod
     def _of(cls, p: int, m: int, terms: dict) -> "Multivector":
         """Wrap valid monomials whose coefficients are already in [0, p);
         the zero ones are dropped."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "p", p)
-        object.__setattr__(obj, "m", m)
-        object.__setattr__(obj, "terms", {mono: c for mono, c in terms.items() if c})
-        return obj
+        return cls._make(p, m, {mono: c for mono, c in terms.items() if c})
 
     # -- constructors ---------------------------------------------------
 
@@ -431,14 +420,6 @@ class Multivector:
                 sign, mono = merged
                 terms[mono] = (terms.get(mono, 0) + sign * ca * cb) % self.p
         return Multivector._of(self.p, self.m, terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Multivector)
-            and self.p == other.p
-            and self.m == other.m
-            and self.terms == other.terms
-        )
 
     def __hash__(self) -> int:
         return hash((self.p, self.m, tuple(sorted(self.terms.items()))))

@@ -29,11 +29,6 @@ class GroupElement(Record):
 
     __slots__ = ("group", "z", "v")
 
-    def __init__(self, group: "ExtraspecialGroup", z: int, v: tuple):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "v", v)
-
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         g = self.group
         if other.group != g:
@@ -85,11 +80,10 @@ class ExtraspecialGroup(Record):
     __slots__ = ("p", "m")
 
     def __init__(self, p: int, m: int):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "m", m)
         check_prime(p)
         if m < 1:
             raise ValueError("need m >= 1")
+        super().__init__(p, m)
 
     @property
     def n(self) -> int:

@@ -296,18 +296,6 @@ class CertificateRecord(Record):
     __slots__ = ("g", "dim_perp", "dim_radical", "dim_complement", "dim_annihilator",
                  "vacuous", "member", "witness")
 
-    def __init__(self, g: tuple, dim_perp: int, dim_radical: int, dim_complement: int,
-                 dim_annihilator: int, vacuous: bool, member: bool, witness: Optional[dict]):
-        put = object.__setattr__
-        put(self, "g", g)
-        put(self, "dim_perp", dim_perp)
-        put(self, "dim_radical", dim_radical)
-        put(self, "dim_complement", dim_complement)
-        put(self, "dim_annihilator", dim_annihilator)
-        put(self, "vacuous", vacuous)
-        put(self, "member", member)
-        put(self, "witness", witness)
-
     @property
     def ok(self) -> bool:
         return self.vacuous or self.member
@@ -485,11 +473,8 @@ def certificate(space: SymplecticSpace, target: Multivector) -> CertificateRepor
             if coeffs is not None:
                 witness = {"terms": [{"coeff": c, **identity(j)}
                                      for j, c in enumerate(coeffs) if c]}
-        by_point[g] = CertificateRecord(
-            g=g, dim_perp=k, dim_radical=1, dim_complement=k - 1,
-            dim_annihilator=k - 1, vacuous=not any(rest),
-            member=coeffs is not None, witness=witness,
-        )
+        by_point[g] = CertificateRecord(g, k, 1, k - 1, k - 1, not any(rest),
+                                        coeffs is not None, witness)
         records.append(by_point[g])
     return CertificateReport(p=p, m=space.m, degree=degree,
                              target=target, records=records)

@@ -176,7 +176,7 @@ def _hyperplane(p: int, n: int, f: int, t: Sequence[int]) -> Subspace:
     free = tuple(i for i in range(n) if i != f)
     rows = tuple(tuple(int(j == u) if j != f else tb for j in range(n))
                  for u, tb in zip(free, t))
-    return Subspace(p, n, Matrix._of(p, rows, n), free)
+    return Subspace(p, n, Matrix._make(p, rows, n), free)
 
 
 def _perp_gram(space: SymplecticSpace, f: int) -> tuple:
@@ -206,18 +206,6 @@ class PerpChart(Record):
 
     __slots__ = ("p", "g", "f", "c", "gram", "lead", "f_ann", "t")
 
-    def __init__(self, p: int, g: tuple, f: int, c: tuple, gram: tuple, lead: int,
-                 f_ann: int, t: tuple):
-        put = object.__setattr__
-        put(self, "p", p)
-        put(self, "g", g)
-        put(self, "f", f)
-        put(self, "c", c)
-        put(self, "gram", gram)
-        put(self, "lead", lead)
-        put(self, "f_ann", f_ann)
-        put(self, "t", t)
-
     @property
     def sub(self) -> Subspace:
         return _hyperplane(self.p, len(self.g), self.f, self.c)
@@ -225,7 +213,7 @@ class PerpChart(Record):
     @property
     def gram_a(self) -> Matrix:
         b, rows = self.lead, self.gram[:self.lead] + self.gram[self.lead + 1:]
-        return Matrix._of(self.p, tuple(row[:b] + row[b + 1:] for row in rows), len(rows))
+        return Matrix._make(self.p, tuple(row[:b] + row[b + 1:] for row in rows), len(rows))
 
     @property
     def ann(self) -> Subspace:
@@ -268,8 +256,7 @@ def perp_chart(space: SymplecticSpace, g: Sequence[int]) -> PerpChart:
     coords = g[:f] + g[f + 1:]  # g on the rows
     lead = next(b for b, x in enumerate(coords) if x)
     f_ann, t = _hyperplane_chart(p, coords)
-    chart = PerpChart(p=p, g=tuple(g), f=f, c=c, gram=tuple(map(tuple, rows)),
-                      lead=lead, f_ann=f_ann, t=t)
+    chart = PerpChart(p, tuple(g), f, c, tuple(map(tuple, rows)), lead, f_ann, t)
 
     # the complement's rows lead at every row but ``lead``, so the parts
     # split g^perp when the radical's coordinates lead there

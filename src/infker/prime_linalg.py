@@ -27,6 +27,7 @@ from .errors import (
     DimensionMismatchError,
     FieldMismatchError,
     NotPrimeError,
+    Record,
     bounded_count,
 )
 
@@ -108,14 +109,15 @@ def _power_bits(p: int, n: int) -> int:
         keep *= 2
 
 
-class Matrix:
+class Matrix(Record):
     """Immutable dense matrix over F_p.
 
     Zero-row and zero-column shapes are legal; they show up naturally as
-    operator matrices between trivial graded pieces.
+    operator matrices between trivial graded pieces.  ``_make(p, entries,
+    cols)`` takes row tuples of width cols already reduced into [0, p).
     """
 
-    __slots__ = ("p", "rows", "cols", "entries")
+    __slots__ = ("p", "entries", "cols")
 
     def __init__(self, p: int, data: Iterable[Iterable[int]], cols: Optional[int] = None):
         check_prime(p)
@@ -131,30 +133,14 @@ class Matrix:
             cols = width
         elif cols is None:
             cols = 0
-        self._set(p, normalized, cols)
-
-    def _set(self, p: int, entries: tuple, cols: int):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "rows", len(entries))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def _of(cls, p: int, entries: tuple, cols: int) -> "Matrix":
-        # entries already row tuples of width cols, reduced into [0, p)
-        out = object.__new__(cls)
-        out._set(p, entries, cols)
-        return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
+        super().__init__(p, normalized, cols)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def identity(cls, p: int, n: int) -> "Matrix":
         check_prime(p)
-        return cls._of(p, tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)), n)
+        return cls._make(p, tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)), n)
 
     @classmethod
     def zero(cls, p: int, rows: int, cols: int) -> "Matrix":
@@ -162,16 +148,9 @@ class Matrix:
 
     # -- basics -------------------------------------------------------
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.p == other.p
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.cols, self.entries))
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
 
     def __repr__(self) -> str:
         return f"Matrix(p={self.p}, {self.rows}x{self.cols})"
@@ -191,8 +170,8 @@ class Matrix:
     def transpose(self) -> "Matrix":
         if not self.rows:
             # 0 x n transposes to n x 0
-            return Matrix._of(self.p, ((),) * self.cols, 0)
-        return Matrix._of(self.p, tuple(zip(*self.entries)), self.rows)
+            return Matrix._make(self.p, ((),) * self.cols, 0)
+        return Matrix._make(self.p, tuple(zip(*self.entries)), self.rows)
 
     def scale(self, c: int) -> "Matrix":
         c %= self.p
@@ -247,7 +226,7 @@ class Matrix:
                 if a:
                     acc = [x + a * y for x, y in zip(acc, row_b)]
             out.append(tuple([v % p for v in acc]))
-        return Matrix._of(p, tuple(out), other.cols)
+        return Matrix._make(p, tuple(out), other.cols)
 
     def matvec(self, vec: Sequence[int]) -> tuple:
         if len(vec) != self.cols:
@@ -271,17 +250,18 @@ def _canonical_column(acc: dict, p: int) -> tuple:
     return tuple(sorted((i, r) for i, v in acc.items() if (r := v % p)))
 
 
-class SparseMatrix:
+class SparseMatrix(Record):
     """Immutable sparse matrix over F_p, held by columns.
 
     Each column is a tuple of ``(row, value)`` pairs, sorted by row, with
     every value in (0, p).  That form is canonical, so ``==`` is an exact
-    shape-and-entry test, as it is for :class:`Matrix`.  The graded
-    operators and transvection compounds are under 1% nonzero, and
-    products of them cost a few multiply-adds per column here.
+    shape-and-entry test, as it is for :class:`Matrix`; ``_make(p, rows,
+    columns)`` takes columns already in it.  The graded operators and
+    transvection compounds are under 1% nonzero, and products of them cost
+    a few multiply-adds per column here.
     """
 
-    __slots__ = ("p", "rows", "cols", "columns")
+    __slots__ = ("p", "rows", "columns")
 
     def __init__(self, p: int, rows: int, columns: Iterable[Iterable[tuple]]):
         """Sum the ``(row, value)`` pairs of each column modulo ``p``;
@@ -295,23 +275,7 @@ class SparseMatrix:
                     raise DimensionMismatchError(f"row {i} outside 0..{rows - 1}")
                 acc[i] = acc.get(i, 0) + v
             canon.append(_canonical_column(acc, p))
-        self._set(p, rows, tuple(canon))
-
-    def _set(self, p: int, rows: int, columns: tuple):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", len(columns))
-        object.__setattr__(self, "columns", columns)
-
-    @classmethod
-    def _of(cls, p: int, rows: int, columns: tuple) -> "SparseMatrix":
-        # columns already canonical: the results of the operations below
-        out = object.__new__(cls)
-        out._set(p, rows, columns)
-        return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SparseMatrix is immutable")
+        super().__init__(p, rows, tuple(canon))
 
     # -- constructors -------------------------------------------------
 
@@ -320,17 +284,13 @@ class SparseMatrix:
         """``c`` times the n x n identity."""
         check_prime(p)
         c %= p
-        return cls._of(p, n, tuple(((j, c),) if c else () for j in range(n)))
+        return cls._make(p, n, tuple(((j, c),) if c else () for j in range(n)))
 
     # -- basics -------------------------------------------------------
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SparseMatrix)
-            and self.p == other.p
-            and self.rows == other.rows
-            and self.columns == other.columns
-        )
+    @property
+    def cols(self) -> int:
+        return len(self.columns)
 
     def __repr__(self) -> str:
         return f"SparseMatrix(p={self.p}, {self.rows}x{self.cols})"
@@ -346,7 +306,7 @@ class SparseMatrix:
         p = self.p
         c %= p
         # p is prime, so a nonzero c keeps every value nonzero
-        return SparseMatrix._of(p, self.rows, tuple(
+        return SparseMatrix._make(p, self.rows, tuple(
             tuple((i, c * v % p) for i, v in col) if c else ()
             for col in self.columns))
 
@@ -366,7 +326,7 @@ class SparseMatrix:
             for i, v in cb:
                 acc[i] = acc.get(i, 0) - v
             out.append(_canonical_column(acc, p))
-        return SparseMatrix._of(p, self.rows, tuple(out))
+        return SparseMatrix._make(p, self.rows, tuple(out))
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.p != other.p:
@@ -383,7 +343,7 @@ class SparseMatrix:
                 for i, a in mine[k]:
                     acc[i] = acc.get(i, 0) + a * b
             out.append(_canonical_column(acc, p))
-        return SparseMatrix._of(p, self.rows, tuple(out))
+        return SparseMatrix._make(p, self.rows, tuple(out))
 
     def matvec(self, vec: Sequence[int]) -> tuple:
         if len(vec) != self.cols:
@@ -463,7 +423,7 @@ def rref(mat: Matrix):
     Returns (reduced Matrix, pivot column tuple, rank).
     """
     red, pivots, rank = _rref_rows(mat.entries, mat.cols, mat.p)
-    return Matrix._of(mat.p, red, mat.cols), pivots, rank
+    return Matrix._make(mat.p, red, mat.cols), pivots, rank
 
 
 def rank(mat: Matrix) -> int:
@@ -496,7 +456,7 @@ def solve(mat: Matrix, rhs: Sequence[int]) -> Optional[tuple]:
     return solve_rows(mat.p, rows, mat.cols)
 
 
-class Subspace:
+class Subspace(Record):
     """A subspace of F_p^n held in reduced-row-echelon canonical form.
 
     Two subspaces are equal iff they have the same span; the rref basis
@@ -504,15 +464,6 @@ class Subspace:
     """
 
     __slots__ = ("p", "ambient_dim", "basis", "pivots")
-
-    def __init__(self, p: int, ambient_dim: int, basis: Matrix, pivots: tuple):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "pivots", pivots)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
 
     @classmethod
     def from_rows(cls, p: int, ambient_dim: int, rows: Iterable[Sequence[int]]) -> "Subspace":
@@ -524,7 +475,7 @@ class Subspace:
                 )
         check_prime(p)
         red, pivots, rk = _rref_rows(rows, ambient_dim, p)
-        return cls(p, ambient_dim, Matrix._of(p, red[:rk], ambient_dim), pivots)
+        return cls(p, ambient_dim, Matrix._make(p, red[:rk], ambient_dim), pivots)
 
     @classmethod
     def zero(cls, p: int, ambient_dim: int) -> "Subspace":
@@ -538,17 +489,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.rows
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.p == other.p
-            and self.ambient_dim == other.ambient_dim
-            and self.basis.entries == other.basis.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.ambient_dim, self.basis.entries))
 
     def __repr__(self) -> str:
         return f"Subspace(p={self.p}, dim={self.dim}, ambient={self.ambient_dim})"
@@ -620,7 +560,7 @@ def kernel_basis(mat: Matrix) -> Subspace:
         for row, c in zip(red, rev_pivots):
             vec[n - 1 - c] = -row[n - 1 - f] % p
         gens.append(tuple(vec))
-    return Subspace(p, n, Matrix._of(p, tuple(gens), n), tuple(free))
+    return Subspace(p, n, Matrix._make(p, tuple(gens), n), tuple(free))
 
 
 def count_subspaces(p: int, n: int, r: int) -> int:
@@ -679,9 +619,9 @@ def sum_and_intersection(u: Subspace, w: Subspace):
     # rows with pivots below n reduce U + W; those at n or beyond are zero
     # in the first half and reduce U intersect W in the second
     split = bisect.bisect_left(pivots, n)
-    total = Subspace(p, n, Matrix._of(p, tuple([row[:n] for row in red[:split]]), n),
+    total = Subspace(p, n, Matrix._make(p, tuple([row[:n] for row in red[:split]]), n),
                      pivots[:split])
-    inter = Subspace(p, n, Matrix._of(p, tuple([row[n:] for row in red[split:len(pivots)]]),
+    inter = Subspace(p, n, Matrix._make(p, tuple([row[n:] for row in red[split:len(pivots)]]),
                                       n), tuple([c - n for c in pivots[split:]]))
     if total.dim + inter.dim != u.dim + w.dim:
         raise AssertionError("modular law violated; elimination bug")

@@ -99,21 +99,23 @@ def _refuse_wider(n: int, r: int, limit: int):
     bounded_count(lambda: _capped_comb_product([(n, r)]), limit, f"degree-{r} wedge coordinates")
 
 
-class SymplecticSpace:
+class SymplecticSpace(Record):
     """F_p^{2m} with the standard alternating form and its cached operators.
     The 2m x 2m Gram matrix is built on first read, so a space too large
-    for it can still be constructed and refused by what it is asked."""
+    for it can still be constructed and refused by what it is asked.  Two
+    spaces are equal by (p, m); the cache is state, never compared."""
 
-    __slots__ = ("p", "m", "order", "_cache")
+    __slots__ = ("p", "m", "_cache")
 
     def __init__(self, p: int, m: int):
         check_prime(p)
         if m < 1:
             raise ValueError(f"need m >= 1, got {m}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "order", VariableOrder(m))
-        object.__setattr__(self, "_cache", {})
+        super().__init__(p, m)
+
+    @property
+    def order(self) -> VariableOrder:
+        return VariableOrder(self.m)
 
     @property
     def gram(self) -> Matrix:
@@ -137,9 +139,6 @@ class SymplecticSpace:
             self._cache["gram"] = gram
         return gram
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SymplecticSpace is immutable")
-
     @property
     def n(self) -> int:
         return 2 * self.m
@@ -147,15 +146,6 @@ class SymplecticSpace:
     def pairing(self, u: Sequence[int], v: Sequence[int]) -> int:
         """psi(u, v) as an integer in [0, p)."""
         return sum(a * b for a, b in zip(self.gram.matvec(v), u)) % self.p
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymplecticSpace) and (self.p, self.m) == (other.p, other.m)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.m))
-
-    def __repr__(self) -> str:
-        return f"SymplecticSpace(p={self.p}, m={self.m})"
 
 
 def _check_value(space: SymplecticSpace, a: Multivector):
@@ -257,7 +247,7 @@ def assemble(p: int, m: int, r: int, parts: dict) -> Subspace:
                     vec[c] = v
                 rows.append((ranks[pivot], tuple(vec)))
     rows.sort()
-    return Subspace(p, d, Matrix._of(p, tuple([row for _, row in rows]), d),
+    return Subspace(p, d, Matrix._make(p, tuple([row for _, row in rows]), d),
                     tuple([pivot for pivot, _ in rows]))
 
 
@@ -297,7 +287,7 @@ def _block_map(p: int, s: int, k: int, t: int, scale: int, eps: tuple, eps_t: tu
     ``eps`` and ``eps_t``.  The left wedge by gamma^(j) is t = k + j with
     scale 1, since products of pairs commute; the raising operator is
     t = k - 1 with scale sigma, since it takes x_a ^ y_a to sigma."""
-    return SparseMatrix._of(p, dim_wedge(s, t), tuple(
+    return SparseMatrix._make(p, dim_wedge(s, t), tuple(
         tuple([(i, scale * e * eps_t[i] % p) for i in col])
         for col, e in zip(_inclusion_columns(s, k, t), eps)))
 
@@ -322,7 +312,7 @@ def _signed(p: int, w: tuple, k: int, part: Subspace) -> Subspace:
     eps, d = _pair_signs(w, k), part.ambient_dim
     rows = tuple(tuple([v if e == eps[c] else -v % p for v, e in zip(row, eps)])
                  for row, c in zip(part.basis.entries, part.pivots))
-    return Subspace(p, d, Matrix._of(p, rows, d), part.pivots)
+    return Subspace(p, d, Matrix._make(p, rows, d), part.pivots)
 
 
 def _block_keys(m: int, r: int):
@@ -711,7 +701,7 @@ def _transvections(space: SymplecticSpace) -> tuple:
 def _rank_one_compound(p: int, r: int, a: Sequence[int], u: Sequence[tuple]) -> SparseMatrix:
     """The degree-r compound of e_i -> e_i + a_i u from ``rank_one_wedge``."""
     n = len(a)
-    return SparseMatrix._of(p, dim_wedge(n, r), tuple(
+    return SparseMatrix._make(p, dim_wedge(n, r), tuple(
         tuple(sorted((mono_rank(t), c) for t, c in rank_one_wedge(mono, a, u, p).items()))
         for mono in monomials(n, r)))
 

@@ -13,7 +13,7 @@ import time
 from math import comb
 
 from .errors import Record
-from .exterior import Multivector, monomials
+from .exterior import Multivector, monomials, parse
 from .extraspecial import (
     abelian_preimage_check,
     center,
@@ -49,6 +49,10 @@ from .symplectic import (
     submodule_closure,
     x_minus,
 )
+
+#: zeta = x2^x3^y2^y3 at (2,3), the degree-4 class outside the ideal that
+#: criteria 1, 6 and 8 check.
+ZETA = parse("x2^x3^y2^y3", 2, 3)
 
 
 class CriterionResult(Record):
@@ -90,12 +94,8 @@ def criterion_1(grid: str = "small", seed: int = 0) -> CriterionResult:
     def body():
         space = SymplecticSpace(2, 3)
         qb = quotient_basis(space, 4)
-        names = [space.order.mono_name(mono) for mono in qb]
-        target = Multivector.variable(2, 3, "x2").wedge(
-            Multivector.variable(2, 3, "x3")).wedge(
-            Multivector.variable(2, 3, "y2")).wedge(
-            Multivector.variable(2, 3, "y3"))
-        outside = ideal_component(space, 4).member(target.coords(4)) is None
+        names = list(map(space.order.mono_name, qb))
+        outside = ideal_component(space, 4).member(ZETA.coords(4)) is None
         ok = len(qb) == 1 and names == ["x2^x3^y2^y3"] and outside
         return ok, {"quotient_dim": len(qb), "basis": names,
                     "monomial_outside_ideal": outside}
@@ -206,11 +206,7 @@ def criterion_6(grid: str = "small", seed: int = 0) -> CriterionResult:
         cases["(2,3) gap at 4"] = gaps[4] == 1
         cases["(2,3) gaps 0..2"] = all(gaps[r] == 0 for r in (0, 1, 2))
         cx = counterexample(space)
-        zeta = Multivector.variable(2, 3, "x2").wedge(
-            Multivector.variable(2, 3, "x3")).wedge(
-            Multivector.variable(2, 3, "y2")).wedge(
-            Multivector.variable(2, 3, "y3"))
-        diff = cx - zeta
+        diff = cx - ZETA
         same_class = diff.is_zero() or (
             ideal_component(space, 4).member(diff.coords(4)) is not None)
         cases["(2,3) counterexample is zeta mod ideal"] = same_class
@@ -241,15 +237,11 @@ def criterion_8(grid: str = "small", seed: int = 0) -> CriterionResult:
     replay, and the perp structure is (5, 1, 4) throughout."""
     def body():
         space = SymplecticSpace(2, 3)
-        zeta = Multivector.variable(2, 3, "x2").wedge(
-            Multivector.variable(2, 3, "x3")).wedge(
-            Multivector.variable(2, 3, "y2")).wedge(
-            Multivector.variable(2, 3, "y3"))
-        rep = certificate(space, zeta)
+        rep = certificate(space, ZETA)
         n_checked = len(rep.records)
         all_pass = rep.overall
         replayed = all(
-            verify_certificate_record(space, zeta, r) for r in rep.records)
+            verify_certificate_record(space, ZETA, r) for r in rep.records)
         dims_ok = all(
             r.dim_perp == 5 and r.dim_radical == 1 and r.dim_complement == 4
             for r in rep.records)

@@ -129,7 +129,7 @@ def assembled_map(p: int, m: int, r: int, t: int, scale: int) -> SparseMatrix:
             block = _block_map(p, s, k, kt, scale, _block_signs(p, w, k), _block_signs(p, w, kt))
             for rank, col in zip(ranks, block.columns):
                 columns[rank] = tuple([(to[i], v) for i, v in col])
-    return SparseMatrix._of(p, dim_wedge(2 * m, t), tuple(columns))
+    return SparseMatrix._make(p, dim_wedge(2 * m, t), tuple(columns))
 
 
 def sparse_from_dense(mat: Matrix) -> SparseMatrix:
@@ -147,7 +147,7 @@ def transvection(space, v) -> Matrix:
     if not any(v):
         raise ValueError("transvection direction must be nonzero")
     gv = space.gram.matvec(v)
-    t = Matrix._of(p, tuple(tuple((int(i == j) + a * b) % p for j, b in enumerate(gv))
+    t = Matrix._make(p, tuple(tuple((int(i == j) + a * b) % p for j, b in enumerate(gv))
                             for i, a in enumerate(v)), n)
     if t.transpose() @ space.gram @ t != space.gram:
         raise InvariantError("transvection does not preserve the form")

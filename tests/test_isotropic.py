@@ -148,12 +148,12 @@ def kernel_radical_split(space, sub):
     b, bt = sub.basis, sub.basis.transpose()
     gram = b @ space.gram @ bt
     kernel = kernel_basis(gram)
-    rad = Subspace(p, n, Matrix._of(p, tuple(bt.matvec(c) for c in kernel.basis.entries), n),
+    rad = Subspace(p, n, Matrix._make(p, tuple(bt.matvec(c) for c in kernel.basis.entries), n),
                    tuple(sub.pivots[f] for f in kernel.pivots))
     kept = [i for i in range(sub.dim) if i not in set(kernel.pivots)]
-    a = Subspace(p, n, Matrix._of(p, tuple(b.entries[i] for i in kept), n),
+    a = Subspace(p, n, Matrix._make(p, tuple(b.entries[i] for i in kept), n),
                  tuple(sub.pivots[i] for i in kept))
-    gram_a = Matrix._of(p, tuple(tuple(gram.entries[i][j] for j in kept) for i in kept),
+    gram_a = Matrix._make(p, tuple(tuple(gram.entries[i][j] for j in kept) for i in kept),
                         len(kept))
     return rad, a, gram, gram_a
 
@@ -164,7 +164,7 @@ def kernel_annihilator(sub, g):
     coeffs = sub.member(g)
     if coeffs is None:
         raise ValueError("vector lies outside the subspace")
-    return kernel_basis(Matrix._of(sub.p, (coeffs,), sub.dim))
+    return kernel_basis(Matrix._make(sub.p, (coeffs,), sub.dim))
 
 
 def chart_radical(chart):
@@ -172,7 +172,7 @@ def chart_radical(chart):
     row ``lead``, where g's coordinates on the rows are led."""
     p, g, u = chart.p, chart.g, chart.sub.pivots[chart.lead]
     inv = inv_mod(g[u], p)
-    return Subspace(p, len(g), Matrix._of(p, (tuple(x * inv % p for x in g),), len(g)), (u,))
+    return Subspace(p, len(g), Matrix._make(p, (tuple(x * inv % p for x in g),), len(g)), (u,))
 
 
 def chart_complement(chart):
@@ -180,7 +180,7 @@ def chart_complement(chart):
     sub = chart.sub
     kept = [b for b in range(sub.dim) if b != chart.lead]
     return Subspace(chart.p, sub.ambient_dim,
-                    Matrix._of(chart.p, tuple(sub.basis.entries[b] for b in kept),
+                    Matrix._make(chart.p, tuple(sub.basis.entries[b] for b in kept),
                                sub.ambient_dim),
                     tuple(sub.pivots[b] for b in kept))
 
@@ -238,8 +238,11 @@ def corrupt_chart(monkeypatch, change):
     """Have ``perp_chart`` check a chart whose data ``change`` rewrites
     (a function of the chart's fields) before its checks run."""
     real = isotropic.PerpChart
-    monkeypatch.setattr(isotropic, "PerpChart",
-                        lambda **fields: real(**{**fields, **change(fields)}))
+
+    def corrupted(*values):
+        fields = dict(zip(real.__slots__, values))
+        return real(**{**fields, **change(fields)})
+    monkeypatch.setattr(isotropic, "PerpChart", corrupted)
 
 
 def test_perp_chart_rejects_a_complement_row_as_radical(monkeypatch):

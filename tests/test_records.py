@@ -1,6 +1,8 @@
 """The package's result records: frozen, slotted, and equal, hashed and
 printed field by field, with the text pinned to the dataclass form they
-had before the ``errors.Record`` base replaced ``dataclasses``."""
+had before the ``errors.Record`` base replaced ``dataclasses``.  The value
+types (matrices, subspaces, multivectors, the symplectic space) derive
+from the same base and keep their own text and equality."""
 
 import copy
 import itertools
@@ -9,17 +11,19 @@ import pickle
 
 import pytest
 
-from infker.errors import NotPrimeError, Record
+from infker.errors import DimensionMismatchError, NotPrimeError, Record
 from infker.exterior import Multivector, VariableOrder
 from infker.extraspecial import ExtraspecialGroup, GroupElement, make_group
 from infker.inflation import CertificateRecord, CertificateReport, KernelSandwich
 from infker.isotropic import IsotropicCatalog, PerpChart
+from infker.prime_linalg import Matrix, SparseMatrix, Subspace
 from infker.symplectic import (
     DegreeCheck,
     LadderSequence,
     PremetReport,
     ProbeReport,
     Sl2Report,
+    SymplecticSpace,
 )
 from infker.verify import CriterionResult
 
@@ -140,8 +144,7 @@ def test_replace_copies_with_changed_fields(cls, fields, text):
 def test_copy_and_pickle_round_trip(cls, fields, text):
     rec = cls(**fields)
     assert copy.copy(rec) == rec
-    if cls not in (CertificateReport, LadderSequence):  # a Multivector does not pickle
-        assert pickle.loads(pickle.dumps(rec)) == rec
+    assert pickle.loads(pickle.dumps(rec)) == rec
 
 
 def test_construction_checks_the_fields():
@@ -182,3 +185,100 @@ def test_group_elements_order_by_z_then_v(p, m):
     for a, b in itertools.product(elements, repeat=2):
         for compare in (operator.lt, operator.le, operator.gt, operator.ge):
             assert compare(a, b) == compare(key(a), key(b))
+
+
+def read_space(p, m):
+    """A space whose cache already holds its Gram matrix."""
+    space = SymplecticSpace(p, m)
+    assert space.gram.rows == 2 * m and space._cache
+    return space
+
+
+#: One value of every value type, a twin equal to it but built another way,
+#: a value that differs from it, and its repr.
+VALUES = [
+    (Matrix(3, [[1, 2], [0, 1]]), Matrix(3, [[4, -1], [3, 1]]), Matrix(3, [[1, 2], [0, 2]]),
+     "Matrix(p=3, 2x2)"),
+    (SparseMatrix(3, 2, [[(0, 1)]]), SparseMatrix(3, 2, [[(1, 3), (0, 2), (0, 2)]]),
+     SparseMatrix(3, 2, [[(1, 1)]]), "SparseMatrix(p=3, 2x1)"),
+    # equal by span, whatever rows generate it
+    (Subspace.zero(3, 4), Subspace.from_rows(3, 4, [[0, 0, 0, 0], [3, 6, 0, 9]]),
+     Subspace.from_rows(3, 4, [[1, 0, 0, 0]]), "Subspace(p=3, dim=0, ambient=4)"),
+    (Subspace.full(3, 2), Subspace.from_rows(3, 2, [[1, 1], [0, 2]]), Subspace.zero(3, 2),
+     "Subspace(p=3, dim=2, ambient=2)"),
+    # equal by (p, m), whatever the cache holds
+    (SymplecticSpace(3, 2), read_space(3, 2), SymplecticSpace(3, 3), "SymplecticSpace(p=3, m=2)"),
+    # equal by terms, whatever coefficients reduce to them
+    (CLASS, Multivector(3, 1, {(0, 1): 5, (0,): 4, (1,): 3}), Multivector(3, 1, {(0,): 1}),
+     "Multivector(p=3, m=1, 'x1 + 2*x1^y1')"),
+]
+
+VALUE_IDS = [f"{type(value).__name__}-{i}" for i, (value, _, _, _) in enumerate(VALUES)]
+
+
+def test_every_value_type_is_listed():
+    types = {type(value) for value, _, _, _ in VALUES}
+    assert types == {Matrix, SparseMatrix, Subspace, SymplecticSpace, Multivector}
+    assert all(issubclass(cls, Record) for cls in types)
+
+
+@pytest.mark.parametrize("value,twin,other,text", VALUES, ids=VALUE_IDS)
+def test_value_repr_is_its_own_text(value, twin, other, text):
+    assert repr(value) == repr(twin) == text
+
+
+@pytest.mark.parametrize("value,twin,other,text", VALUES, ids=VALUE_IDS)
+def test_value_equality_and_hash(value, twin, other, text):
+    assert value == twin and not value != twin
+    assert hash(value) == hash(twin)
+    assert value != other and not value == other
+    assert value != object() and value != value._values
+
+
+def test_multivector_hash_is_over_its_sorted_terms():
+    """Its terms are a dict, so the hash is taken over them sorted, in
+    whatever order they were given."""
+    assert hash(CLASS) == hash((3, 1, (((0,), 1), ((0, 1), 2))))
+    assert hash(CLASS) == hash(Multivector(3, 1, {(0, 1): 2, (0,): 1}))
+
+
+def test_space_equality_does_not_read_its_cache():
+    fresh, read = SymplecticSpace(2, 2), read_space(2, 2)
+    assert fresh == read and hash(fresh) == hash(read)
+    assert fresh._cache == {}
+    assert SymplecticSpace._fields == ("p", "m")
+
+
+@pytest.mark.parametrize("value,twin,other,text", VALUES, ids=VALUE_IDS)
+def test_value_fields_refuse_assignment_and_deletion(value, twin, other, text):
+    for name in type(value).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 0
+    assert value == twin and repr(value) == text
+
+
+@pytest.mark.parametrize("value,twin,other,text", VALUES, ids=VALUE_IDS)
+def test_value_copy_and_pickle_round_trip(value, twin, other, text):
+    clones = (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)),
+              value._replace())
+    for clone in clones:
+        assert type(clone) is type(value) and clone == value and repr(clone) == text
+        assert hash(clone) == hash(value)
+
+
+def test_copied_space_starts_with_an_empty_cache():
+    space = read_space(3, 2)
+    for clone in (copy.copy(space), copy.deepcopy(space), pickle.loads(pickle.dumps(space))):
+        assert clone == space and clone._cache == {}
+
+
+def test_unpickling_a_matrix_validates_it_again():
+    """Pickle rebuilds a value through its constructor, so a ragged
+    matrix that was never valid does not load."""
+    bad = Matrix._make(3, ((1, 2), (0,)), 2)
+    with pytest.raises(DimensionMismatchError, match="ragged"):
+        pickle.loads(pickle.dumps(bad))

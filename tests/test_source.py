@@ -98,6 +98,34 @@ def test_size_refusals_are_raised_by_bounded_count(path):
     assert (calls != []) == (path.name == "errors.py")
 
 
+def frozen_writes(source: str) -> list:
+    """Line numbers that define ``__setattr__`` or ``__delattr__``, or that
+    read ``object.__setattr__`` or ``object.__new__``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name in ("__setattr__", "__delattr__"):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "object"
+              and node.attr in ("__setattr__", "__new__")):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_frozen_writes_are_found():
+    source = ("class A:\n    def __delattr__(self, name):\n        pass\n"
+              "put = object.__setattr__\nobject.__new__(A)\nA.__new__(A)\n"
+              "def __setattr__():\n    pass\n")
+    assert frozen_writes(source) == [2, 4, 5, 7]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_frozen_values_are_written_only_by_record(path):
+    """Immutability is written once, in ``errors.Record``: no other module
+    refuses assignment itself or writes a slot past the refusal."""
+    lines = frozen_writes(path.read_text(encoding="utf-8"))
+    assert (lines != []) == (path.name == "errors.py")
+
+
 #: Public names that no module reads, each kept for a stated reason.
 UNREAD_ON_PURPOSE = {
     "calibrate_sigma": "recomputes SIGMA by trying both signs; the tests pin the choice",
