@@ -404,9 +404,12 @@ def _text_lines(value, prefix=""):
 _ASCII = json.encoder.encode_basestring_ascii
 
 
-def _json_indented(value, indent: str = "\n") -> str:
+def _json_indented(value, indent: str = "\n", seen: dict | None = None) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, joined from parts, a
-    list of plain ints in one pass: with ``indent``, ``json`` is pure Python."""
+    list of plain ints in one pass: with ``indent``, ``json`` is pure Python.
+    A dict met again at the same indent (certificate records share their
+    witnesses) is written once: ``seen`` maps (id, indent) to its text for
+    one top-level call, while ``value`` keeps every object it holds alive."""
     if type(value) is int:
         return int.__repr__(value)
     if value is True:
@@ -417,13 +420,18 @@ def _json_indented(value, indent: str = "\n") -> str:
         return "null"
     if isinstance(value, str):
         return _ASCII(value)
+    if seen is None:
+        seen = {}
     if isinstance(value, dict):
         if not value:
             return "{}"
-        inner = indent + "  "
-        return "{" + inner + ("," + inner).join([
-            _ASCII(k if isinstance(k, str) else json.dumps(k)) + ": "
-            + _json_indented(v, inner) for k, v in sorted(value.items())]) + indent + "}"
+        key = (id(value), indent)
+        if key not in seen:
+            inner = indent + "  "
+            seen[key] = "{" + inner + ("," + inner).join([
+                _ASCII(k if isinstance(k, str) else json.dumps(k)) + ": "
+                + _json_indented(v, inner, seen) for k, v in sorted(value.items())]) + indent + "}"
+        return seen[key]
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -431,7 +439,7 @@ def _json_indented(value, indent: str = "\n") -> str:
         if type(value[0]) is int and all(type(v) is int for v in value):  # not bools
             return "[" + inner + ("," + inner).join(map(int.__repr__, value)) + indent + "]"
         return "[" + inner + ("," + inner).join([
-            _json_indented(v, inner) for v in value]) + indent + "]"
+            _json_indented(v, inner, seen) for v in value]) + indent + "]"
     return json.dumps(value)  # floats (NaN and infinities too), int subclasses
 
 

@@ -18,6 +18,7 @@ import itertools
 import re
 from functools import lru_cache
 from math import comb
+from types import MappingProxyType
 from typing import Optional, Sequence
 
 from .errors import (
@@ -57,7 +58,13 @@ def mono_rank(mono: Mono) -> int:
     """
     if any(a >= b for a, b in zip(mono, mono[1:])):
         raise ValueError(f"monomial positions must strictly increase: {mono}")
-    return sum(comb(c, i + 1) for i, c in enumerate(mono))
+    return _colex_rank(mono)
+
+
+def _colex_rank(mono: Mono) -> int:
+    """``mono_rank`` without the check, for monomials that increase by
+    construction, as the table builders' do."""
+    return sum([comb(c, i + 1) for i, c in enumerate(mono)])
 
 
 def wedge_monomials(a: Mono, b: Mono):
@@ -179,13 +186,15 @@ def _hyperplane_terms(nvars: int, f: int, r: int) -> tuple:
     """
     by_rows, units, hits = {}, {}, {}
     for rows in itertools.combinations(range(nvars - 1), r):
-        us, rank_b = tuple(b + (b >= f) for b in rows), mono_rank(rows)
+        us, rank_b = tuple(b + (b >= f) for b in rows), _colex_rank(rows)
         terms = []
-        for b, u in zip(rows, us):
-            sign, mono = sort_to_monomial([f if v == u else v for v in us])
-            terms.append((mono_rank(mono), sign, b))
+        for i, b in enumerate(rows):
+            others = us[:i] + us[i + 1:]
+            j = bisect.bisect(others, f)  # f moves past |i - j| positions of U
+            sign, mono = -1 if (i - j) & 1 else 1, others[:j] + (f,) + others[j:]
+            terms.append((_colex_rank(mono), sign, b))
             hits.setdefault(mono, []).append((rank_b, sign, b))
-        by_rows[rows] = (mono_rank(us), tuple(terms))
+        by_rows[rows] = (_colex_rank(us), tuple(terms))
         units[us] = rank_b
     by_mono = {mono: (units.get(mono), tuple(hits.get(mono, ())))
                for mono in itertools.combinations(range(nvars), r)}
@@ -224,7 +233,7 @@ def _wedge_table(nvars: int, deg_a: int, deg_b: int) -> tuple:
         row = []
         for mb in monos_b:
             merged = wedge_monomials(ma, mb)
-            row.append(None if merged is None else (merged[0], mono_rank(merged[1])))
+            row.append(None if merged is None else (merged[0], _colex_rank(merged[1])))
         table.append(tuple(row))
     return tuple(table)
 
@@ -290,9 +299,10 @@ class Multivector(Record):
     """An element of the exterior algebra on x1..xm, y1..ym over F_p.
 
     Terms are stored sparsely as {monomial: coefficient} with coefficients
-    normalized into [1, p).  Instances are treated as immutable; all
-    arithmetic returns new values.  The terms are a dict, so the hash is
-    taken over them sorted.
+    normalized into [1, p), behind a read-only ``MappingProxyType``: a
+    write to ``terms`` raises TypeError, so the value and its hash stay
+    fixed.  All arithmetic returns new values.  The hash is taken over the
+    terms sorted; copy and pickle pass them as a plain dict.
     """
 
     __slots__ = ("p", "m", "terms")
@@ -312,13 +322,16 @@ class Multivector(Record):
             coeff %= p
             if coeff:
                 clean[mono] = coeff
-        super().__init__(p, m, clean)
+        super().__init__(p, m, MappingProxyType(clean))
 
     @classmethod
     def _of(cls, p: int, m: int, terms: dict) -> "Multivector":
         """Wrap valid monomials whose coefficients are already in [0, p);
         the zero ones are dropped."""
-        return cls._make(p, m, {mono: c for mono, c in terms.items() if c})
+        return cls._make(p, m, MappingProxyType({mono: c for mono, c in terms.items() if c}))
+
+    def __reduce__(self):
+        return type(self), (self.p, self.m, dict(self.terms))
 
     # -- constructors ---------------------------------------------------
 

@@ -33,14 +33,14 @@ class GroupElement(Record):
         g = self.group
         if other.group != g:
             raise DimensionMismatchError("elements from different groups")
-        return GroupElement(g, *g.product(self.z, self.v, other.z, other.v))
+        return GroupElement._make(g, *g.product(self.z, self.v, other.z, other.v))
 
     def inverse(self) -> "GroupElement":
         g = self.group
         neg = tuple(-a % g.p for a in self.v)
         # (z, v)(z', -v) = identity forces z' = beta(v, v) - z
         z = (g.cocycle(self.v, self.v) - self.z) % g.p
-        return GroupElement(g, z, neg)
+        return GroupElement._make(g, z, neg)
 
     def is_identity(self) -> bool:
         return self.z == 0 and not any(self.v)

@@ -410,9 +410,14 @@ def certificate(space: SymplecticSpace, target: Multivector) -> CertificateRepor
     p = 2 one packed int a row) from ``_system_plan`` at the chart's Gram
     form, the annihilator's ``_hyperplane_terms`` at its t, and the
     restriction, in the generators' column order; identity records are
-    built only for a witness's nonzero coefficients.  Spaces with more than
-    SCAN_LIMIT nonzero vectors are refused with CatalogTooLargeError
-    before the first perp is built.
+    built only for a witness's nonzero coefficients.  Those four values
+    (f_ann, the Gram form, t, the restriction) are all the system
+    depends on, so the points that share them share one solve and one
+    witness dict (114 systems for the 324 non-vacuous points at p = 3,
+    m = 3), and ``perp_chart`` ranks each distinct complement form once
+    per space.  Every point still runs the chart's checks.  Spaces with
+    more than SCAN_LIMIT nonzero vectors are refused with
+    CatalogTooLargeError before the first perp is built.
     """
     if target.p != space.p or target.m != space.m:
         raise ValueError("class does not live on this space")
@@ -437,44 +442,51 @@ def certificate(space: SymplecticSpace, target: Multivector) -> CertificateRepor
             return {"kind": "form_wedge", "monomial": list(monos[j])}
         return {"kind": "annihilator_wedge", "rows": list(subsets[j - len(monos)])}
 
-    records = []
+    def solved(f_ann: int, omega: tuple, t: tuple, rest: tuple) -> tuple:
+        """(coefficients, witness) of the system these four values write, or
+        (None, None) when it is inconsistent."""
+        ann = enumerate(_hyperplane_terms(k, f_ann, degree)[0].values(), len(monos))
+        if p == 2:
+            rows = [sum([1 << mu for mu, pair, _ in entries if omega[pair]]) | v << ncols
+                    for entries, v in zip(plan, rest)]
+            for j, (unit, terms) in ann:
+                rows[unit] |= 1 << j
+                for rank, _, b in terms:
+                    rows[rank] |= t[b] << j
+        else:
+            rows = [[0] * ncols + [v] for v in rest]
+            for row, entries in zip(rows, plan):
+                for mu, pair, sign in entries:
+                    row[mu] = sign * omega[pair] % p
+            for j, (unit, terms) in ann:
+                rows[unit][j] = 1
+                for rank, sign, b in terms:
+                    rows[rank][j] = sign * t[b] % p
+        coeffs = solve_rows(p, rows, ncols)
+        if coeffs is None:
+            return None, None
+        return coeffs, {"terms": [{"coeff": c, **identity(j)} for j, c in enumerate(coeffs) if c]}
+
+    make, records = CertificateRecord._make, []
     by_point = {}  # normalized g -> its record; product order lists it first
+    systems = {}  # (f_ann, omega, t, rest) -> (coefficients, witness)
     for g in itertools.product(range(p), repeat=n):
         lead = next((c for c in g if c), 0)
         if lead > 1:
             inv = inv_mod(lead, p)
-            records.append(by_point[tuple(c * inv % p for c in g)]._replace(g=g))
+            records.append(make(g, *by_point[tuple(c * inv % p for c in g)]._values[1:]))
             continue
         if not lead:
             continue
         chart = perp_chart(space, g)
         rest = hyperplane_restriction(n, p, chart.f, chart.c, degree, target.terms)
-        coeffs = witness = None
-        if any(rest):
-            omega, t = _gram_form(chart.gram), chart.t
-            ann = enumerate(_hyperplane_terms(k, chart.f_ann, degree)[0].values(), len(monos))
-            if p == 2:
-                rows = [sum([1 << mu for mu, pair, _ in entries if omega[pair]]) | v << ncols
-                        for entries, v in zip(plan, rest)]
-                for j, (unit, terms) in ann:
-                    rows[unit] |= 1 << j
-                    for rank, _, b in terms:
-                        rows[rank] |= t[b] << j
-            else:
-                rows = [[0] * ncols + [v] for v in rest]
-                for row, entries in zip(rows, plan):
-                    for mu, pair, sign in entries:
-                        row[mu] = sign * omega[pair] % p
-                for j, (unit, terms) in ann:
-                    rows[unit][j] = 1
-                    for rank, sign, b in terms:
-                        rows[rank][j] = sign * t[b] % p
-            coeffs = solve_rows(p, rows, ncols)
-            if coeffs is not None:
-                witness = {"terms": [{"coeff": c, **identity(j)}
-                                     for j, c in enumerate(coeffs) if c]}
-        by_point[g] = CertificateRecord(g, k, 1, k - 1, k - 1, not any(rest),
-                                        coeffs is not None, witness)
+        vacuous, coeffs, witness = not any(rest), None, None
+        if not vacuous:
+            key = (chart.f_ann, _gram_form(chart.gram), chart.t, rest)
+            if key not in systems:
+                systems[key] = solved(*key)
+            coeffs, witness = systems[key]
+        by_point[g] = make(g, k, 1, k - 1, k - 1, vacuous, coeffs is not None, witness)
         records.append(by_point[g])
     return CertificateReport(p=p, m=space.m, degree=degree,
                              target=target, records=records)

@@ -233,9 +233,12 @@ def perp_chart(space: SymplecticSpace, g: Sequence[int]) -> PerpChart:
     On the chart's own data, three checks run: the radical's coordinates
     lead where the complement has no row (the split), psi(g, -) is
     phi_u + c_b phi_f = 0 on every row (the radical pairing), and the
-    complement's form has full rank (the chart's one elimination, rank
-    only: no reduced matrix is read back).  Together they prove that <g>
-    is the whole radical.
+    complement's form has full rank (rank only: no reduced matrix is read
+    back).  Together they prove that <g> is the whole radical.  The rank
+    is kept per space, keyed by the form's entries: most points share
+    their complement form with others (30 forms for the 364 points at
+    p = 3, m = 3), so each distinct form is eliminated once, and a form
+    that differs in any entry is its own key.
     """
     p, m, n = space.p, space.m, space.n
     if len(g) != n:
@@ -264,6 +267,7 @@ def perp_chart(space: SymplecticSpace, g: Sequence[int]) -> PerpChart:
         raise InvariantError("radical and complement do not split the subspace")
     if any((phi[b + (b >= f)] + cb * phi[f]) % p for b, cb in enumerate(chart.c)):
         raise InvariantError("radical vector pairs nontrivially inside the subspace")
-    if rank(chart.gram_a) != n - 2:
+    form = chart.gram_a
+    if _cached(space, ("complement_rank", form.entries), lambda: rank(form)) != n - 2:
         raise InvariantError("complement form is degenerate")
     return chart

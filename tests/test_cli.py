@@ -204,6 +204,23 @@ def test_json_renderer_matches_json_dumps(value):
     assert _json_indented(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
+@given(st.data())
+@settings(max_examples=200)
+def test_json_renderer_matches_json_dumps_on_shared_objects(data):
+    """One dict or list object met at several places and depths, as the
+    records of a certificate share their witnesses, renders as ``json``
+    renders each copy."""
+    shared = data.draw(st.dictionaries(st.text(max_size=4), json_values, min_size=1, max_size=3)
+                       | st.lists(json_values, min_size=1, max_size=3))
+    around = data.draw(st.recursive(
+        st.just(shared) | json_scalars,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                    max_size=4),
+        max_leaves=12))
+    value = [around, shared, {"a": shared, "b": [shared, {"c": shared}]}]
+    assert _json_indented(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
 @pytest.mark.parametrize("value", [
     {"é\n\"\\": [float("nan"), float("-inf"), -0.0, 1e300, "\u2603\U0001f600\x00"]},
     ({"b": (), "a": {}},),

@@ -17,6 +17,7 @@ from infker import inflation, isotropic, prime_linalg, symplectic
 from infker.errors import CatalogTooLargeError, HomogeneityError, InvariantError
 from infker.exterior import (
     Multivector,
+    hyperplane_restriction,
     mono_rank,
     monomials,
     parse,
@@ -386,14 +387,28 @@ def test_theorem1_builds_no_dense_row(monkeypatch, p, m, gaps, first):
 ])
 def test_certificate_works_from_chart_data(monkeypatch, p, m, cls, points, solves):
     """Each projective point takes no minor and builds no hyperplane
-    Subspace: the chart's rank check is its one elimination, and a point
-    whose restriction is nonzero adds one solve."""
+    Subspace, and the exact work is done once per distinct input: one rank
+    per distinct complement form, one solve per distinct system (f_ann,
+    omega, t, restriction) of the non-vacuous points, and no other
+    elimination.  The distinct inputs are counted here from the charts."""
+    forms, systems = set(), set()
+    counting, target = SymplecticSpace(p, m), parse(cls, p, m)
+    for g in itertools.product(range(p), repeat=2 * m):
+        if next((c for c in g if c), 0) == 1:
+            chart = perp_chart(counting, g)
+            forms.add(chart.gram_a.entries)
+            rest = hyperplane_restriction(2 * m, p, chart.f, chart.c, target.degree(),
+                                          target.terms)
+            if any(rest):
+                systems.add((chart.f_ann, _gram_form(chart.gram), chart.t, rest))
+    assert (len(forms), len(systems)) == {(3, 3): (30, 114), (2, 4): (43, 100)}[p, m]
+
     def refuse(*args, **kwargs):
         raise AssertionError("certificate took minors or built a hyperplane")
     monkeypatch.setattr(inflation, "pure_wedge_coords", refuse)
     monkeypatch.setattr(inflation, "pullback_coords", refuse)
     monkeypatch.setattr(isotropic, "_hyperplane", refuse)
-    space, target = SymplecticSpace(p, m), parse(cls, p, m)
+    space = SymplecticSpace(p, m)
     assert space.gram.rows == 2 * m  # the form's one-time checks, before counting
     ranks = count_calls(monkeypatch, isotropic, "rank")
     solved = count_calls(monkeypatch, inflation, "solve_rows")
@@ -402,7 +417,8 @@ def test_certificate_works_from_chart_data(monkeypatch, p, m, cls, points, solve
     normalized = [rec for rec in rep.records if next(c for c in rec.g if c) == 1]
     assert rep.overall and len(normalized) == points
     assert sum(not rec.vacuous for rec in normalized) == solves
-    assert (len(ranks), len(solved), len(eliminations)) == (points, solves, points + solves)
+    assert (len(ranks), len(solved), len(eliminations)) == \
+        (len(forms), len(systems), len(forms) + len(systems))
 
 
 def test_dense_bases_refused_before_any_is_built(monkeypatch):
@@ -670,6 +686,24 @@ def test_certificate_matches_column_oracle_at_5_3():
     assert not rep.overall
     assert any(term["kind"] == "annihilator_wedge" for rec in rep.records if rec.witness
                for term in rec.witness["terms"])
+
+
+@pytest.mark.parametrize("p,m,cls,forms", [
+    (5, 2, "x1^x2^y1+2*x2^y1^y2", 4),
+    (3, 3, "x2^x3^y2^y3", 30),
+    (3, 3, "x1^x2+2*x3^y1", 30),  # membership fails at every point
+    (7, 2, "x1^x2^y1+3*x2^y1^y2", 6),
+])
+def test_certificate_on_a_warm_space_matches_a_fresh_one(p, m, cls, forms):
+    """The complement ranks that a first certificate leaves on the space,
+    one per distinct form, change no record of a second one: it equals a
+    fresh space's and the column oracle's, witnesses and all."""
+    warm, target = SymplecticSpace(p, m), parse(cls, p, m)
+    first = certificate(warm, target)
+    assert sum(key[0] == "complement_rank" for key in warm._cache) == forms
+    again = certificate(warm, target)
+    assert again == first == certificate(SymplecticSpace(p, m), target)
+    assert again.to_json() == certificate_by_columns(SymplecticSpace(p, m), target).to_json()
 
 
 def test_certificate_rejects_zero_and_inhomogeneous_targets():

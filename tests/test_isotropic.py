@@ -254,16 +254,33 @@ def test_perp_chart_rejects_a_complement_row_as_radical(monkeypatch):
             perp_chart(SymplecticSpace(p, m), g)
 
 
+def degenerate(fields):
+    """The chart's Gram rows with the complement's top row zeroed."""
+    gram, top = fields["gram"], 0 if fields["lead"] else 1
+    return {"gram": tuple((0,) * len(row) if b == top else row
+                          for b, row in enumerate(gram))}
+
+
 def test_perp_chart_rejects_a_degenerate_complement(monkeypatch):
     """A complement form that has lost its top row fails the rank check."""
-    def degenerate(fields):
-        gram, top = fields["gram"], 0 if fields["lead"] else 1
-        return {"gram": tuple((0,) * len(row) if b == top else row
-                              for b, row in enumerate(gram))}
     corrupt_chart(monkeypatch, degenerate)
     for p, m, g in ((3, 2, [0, 0, 1, 0]), (2, 3, [1, 1, 0, 0, 1, 0])):
         with pytest.raises(InvariantError, match="degenerate"):
             perp_chart(SymplecticSpace(p, m), g)
+
+
+def test_warm_rank_memo_still_rejects_a_degenerate_complement(monkeypatch):
+    """The complement ranks are kept per space by the form's entries, so
+    once every point's true form is ranked, a corrupted form is still its
+    own key: eliminated, and refused, at every point."""
+    space = SymplecticSpace(3, 2)
+    points = [g for g in itertools.product(range(3), repeat=4) if any(g)]
+    forms = {perp_chart(space, g).gram_a.entries for g in points}
+    assert sum(key[0] == "complement_rank" for key in space._cache) == len(forms)
+    corrupt_chart(monkeypatch, degenerate)
+    for g in points:
+        with pytest.raises(InvariantError, match="degenerate"):
+            perp_chart(space, g)
 
 
 @pytest.mark.parametrize("b", [0, -1])

@@ -242,6 +242,21 @@ def test_multivector_hash_is_over_its_sorted_terms():
     assert hash(CLASS) == hash(Multivector(3, 1, {(0, 1): 2, (0,): 1}))
 
 
+def test_multivector_terms_refuse_writes():
+    """The terms are a read-only view, whether the constructor or ``_of``
+    built the value: a write raises TypeError, and the value, its hash and
+    its place in a set stay as they were."""
+    value = Multivector(3, 1, {(0,): 1})
+    before, held = hash(value), {value}
+    for built in (value, value.wedge(Multivector.one(3, 1))):
+        with pytest.raises(TypeError):
+            built.terms[(1,)] = 2
+        with pytest.raises(TypeError):
+            del built.terms[(0,)]
+    assert dict(value.terms) == {(0,): 1} and str(value) == "x1"
+    assert hash(value) == before and value in held
+
+
 def test_space_equality_does_not_read_its_cache():
     fresh, read = SymplecticSpace(2, 2), read_space(2, 2)
     assert fresh == read and hash(fresh) == hash(read)
